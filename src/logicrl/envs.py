@@ -54,16 +54,13 @@ class ActionSpec:
 
 @dataclass
 class Transition:
-    """One environment step, optionally annotated with the model's prediction
-    and the constraint reward granted for it."""
+    """One environment step."""
 
     state: np.ndarray
     action: int
     env_reward: float
     next_state: np.ndarray
     done: bool
-    predicted_next: Optional[np.ndarray] = None
-    constraint_reward: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +195,69 @@ class GridLayout:
 # Slippery grid world
 
 
+def _distribution(
+    layout: GridLayout, cell, action_label: str
+) -> list[tuple[tuple[int, int], Fraction]]:
+    """Exact next-cell distribution of one (cell, action), sorted by cell."""
+    dx, dy = _GRID_MOVES[action_label]
+    intended = (cell[0] + dx, cell[1] + dy)
+    if not layout.in_bounds(intended):
+        intended = cell
+    neighbourhood = [cell] + [
+        (cell[0] + mx, cell[1] + my) for mx, my in _GRID_MOVES.values() if (mx, my) != (0, 0)
+    ]
+    neighbourhood = [c for c in neighbourhood if layout.in_bounds(c)]
+    share = SLIP_PROB / len(neighbourhood)
+    probs: dict[tuple[int, int], Fraction] = {c: share for c in neighbourhood}
+    probs[intended] = probs.get(intended, Fraction(0)) + INTENDED_PROB
+    return sorted(probs.items())
+
+
+def _outcome(layout: GridLayout, cell) -> tuple[tuple[int, int], float, bool]:
+    """(cell, reward, terminal) of entering `cell`."""
+    label = layout.label(cell)
+    if label == "target":
+        return cell, 1.0, True
+    if label == "unsafe":
+        return cell, -1.0, True
+    return cell, 0.0, False
+
+
+def _build_table(layout: GridLayout) -> dict:
+    """Sampling table of a layout: for each non-terminal cell, one entry per
+    action holding the float cumulative probabilities of its next cells
+    (last pinned to 1.0) and each next cell's outcome."""
+    table = {}
+    for x in range(layout.width):
+        for y in range(layout.height):
+            if layout.label((x, y)) in ("unsafe", "target"):
+                continue  # terminal cells are never stepped from
+            entries = []
+            for label in GRID_ACTIONS:
+                dist = _distribution(layout, (x, y), label)
+                cum = np.cumsum([float(p) for _, p in dist])
+                cum[-1] = 1.0
+                outcomes = tuple(_outcome(layout, c) for c, _ in dist)
+                entries.append((tuple(cum.tolist()), outcomes))
+            table[(x, y)] = tuple(entries)
+    return table
+
+
+# One table per distinct layout value, shared by every GridWorld of that
+# layout: building one costs tens of milliseconds of Fraction arithmetic.
+# Keyed by value, not identity, because checkpoints rebuild their layout
+# from text. Entries are tuples and nothing writes to a table once built.
+_TABLES: dict[tuple, dict] = {}
+
+
+def _transition_table(layout: GridLayout) -> dict:
+    key = (layout.width, layout.height, layout.unsafe, layout.targets, layout.start)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _build_table(layout)
+    return table
+
+
 class GridWorld:
     """Slippery grid: actions succeed with probability 0.85, otherwise the
     agent moves uniformly within its von Neumann neighbourhood including the
@@ -206,6 +266,10 @@ class GridWorld:
 
     Rewards: +1 entering a target (terminal), -1 entering an unsafe cell
     (terminal), 0 otherwise; episodes cap at `max_steps`.
+
+    Steps sample from a transition table built once per distinct layout and
+    shared read-only by every instance with an equal layout;
+    `transition_distribution` gives the exact probabilities it is built from.
     """
 
     max_steps = 400
@@ -216,41 +280,13 @@ class GridWorld:
             names=("x", "y"), units=("cells", "cells"), slices={"pos": (0, 1)}
         )
         self.action_spec = ActionSpec(5, GRID_ACTIONS)
-        self._tables = self._build_tables()
+        self._table = _transition_table(self.layout)
         self.rng = np.random.default_rng(seed)
         self._pos = self.layout.start
         self._steps = 0
         self._done = False
 
     # -- dynamics -----------------------------------------------------------
-
-    def _distribution(self, cell, action_label: str) -> list[tuple[tuple[int, int], Fraction]]:
-        dx, dy = _GRID_MOVES[action_label]
-        intended = (cell[0] + dx, cell[1] + dy)
-        if not self.layout.in_bounds(intended):
-            intended = cell
-        neighbourhood = [cell] + [
-            (cell[0] + mx, cell[1] + my) for mx, my in _GRID_MOVES.values() if (mx, my) != (0, 0)
-        ]
-        neighbourhood = [c for c in neighbourhood if self.layout.in_bounds(c)]
-        share = SLIP_PROB / len(neighbourhood)
-        probs: dict[tuple[int, int], Fraction] = {c: share for c in neighbourhood}
-        probs[intended] = probs.get(intended, Fraction(0)) + INTENDED_PROB
-        return sorted(probs.items())
-
-    def _build_tables(self):
-        tables = {}
-        for x in range(self.layout.width):
-            for y in range(self.layout.height):
-                if self.layout.label((x, y)) in ("unsafe", "target"):
-                    continue  # terminal cells are never stepped from
-                for a, label in enumerate(GRID_ACTIONS):
-                    dist = self._distribution((x, y), label)
-                    cells = [c for c, _ in dist]
-                    cum = np.cumsum([float(p) for _, p in dist])
-                    cum[-1] = 1.0
-                    tables[(x, y, a)] = (cells, cum)
-        return tables
 
     def transition_distribution(self, state, action: int):
         """Exact next-state distribution as (state, Fraction) pairs."""
@@ -259,7 +295,7 @@ class GridWorld:
         cell = (int(state[0]), int(state[1]))
         if not self.layout.in_bounds(cell):
             raise ValueError(f"state {cell} outside the grid")
-        dist = self._distribution(cell, GRID_ACTIONS[action])
+        dist = _distribution(self.layout, cell, GRID_ACTIONS[action])
         return [(np.array(c, dtype=np.float64), p) for c, p in dist]
 
     def transition_mean(self, state, action: int) -> np.ndarray:
@@ -286,17 +322,13 @@ class GridWorld:
             raise EpisodeOver("episode has ended; call reset()")
         if not 0 <= action < self.action_spec.count:
             raise ValueError(f"invalid action index {action}")
-        cells, cum = self._tables[(self._pos[0], self._pos[1], action)]
+        cum, outcomes = self._table[self._pos][action]
         u = self.rng.random()
-        nxt = cells[int(np.searchsorted(cum, u, side="right"))]
+        i = 0
+        while cum[i] <= u:  # first entry above u: searchsorted(side="right")
+            i += 1
+        nxt, reward, done = outcomes[i]
         state = self.state
-        label = self.layout.label(nxt)
-        if label == "target":
-            reward, done = 1.0, True
-        elif label == "unsafe":
-            reward, done = -1.0, True
-        else:
-            reward, done = 0.0, False
         self._pos = nxt
         self._steps += 1
         if self._steps >= self.max_steps:
@@ -469,10 +501,7 @@ class DelayedReward:
             emitted = 0.0
         if t.done:
             self._phase = 0
-        return Transition(
-            t.state, t.action, emitted, t.next_state, t.done,
-            t.predicted_next, t.constraint_reward,
-        )
+        return Transition(t.state, t.action, emitted, t.next_state, t.done)
 
     def get_state(self) -> dict:
         return {"pending": self._pending, "phase": self._phase, "inner": self.env.get_state()}

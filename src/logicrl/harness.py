@@ -276,7 +276,15 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
                 if trainer.steps >= next_eval_at:
                     ckpt = os.path.join(run_dir, "checkpoints", f"step_{trainer.steps:09d}")
                     trainer.save_checkpoint(ckpt)
-                    ev = trainer.evaluate(config.eval_horizon)
+                    try:
+                        ev = trainer.evaluate(config.eval_horizon)
+                    except (ValueError, FloatingPointError) as exc:
+                        # a diverged policy fails here first (NonFiniteLogits)
+                        raise TrainingDiverged(
+                            f"evaluation at iteration {trainer.iteration} aborted: {exc}",
+                            {"iteration": trainer.iteration, "steps": trainer.steps,
+                             "cause": str(exc)},
+                        ) from exc
                     metrics_fp.write(
                         _metrics_row(trainer.steps, trainer.iteration, ev, last, seed) + "\n"
                     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -436,7 +437,25 @@ class Trainer:
     # -- checkpointing -------------------------------------------------------------
 
     def save_checkpoint(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
+        """Write the checkpoint bundle to `directory`, replacing any bundle
+        there. The files go into a sibling staging directory that is renamed
+        into place only once complete, so a crash mid-save never leaves a
+        partial bundle at `directory`."""
+        directory = os.path.normpath(directory)
+        staging = os.path.join(
+            os.path.dirname(directory), f".{os.path.basename(directory)}.partial"
+        )
+        shutil.rmtree(staging, ignore_errors=True)  # left by an earlier crash
+        os.makedirs(staging)
+        try:
+            self._write_checkpoint(staging)
+            if os.path.isdir(directory):
+                shutil.rmtree(directory)
+            os.replace(staging, directory)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+
+    def _write_checkpoint(self, directory) -> None:
         save_paramset_file(
             os.path.join(directory, "policy.params"),
             self.agent.policy_params, self.agent.policy_config,

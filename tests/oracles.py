@@ -151,3 +151,37 @@ def random_formula(rng: np.random.Generator, max_atoms: int = 6):
     if rng.random() < 0.2:
         f = fl.Not(f)
     return f
+
+
+# ---------------------------------------------------------------------------
+# Slippery-grid reference stepper
+
+
+class ReferenceGridStepper:
+    """Steps a grid world straight from its exact `transition_distribution`:
+    the float cumulative sums of the Fractions (last pinned to 1.0), one
+    `rng.random()` draw searched with `np.searchsorted(side="right")`, and
+    the reward rule read from the layout's cell labels. Seeded like
+    `GridWorld`, it draws the same stream, so the two must agree step for
+    step without sharing the table."""
+
+    def __init__(self, env, seed: int):
+        self.env = env
+        self.rng = np.random.default_rng(seed)
+        self.reset()
+
+    def reset(self) -> None:
+        self.pos = self.env.layout.start
+        self.steps = 0
+
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        pairs = self.env.transition_distribution(np.array(self.pos, dtype=np.float64), action)
+        cum = np.cumsum([float(p) for _, p in pairs])
+        cum[-1] = 1.0
+        nxt = pairs[int(np.searchsorted(cum, self.rng.random(), side="right"))][0]
+        self.pos = (int(nxt[0]), int(nxt[1]))
+        self.steps += 1
+        label = self.env.layout.label(self.pos)
+        reward = {"target": 1.0, "unsafe": -1.0}.get(label, 0.0)
+        done = label in ("target", "unsafe") or self.steps >= self.env.max_steps
+        return nxt, reward, done

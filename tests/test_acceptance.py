@@ -3,9 +3,11 @@
 
 The two training-based fixtures are session-scoped and shared: the grid
 bridge experiments back criteria 5, 6 and 8; the cart-pole experiments back
-criterion 7. Baseline runs train without any formula, so their safety is
-scored afterwards by re-evaluating every saved checkpoint under the same
-formula and derived evaluation seed the training loop used.
+criterion 7. Those four tests are marked `slow` (the fixtures take
+minutes), so `pytest -m "not slow"` runs everything else. Baseline runs
+train without any formula, so their safety is scored afterwards by
+re-evaluating every saved checkpoint under the same formula and derived
+evaluation seed the training loop used.
 
 Criterion 5 is implemented faithfully and is expected to fail two of its
 three legs at this step budget: a uniform random policy reaches the far
@@ -299,6 +301,7 @@ def test_criterion_4_gae_oracle():
 # -- criterion 5 ----------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_bridge_task_margin(grid_runs):
     """Constraint-shaped agent vs unconstrained baseline on the bridge task:
     satisfaction margin >= 0.15, shaped-agent satisfaction >= 0.90, and
@@ -371,6 +374,7 @@ def adjacency_value_gap(run_dir: str) -> float:
     return v_adjacent - v_safe
 
 
+@pytest.mark.slow
 def test_criterion_6_value_grid_contrast(grid_runs):
     """Relative value of band-adjacent cells is strictly lower when training
     with the positive keep-out bound than with the zero bound (3-seed
@@ -387,6 +391,7 @@ def test_criterion_6_value_grid_contrast(grid_runs):
 # -- criterion 7 ----------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_cartpole_delayed_rewards(cartpole_runs):
     """Across d in {1, 5} and 3 seeds, constraint-shaped runs accumulate at
     least 30% fewer violations per 1000 evaluation steps than the baselines
@@ -413,6 +418,7 @@ def test_criterion_7_cartpole_delayed_rewards(cartpole_runs):
 # -- criterion 8 ----------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_metrics_determinism(grid_runs, tmp_path):
     """Re-running a training invocation with the same config and seed must
     reproduce metrics.csv byte-for-byte."""

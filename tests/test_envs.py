@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from logicrl import envs
 from logicrl.envs import (
     CartPole,
     DelayedReward,
@@ -13,6 +14,7 @@ from logicrl.envs import (
     make_env,
     unwrap,
 )
+from oracles import ReferenceGridStepper
 
 # exact acceleration values for one step from the zero state with +10 N,
 # worked out by hand from the standard frictionless cart-pole equations:
@@ -143,6 +145,59 @@ def test_intended_cell_frequency():
         t = env.step(2)
         hits += tuple(int(v) for v in t.next_state) == (5, 6)
     assert abs(hits / 10_000 - 0.88) < 0.01
+
+
+# a 3x3 grid: every cell sits on an edge, so most moves clamp
+SMALL_MAP = "..T\n.U.\nS..\n"
+
+
+@pytest.mark.parametrize("layout_text", [None, SMALL_MAP], ids=["bridge", "small"])
+def test_grid_step_matches_reference_stepper(layout_text):
+    layout = GridLayout.from_text(layout_text) if layout_text else None
+    env = GridWorld(layout, seed=11)
+    ref = ReferenceGridStepper(env, seed=11)
+    rng = np.random.default_rng(12)
+    resets = 0
+    for _ in range(5000):
+        action = int(rng.integers(5))
+        t = env.step(action)
+        next_state, reward, done = ref.step(action)
+        assert np.array_equal(t.next_state, next_state)
+        assert (t.env_reward, t.done) == (reward, done)
+        if t.done:
+            env.reset()
+            ref.reset()
+            resets += 1
+    assert resets > 0
+
+
+def test_equal_layouts_share_one_table():
+    bridge = GridLayout.default_bridge()
+    table = GridWorld(bridge)._table
+    assert GridWorld()._table is table
+    assert GridWorld(GridLayout.from_text(bridge.to_text()), seed=3)._table is table
+    moved = GridLayout(20, 20, [(x, 9) for x in range(9)], targets=[(19, 19)], start=(0, 0))
+    assert GridWorld(moved)._table is not table
+
+
+def test_table_built_once_per_layout(monkeypatch):
+    builds = []
+    build = envs._build_table
+
+    def counting_build(layout):
+        builds.append(layout)
+        return build(layout)
+
+    monkeypatch.setattr(envs, "_TABLES", {})
+    monkeypatch.setattr(envs, "_build_table", counting_build)
+    layout = GridLayout.default_bridge()
+    for seed in range(20):
+        GridWorld(layout, seed=seed)
+    assert len(builds) == 1
+    GridWorld(GridLayout.from_text(layout.to_text()))
+    assert len(builds) == 1
+    pairs = GridWorld(layout).transition_distribution(np.array([5.0, 5.0]), 2)
+    assert all(isinstance(p, Fraction) for _, p in pairs)
 
 
 # -- grid episodes --------------------------------------------------------------

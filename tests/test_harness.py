@@ -170,6 +170,22 @@ def test_cli_maps_divergence_to_exit_3(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_maps_divergence_in_evaluation_to_exit_3(tmp_path, monkeypatch, capsys):
+    from logicrl.actor_critic import ActorCritic, NonFiniteLogits
+
+    def diverged(self, states):
+        raise NonFiniteLogits("synthetic NaN logits")
+
+    monkeypatch.setattr(ActorCritic, "greedy_batch", diverged)
+    code = main(["train", "--env", "gridworld", "--seeds", "0", "--steps", "40",
+                 "--eval-every", "20", "--rollout-length", "10", "--batch-size", "2",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    dump = (tmp_path / "run" / "seed_0" / "diverged.txt").read_text()
+    assert "'iteration': 1" in dump and "'steps': 20" in dump
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_run_eval_reproduces_training_loop_eval(tmp_path):
     cfg = build_run_config(tiny_values(tmp_path, constraint="configs/grid_keepout.fl"))
     run_dir = train_one_seed(cfg, 0)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,34 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert np.array_equal(straight.agent.policy_params.flat(),
                           resumed.agent.policy_params.flat())
     assert np.array_equal(straight.model.params.flat(), resumed.model.params.flat())
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    import logicrl.training as training
+
+    trainer = grid_trainer(KEEPOUT, seed=3)
+    trainer.train_iteration()
+    ckpt = tmp_path / "checkpoints" / "step_000000032"
+    trainer.save_checkpoint(ckpt)
+    (ckpt / "stray.txt").write_text("not part of the bundle")
+    trainer.save_checkpoint(ckpt)  # overwriting a bundle replaces it whole
+    assert os.listdir(tmp_path / "checkpoints") == ["step_000000032"]
+    assert sorted(os.listdir(ckpt)) == [
+        "forward.params", "policy.params", "state.json", "value.params"]
+
+    calls = {"n": 0}
+    save = training.save_paramset_file
+
+    def failing_save(*args):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise OSError("synthetic disk failure")
+        return save(*args)
+
+    monkeypatch.setattr(training, "save_paramset_file", failing_save)
+    with pytest.raises(OSError):
+        trainer.save_checkpoint(tmp_path / "fresh" / "step_000000064")
+    assert os.listdir(tmp_path / "fresh") == []
 
 
 def test_load_checkpoint_rejects_garbage(tmp_path):
