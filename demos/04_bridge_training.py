@@ -41,7 +41,7 @@ print("curves written to runs_demo/curves/")
 keepout = load_constraint_file("configs/grid_keepout.fl")
 for experiment in ("shaped", "unshaped"):
     ckpt_root = f"runs_demo/{experiment}/seed_0/checkpoints"
-    final = sorted(os.listdir(ckpt_root))[-1]
+    final = sorted(n for n in os.listdir(ckpt_root) if n.startswith("step_"))[-1]
     trainer = Trainer.load_checkpoint(os.path.join(ckpt_root, final))
     bound = bind(keepout, trainer.registry, trainer.schema)
     env = make_env("gridworld", 123)

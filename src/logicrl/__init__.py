@@ -26,7 +26,7 @@ from .constraints import (
     to_dnf,
     to_text,
 )
-from .dynamics import ForwardModel, RunningNorm, fit_step, forward_loss, predict
+from .dynamics import ForwardModel, RunningNorm
 from .envs import (
     ActionSpec,
     CartPole,
@@ -59,8 +59,6 @@ from .training import (
     System3Config,
     Trainer,
     TrainingDiverged,
-    compose_reward,
-    constraint_reward,
     evaluate_policy,
 )
 

@@ -78,10 +78,12 @@ class ActorCritic:
 
     def policy_value(self, states) -> tuple[np.ndarray, np.ndarray, object, object]:
         """Action probabilities and state values for a batch of raw states."""
-        feats = self.featurize(np.atleast_2d(np.asarray(states, dtype=np.float64)))
-        probs, pcache = mlp_forward(self.policy_params, self.policy_config, feats, "pi.")
+        x = np.asarray(states, dtype=np.float64)
+        if x.ndim < 2:
+            x = x.reshape(1, -1)
+        probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x), "pi.")
         logits = pcache.pre[-1]
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise NonFiniteLogits(
                 f"non-finite logits for states {np.asarray(states)!r}"
             )

@@ -557,15 +557,60 @@ def to_dnf(formula: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Binding and evaluation
+# Binding and compilation
+#
+# bind() compiles the formula into a tree of closures. Each closure maps the
+# (n, size) state matrix to a boolean array with one axis for the rows and one
+# per enclosing quantifier: a quantified variable is its set's anchors stacked
+# along that variable's axis, so `forall` is `.all()` over the last axis and
+# needs no loop. Everything that does not read the state (literals, anchors,
+# point literals, norms between them) is resolved once, here.
 
 
-_CMP_FN = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_CMP_FN = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal, ">": np.greater}
+
+
+def _flip(op: str) -> str:
+    return {"<=": ">=", "<": ">", ">=": "<=", ">": "<"}[op]
+
+
+def _lifted(fn, depth: int, width: Optional[int] = None):
+    """`fn` with one unit axis inserted per quantifier, after the row axis
+    (and before the trailing vector axis of width `width`, if any)."""
+    if depth == 0:
+        return fn
+    shape = (-1,) + (1,) * depth + (() if width is None else (width,))
+    return lambda s: fn(s).reshape(shape)
+
+
+def _constant(value: np.ndarray):
+    """A closure for a result that does not read the state: `value`
+    repeated over the rows (a fresh array per call)."""
+    return lambda s: np.repeat(value, len(s), axis=0)
+
+
+def _flatten(f: Formula) -> list:
+    """Children of f, with nested connectives of f's own kind spliced in."""
+    out = []
+    for c in f.children:
+        out.extend(_flatten(c) if type(c) is type(f) else [c])
+    return out
+
+
+def _box_bound(f: Formula):
+    """(column, sign, literal, strict) for an `s[i] <op> literal` atom, as
+    the upper bound sign * s[i] <op> sign * literal with <op> in {<=, <}:
+    s[i] >= c is -s[i] <= -c, exactly, since negation does not round.
+    None for any other formula."""
+    if not isinstance(f, Atom):
+        return None
+    lhs, op, rhs = f.cmp.lhs, f.cmp.op, f.cmp.rhs
+    if isinstance(lhs, Literal) and isinstance(rhs, Component):
+        lhs, op, rhs = rhs, _flip(op), lhs
+    if not (isinstance(lhs, Component) and isinstance(rhs, Literal)):
+        return None
+    sign = 1.0 if op in ("<=", "<") else -1.0
+    return lhs.index, sign, sign * rhs.value, op in ("<", ">")
 
 
 class BoundFormula:
@@ -577,6 +622,7 @@ class BoundFormula:
         self.schema = schema
         self._slices = {name: tuple(idx) for name, idx in schema.slices.items()}
         self._check(formula, {})
+        self._fn = self._compile(formula, ())
 
     # -- validation ---------------------------------------------------------
 
@@ -632,96 +678,116 @@ class BoundFormula:
             else:
                 self._check(f.body, {**var_dims, f.var: points.shape[1]})
 
-    # -- evaluation ---------------------------------------------------------
+    # -- compilation ----------------------------------------------------------
+    # `scope` lists the (variable, anchors) of the enclosing quantifiers,
+    # outermost first; its length is the depth. A closure at depth D returns
+    # an array of ndim D + 1 whose first axis has the n rows.
 
-    def _vector_values(self, ref: VectorExpr, states: np.ndarray, binding: dict):
+    def _compile(self, f: Formula, scope: tuple):
+        if isinstance(f, Atom):
+            return self._compile_atom(f.cmp, scope)
+        if isinstance(f, Not):
+            child = self._compile(f.child, scope)
+            return lambda s: ~child(s)
+        if isinstance(f, (And, Or)):
+            return self._compile_connective(f, scope)
+        points = self.registry.points(f.set_name)
+        if len(points) == 0:  # vacuous: true, and the body is never scored
+            return _constant(np.ones((1,) * (len(scope) + 1), dtype=bool))
+        body = self._compile(f.body, scope + ((f.var, points),))
+        return lambda s: body(s).all(axis=-1)
+
+    def _compile_connective(self, f: Formula, scope: tuple):
+        children = _flatten(f)
+        parts = []
+        if isinstance(f, And):
+            bounds = [_box_bound(c) for c in children]
+            if sum(b is not None for b in bounds) > 1:
+                parts.append(self._compile_box([b for b in bounds if b], len(scope)))
+                children = [c for c, b in zip(children, bounds) if b is None]
+        parts += [self._compile(c, scope) for c in children]
+        if len(parts) == 1:
+            return parts[0]
+        combine = np.logical_and if isinstance(f, And) else np.logical_or
+        first, rest = parts[0], parts[1:]
+
+        def connective(s):
+            acc = first(s)
+            for part in rest:
+                acc = combine(acc, part(s))
+            return acc
+
+        return connective
+
+    @staticmethod
+    def _compile_box(bounds: list, depth: int):
+        """Every `s[i] <op> literal` atom of one conjunction as one vectorized
+        comparison per strictness against (columns, literals) arrays."""
+        tests = []
+        for strict, cmp in ((False, np.less_equal), (True, np.less)):
+            picked = [b[:3] for b in bounds if b[3] == strict]
+            if picked:
+                cols, signs, lits = (np.array(v) for v in zip(*picked))
+                tests.append(lambda s, cols=cols, signs=signs, lits=lits, cmp=cmp:
+                             cmp(s[:, cols] * signs, lits).all(axis=1))
+        if len(tests) == 1:
+            return _lifted(tests[0], depth)
+        loose, strict = tests
+        return _lifted(lambda s: loose(s) & strict(s), depth)
+
+    def _compile_atom(self, cmp: Comparison, scope: tuple):
+        op = _CMP_FN[cmp.op]
+        lhs, lhs_fn = self._compile_scalar(cmp.lhs, scope)
+        rhs, rhs_fn = self._compile_scalar(cmp.rhs, scope)
+        if lhs_fn is None and rhs_fn is None:
+            value = np.asarray(op(lhs, rhs))
+            if value.ndim == 0:  # two literals
+                value = value.reshape((1,) * (len(scope) + 1))
+            return _constant(value)
+        if rhs_fn is None:
+            return lambda s: op(lhs_fn(s), rhs)
+        if lhs_fn is None:
+            return lambda s: op(lhs, rhs_fn(s))
+        return lambda s: op(lhs_fn(s), rhs_fn(s))
+
+    def _compile_scalar(self, expr: ScalarExpr, scope: tuple):
+        """(constant, None) or (None, closure) for one side of an atom."""
+        if isinstance(expr, Literal):
+            return expr.value, None
+        depth = len(scope)
+        if isinstance(expr, Component):
+            i = expr.index
+            return None, _lifted(lambda s: s[:, i], depth)
+        p = expr.p
+        left, left_fn = self._compile_vector(expr.left, scope)
+        right, right_fn = self._compile_vector(expr.right, scope)
+        if left_fn is None and right_fn is None:
+            return _norm_rows(left - right, p), None
+        if right_fn is None:
+            return None, lambda s: _norm_rows(left_fn(s) - right, p)
+        if left_fn is None:
+            return None, lambda s: _norm_rows(left - right_fn(s), p)
+        return None, lambda s: _norm_rows(left_fn(s) - right_fn(s), p)
+
+    def _compile_vector(self, ref: VectorExpr, scope: tuple):
+        """(constant, None) or (None, closure) for a norm operand, shaped
+        (rows, one axis per quantifier, width) up to broadcasting."""
+        depth = len(scope)
         if isinstance(ref, StateRef):
             if ref.slice_name is None:
-                return states
-            return states[:, self._slice_indices(ref.slice_name)]
+                return None, _lifted(lambda s: s, depth, self.schema.size)
+            idx = list(self._slice_indices(ref.slice_name))
+            return None, _lifted(lambda s: s[:, idx], depth, len(idx))
         if isinstance(ref, VarRef):
-            return binding[ref.name]
-        return np.asarray(ref.values)
+            # innermost binding of the name wins
+            axis = max(a for a, (var, _) in enumerate(scope) if var == ref.name)
+            points = scope[axis][1]
+            return points.reshape((1,) * (axis + 1) + (len(points),)
+                                  + (1,) * (depth - axis - 1) + (points.shape[1],)), None
+        point = np.array(ref.values, dtype=np.float64)
+        return point.reshape((1,) * (depth + 1) + point.shape), None
 
-    def _scalar_values(self, expr: ScalarExpr, states: np.ndarray, binding: dict):
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Component):
-            return states[:, expr.index]
-        left = self._vector_values(expr.left, states, binding)
-        right = self._vector_values(expr.right, states, binding)
-        if left.shape[-1] != right.shape[-1]:
-            raise BindError(
-                f"norm operands have different dimensions "
-                f"({left.shape[-1]} vs {right.shape[-1]})"
-            )
-        return _norm_rows(left - right, expr.p)
-
-    def _eval(self, f: Formula, states: np.ndarray, binding: dict) -> np.ndarray:
-        n = states.shape[0]
-        if isinstance(f, Atom):
-            lhs = self._scalar_values(f.cmp.lhs, states, binding)
-            rhs = self._scalar_values(f.cmp.rhs, states, binding)
-            out = _CMP_FN[f.cmp.op](lhs, rhs)
-            if np.isscalar(out) or getattr(out, "ndim", 1) == 0:
-                return np.full(n, bool(out))
-            return out
-        if isinstance(f, Not):
-            return ~self._eval(f.child, states, binding)
-        if isinstance(f, And):
-            acc = np.ones(n, dtype=bool)
-            for c in f.children:
-                acc &= self._eval(c, states, binding)
-                if not acc.any():
-                    break
-            return acc
-        if isinstance(f, Or):
-            acc = np.zeros(n, dtype=bool)
-            for c in f.children:
-                acc |= self._eval(c, states, binding)
-                if acc.all():
-                    break
-            return acc
-        # ForAll: conjunction over every anchor in the set; empty set is true
-        points = self.registry.points(f.set_name)
-        fast = self._forall_fast(f, states, points, binding)
-        if fast is not None:
-            return fast
-        acc = np.ones(n, dtype=bool)
-        for point in points:
-            acc &= self._eval(f.body, states, {**binding, f.var: point})
-            if not acc.any():
-                break
-        return acc
-
-    def _forall_fast(self, f: ForAll, states, points, binding):
-        """Vectorized path for the common `forall v: <norm vs scalar>` body."""
-        body = f.body
-        if not isinstance(body, Atom) or len(points) == 0:
-            return None
-        cmp = body.cmp
-        for norm_side, other, op in ((cmp.lhs, cmp.rhs, cmp.op),
-                                     (cmp.rhs, cmp.lhs, _flip(cmp.op))):
-            if not isinstance(norm_side, NormDistance):
-                continue
-            refs = (norm_side.left, norm_side.right)
-            var_refs = [r for r in refs if isinstance(r, VarRef) and r.name == f.var]
-            if len(var_refs) != 1 or _mentions_var(other, f.var):
-                continue
-            state_side = refs[0] if refs[1] is var_refs[0] else refs[1]
-            if not isinstance(state_side, StateRef):
-                continue
-            vals = self._vector_values(state_side, states, binding)
-            if vals.shape[-1] != points.shape[1]:
-                raise BindError(
-                    f"norm operands have different dimensions "
-                    f"({vals.shape[-1]} vs {points.shape[1]})"
-                )
-            dists = _norm_rows(vals[:, None, :] - points[None, :, :], norm_side.p)
-            bound = self._scalar_values(other, states, binding)
-            bound = bound[:, None] if isinstance(bound, np.ndarray) else bound
-            return np.all(_CMP_FN[op](dists, bound), axis=1)
-        return None
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate_batch(self, states) -> np.ndarray:
         """Boolean satisfaction for each row of an (n, size) state matrix."""
@@ -730,25 +796,15 @@ class BoundFormula:
             raise ValueError(
                 f"expected states of shape (n, {self.schema.size}), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite state components")
-        return self._eval(self.formula, arr, {})
+        return self._fn(arr)
 
     def evaluate(self, state) -> bool:
         arr = np.asarray(state, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("expected a single 1-D state")
         return bool(self.evaluate_batch(arr[None, :])[0])
-
-
-def _flip(op: str) -> str:
-    return {"<=": ">=", "<": ">", ">=": "<=", ">": "<"}[op]
-
-
-def _mentions_var(expr: ScalarExpr, var: str) -> bool:
-    if isinstance(expr, NormDistance):
-        return any(isinstance(r, VarRef) and r.name == var for r in (expr.left, expr.right))
-    return False
 
 
 def bind(formula: Formula, registry: ObjectRegistry, schema) -> BoundFormula:

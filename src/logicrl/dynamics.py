@@ -112,10 +112,10 @@ class ForwardModel:
 
     # -- inputs ---------------------------------------------------------------
 
-    def _net_input(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((len(states), self.n_actions))
-        onehot[np.arange(len(states)), actions] = 1.0
-        return np.concatenate([self.normalizer.normalize(states), onehot], axis=1)
+    def _net_input(self, normalized: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        onehot = np.zeros((len(normalized), self.n_actions))
+        onehot[np.arange(len(normalized)), actions] = 1.0
+        return np.concatenate([normalized, onehot], axis=1)
 
     def update_normalizer(self, states: np.ndarray) -> None:
         self.normalizer.update(states)
@@ -125,12 +125,15 @@ class ForwardModel:
     def predict_batch(self, states, actions) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.asarray(actions, dtype=np.int64).ravel()
-        if not np.all(np.isfinite(states)):
+        if not np.isfinite(states).all():
             raise ValueError("non-finite state components")
-        if np.any(actions < 0) or np.any(actions >= self.n_actions):
+        if (actions < 0).any() or (actions >= self.n_actions).any():
             raise ValueError("action index out of range")
-        z, _ = mlp_forward(self.params, self.config, self._net_input(states, actions), "fwd.")
-        return self.normalizer.denormalize(z)
+        norm = self.normalizer
+        std = norm.std  # RunningNorm.normalize/denormalize, sharing one std
+        x = self._net_input((states - norm.mean) / std, actions)
+        z, _ = mlp_forward(self.params, self.config, x, "fwd.")
+        return z * std + norm.mean
 
     def predict(self, state, action: int) -> np.ndarray:
         return self.predict_batch(np.asarray(state)[None, :], [action])[0]
@@ -140,7 +143,7 @@ class ForwardModel:
     def loss_and_grads(self, batch) -> tuple[float, ParamSet]:
         """Mean over the batch of squared L2 error, in normalized state units."""
         states, actions, nexts = _as_triples(batch)
-        x = self._net_input(states, actions)
+        x = self._net_input(self.normalizer.normalize(states), actions)
         targets = self.normalizer.normalize(nexts)
         z, cache = mlp_forward(self.params, self.config, x, "fwd.")
         err = z - targets
@@ -160,15 +163,3 @@ class ForwardModel:
         self.params = self.optimizer.step(self.params, grads)
         return loss
 
-
-def forward_loss(model: ForwardModel, batch) -> tuple[float, ParamSet]:
-    """Loss and gradient of the dynamics regressor on one batch."""
-    return model.loss_and_grads(batch)
-
-
-def fit_step(model: ForwardModel, batch, learning_rate: float) -> float:
-    return model.fit_step(batch, learning_rate)
-
-
-def predict(model: ForwardModel, state, action: int) -> np.ndarray:
-    return model.predict(state, action)

@@ -7,6 +7,7 @@ discrete action spec; a wrapper defers environment reward into d-step sums.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -358,6 +359,12 @@ class GridWorld:
 # Cart-pole
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only: an env hands it out without copying it."""
+    arr.flags.writeable = False
+    return arr
+
+
 class CartPole:
     """Classic cart-pole balancing with Euler integration at 0.02 s.
 
@@ -389,12 +396,14 @@ class CartPole:
         self.reset(seed)
 
     @staticmethod
-    def accelerations(state: np.ndarray, force: float) -> tuple[float, float]:
+    def accelerations(state, force: float) -> tuple[float, float]:
         """Cart and pole angular acceleration for the standard dynamics."""
         _, _, theta, theta_dot = state
         total = CartPole.mass_cart + CartPole.mass_pole
         pm_l = CartPole.mass_pole * CartPole.half_length
-        sin, cos = np.sin(theta), np.cos(theta)
+        sin, cos = math.sin(theta), math.cos(theta)
+        # `**2`, not `x * x`: the two round differently, and `**2` keeps the
+        # trajectory bit-identical to numpy-scalar arithmetic
         temp = (force + pm_l * theta_dot**2 * sin) / total
         theta_acc = (CartPole.gravity * sin - cos * temp) / (
             CartPole.half_length * (4.0 / 3.0 - CartPole.mass_pole * cos**2 / total)
@@ -409,34 +418,31 @@ class CartPole:
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         if seed is not None:
             self.rng = np.random.default_rng(seed)
-        self._state = self.rng.uniform(-0.05, 0.05, size=4)
+        self._state = _frozen(self.rng.uniform(-0.05, 0.05, size=4))
         self._steps = 0
         self._done = False
         return self.state
 
     def step(self, action: int) -> Transition:
+        """One Euler step in Python floats. The transition shares the
+        env's read-only state arrays: one new array per step."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
         if action not in (0, 1):
             raise ValueError(f"invalid action index {action}")
         force = self.force_mag if action == 1 else -self.force_mag
-        x, x_dot, theta, theta_dot = self._state
-        x_acc, theta_acc = self.accelerations(self._state, force)
-        state = self.state
-        self._state = np.array(
-            [
-                x + self.dt * x_dot,
-                x_dot + self.dt * x_acc,
-                theta + self.dt * theta_dot,
-                theta_dot + self.dt * theta_acc,
-            ]
-        )
+        x, x_dot, theta, theta_dot = floats = self._state.tolist()
+        x_acc, theta_acc = self.accelerations(floats, force)
+        dt = self.dt
+        x, theta = x + dt * x_dot, theta + dt * theta_dot
+        state = self._state
+        self._state = _frozen(np.array(
+            [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc]
+        ))
         self._steps += 1
-        out_of_bounds = (
-            abs(self._state[0]) > CART_X_LIMIT or abs(self._state[2]) > POLE_ANGLE_LIMIT
-        )
+        out_of_bounds = abs(x) > CART_X_LIMIT or abs(theta) > POLE_ANGLE_LIMIT
         self._done = out_of_bounds or self._steps >= self.max_steps
-        return Transition(state, action, 1.0, self.state, self._done)
+        return Transition(state, action, 1.0, self._state, self._done)
 
     def get_state(self) -> dict:
         return {
@@ -447,7 +453,7 @@ class CartPole:
         }
 
     def set_state(self, snapshot: dict) -> None:
-        self._state = np.asarray(snapshot["state"], dtype=np.float64)
+        self._state = _frozen(np.array(snapshot["state"], dtype=np.float64))
         self._steps = snapshot["steps"]
         self._done = snapshot["done"]
         self.rng = np.random.default_rng()
@@ -501,7 +507,8 @@ class DelayedReward:
             emitted = 0.0
         if t.done:
             self._phase = 0
-        return Transition(t.state, t.action, emitted, t.next_state, t.done)
+        t.env_reward = emitted  # the inner env made t for this call alone
+        return t
 
     def get_state(self) -> dict:
         return {"pending": self._pending, "phase": self._phase, "inner": self.env.get_state()}

@@ -391,7 +391,6 @@ def emit_curves(
     """
     if not metrics_paths:
         raise ConfigError("need at least one metrics.csv")
-    os.makedirs(out_dir, exist_ok=True)
     all_rows = []
     skipped = 0
     for path in metrics_paths:
@@ -401,6 +400,7 @@ def emit_curves(
             all_rows.append(rows)
     if not all_rows:
         raise ConfigError("no usable rows in the given metrics files")
+    os.makedirs(out_dir, exist_ok=True)
     length = min(len(rows) for rows in all_rows)
     steps = np.array([r[0] for r in all_rows[0][:length]])
     written: list[str] = []

@@ -103,19 +103,6 @@ class System3Config:
         return System3Config(**d)
 
 
-def compose_reward(r_env: float, r_c: float, use_env_reward: bool) -> float:
-    """Total reward: env reward plus constraint reward, or constraint only."""
-    return r_env + r_c if use_env_reward else r_c
-
-
-def constraint_reward(
-    bound: fl.BoundFormula, model: ForwardModel, state, action: int, weight: float = 1.0
-) -> float:
-    """Predict the next state and grant `weight` if it satisfies the formula."""
-    predicted = model.predict(state, action)
-    return weight if bound.evaluate(predicted) else 0.0
-
-
 @dataclass
 class EvalResult:
     mean_return: float
@@ -329,20 +316,26 @@ class Trainer:
         disagreements = 0
         completed: list[float] = []
 
+        ep_returns = self._ep_returns.tolist()
+        step_states = np.stack([env.state for env in self.envs])
         for t in range(T):
-            step_states = np.stack([env.state for env in self.envs])
             acts, logps, vals = self.agent.act_batch(step_states, self.action_rng)
-            step_next = np.zeros((B, d_state))
-            for i, env in enumerate(self.envs):
-                tr = env.step(int(acts[i]))
+            # following: the state each env goes on from (next or reset)
+            nexts, following = [], []
+            for i, (env, action) in enumerate(zip(self.envs, acts.tolist())):
+                tr = env.step(action)
+                nexts.append(tr.next_state)
                 env_rewards[t, i] = tr.env_reward
-                step_next[i] = tr.next_state
-                dones[t, i] = float(tr.done)
-                self._ep_returns[i] += tr.env_reward
+                ep_returns[i] += tr.env_reward
                 if tr.done:
-                    completed.append(self._ep_returns[i])
-                    self._ep_returns[i] = 0.0
-                    env.reset()
+                    dones[t, i] = 1.0
+                    completed.append(ep_returns[i])
+                    ep_returns[i] = 0.0
+                    following.append(env.reset())
+                else:
+                    following.append(tr.next_state)
+            next_states[t] = nexts
+            step_next = next_states[t]
             if self.bound is not None:
                 predicted = self.model.predict_batch(step_states, acts)
                 pred_ok = self.bound.evaluate_batch(predicted)
@@ -357,10 +350,11 @@ class Trainer:
             actions[t] = acts
             values[t] = vals
             log_probs[t] = logps
-            next_states[t] = step_next
             rewards[t] = env_rewards[t] + r_c if cfg.use_env_reward else r_c
+            step_states = np.array(following)
 
-        bootstrap = self.agent.values_batch(np.stack([env.state for env in self.envs]))
+        self._ep_returns = np.array(ep_returns)
+        bootstrap = self.agent.values_batch(step_states)
         buffer = RolloutBuffer(states, actions, rewards, env_rewards, dones,
                                values, log_probs, next_states, bootstrap)
         n = buffer.steps

@@ -14,6 +14,7 @@ import operator
 import numpy as np
 
 from logicrl import constraints as fl
+from logicrl.envs import StateSchema
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
@@ -154,6 +155,103 @@ def random_formula(rng: np.random.Generator, max_atoms: int = 6):
 
 
 # ---------------------------------------------------------------------------
+# Random quantified formulas over 3-D states
+
+# 3-D states whose `pos` slice picks components 2 and 0, in that order
+QUANTIFIED_SCHEMA = StateSchema(("a", "b", "c"), ("", "", ""), {"pos": (2, 0)})
+QUANTIFIED_SETS = ("few", "one", "many", "empty")
+
+
+def quantified_registry(rng: np.random.Generator) -> fl.ObjectRegistry:
+    """2-D anchor sets (points of the `pos` slice) for
+    random_quantified_formula; "empty" has no points at all."""
+    reg = fl.ObjectRegistry()
+    for name, m in (("few", 3), ("one", 1), ("many", 7)):
+        reg.add_set(name, np.round(rng.uniform(0, 10, size=(m, 2)), 2), "pos")
+    reg.add_set("empty", np.zeros((0, 0)))
+    return reg
+
+
+def _num(rng, lo, hi) -> float:
+    return round(float(rng.uniform(lo, hi)), 2)
+
+
+def _point(rng, k) -> fl.PointLiteral:
+    return fl.PointLiteral(tuple(_num(rng, -2, 12) for _ in range(k)))
+
+
+def random_quantified_atom(rng: np.random.Generator, scope: tuple) -> fl.Atom:
+    """One atom over QUANTIFIED_SCHEMA, possibly naming the variables in
+    `scope`: `s[i]` bounds, norms of `s`/`s.pos` against point literals or
+    anchors (in either order), norms between anchors or anchors and points
+    (no state at all), state-versus-state norms and literal-only atoms."""
+    p = [1.0, 2.0, math.inf][rng.integers(3)]
+    op = list(OPS)[rng.integers(4)]
+    kinds = ["bound", "pos_point", "state_point", "literals"]
+    if scope:
+        kinds += ["pos_var", "pos_var", "pos_var", "var_point", "var_var", "two_norms"]
+
+    def var():
+        return fl.VarRef(scope[rng.integers(len(scope))])
+
+    kind = kinds[rng.integers(len(kinds))]
+    rhs = fl.Literal(_num(rng, 0, 9))
+    if kind == "bound":
+        lhs, rhs = fl.Component(int(rng.integers(3))), fl.Literal(_num(rng, -2, 12))
+    elif kind == "pos_point":
+        lhs = fl.NormDistance(p, fl.StateRef("pos"), _point(rng, 2))
+    elif kind == "state_point":
+        lhs = fl.NormDistance(p, fl.StateRef(None), _point(rng, 3))
+    elif kind == "literals":
+        lhs = fl.Literal(_num(rng, 0, 9))
+    elif kind == "pos_var":
+        sides = (fl.StateRef("pos"), var())
+        lhs = fl.NormDistance(p, *(sides if rng.random() < 0.5 else sides[::-1]))
+    elif kind == "var_point":
+        lhs = fl.NormDistance(p, var(), _point(rng, 2))
+    elif kind == "var_var":
+        lhs = fl.NormDistance(p, var(), var())
+    else:
+        lhs = fl.NormDistance(p, fl.StateRef("pos"), var())
+        rhs = fl.NormDistance(2.0, fl.StateRef("pos"), _point(rng, 2))
+    if rng.random() < 0.5:
+        lhs, rhs = rhs, lhs
+    return fl.Atom(fl.Comparison(lhs, op, rhs))
+
+
+def random_quantified_formula(rng: np.random.Generator, budget: int = 3, scope: tuple = ()):
+    """Random formula over QUANTIFIED_SCHEMA and quantified_registry with
+    `forall`/`exists` (exists as not-forall-not, as parsed) over every set,
+    the empty one too, nested up to `budget` levels together with
+    `and`/`or`/`not`. Variables are named u or v, so an inner quantifier
+    sometimes shadows an outer one. A quantifier body is often the bare
+    `norm(s.pos - u) <op> c` atom, else any formula."""
+    r = rng.random()
+    if budget > 0 and r < 0.35:
+        var = "uv"[rng.integers(2)]
+        set_name = QUANTIFIED_SETS[rng.integers(len(QUANTIFIED_SETS))]
+        inner = scope + (var,)
+        if rng.random() < 0.4:
+            sides = (fl.StateRef("pos"), fl.VarRef(var))
+            p = [1.0, 2.0, math.inf][rng.integers(3)]
+            op = list(OPS)[rng.integers(4)]
+            body = fl.Atom(fl.Comparison(fl.NormDistance(p, *sides), op,
+                                         fl.Literal(_num(rng, 0, 9))))
+        else:
+            body = random_quantified_formula(rng, budget - 1, inner)
+        if rng.random() < 0.4:
+            return fl.Not(fl.ForAll(var, set_name, fl.Not(body)))
+        return fl.ForAll(var, set_name, body)
+    if budget > 0 and r < 0.7:
+        kids = tuple(random_quantified_formula(rng, budget - 1, scope)
+                     for _ in range(2 + int(rng.integers(3))))
+        f = fl.And(kids) if rng.random() < 0.5 else fl.Or(kids)
+        return fl.Not(f) if rng.random() < 0.2 else f
+    atom = random_quantified_atom(rng, scope)
+    return fl.Not(atom) if rng.random() < 0.2 else atom
+
+
+# ---------------------------------------------------------------------------
 # Slippery-grid reference stepper
 
 
@@ -185,3 +283,57 @@ class ReferenceGridStepper:
         reward = {"target": 1.0, "unsafe": -1.0}.get(label, 0.0)
         done = label in ("target", "unsafe") or self.steps >= self.env.max_steps
         return nxt, reward, done
+
+
+# ---------------------------------------------------------------------------
+# Cart-pole reference stepper
+
+
+class ReferenceCartPole:
+    """The cart-pole Euler step on a numpy state array, in numpy-scalar
+    arithmetic (`np.sin`, `np.cos`, `**2` of numpy scalars), with the
+    physical constants and limits written out. Seeded like `CartPole`, its
+    resets draw the same `uniform` stream. With `d` > 1 the reward is
+    emitted as d-step sums (and at episode end), as `DelayedReward` does."""
+
+    def __init__(self, seed: int, d: int = 1):
+        self.rng = np.random.default_rng(seed)
+        self.d = d
+        self.reset()
+
+    def reset(self) -> np.ndarray:
+        self.state = self.rng.uniform(-0.05, 0.05, size=4)
+        self.steps = 0
+        self.pending = 0.0
+        self.phase = 0
+        return self.state.copy()
+
+    @staticmethod
+    def accelerations(state: np.ndarray, force: float):
+        gravity, m_cart, m_pole, half = 9.8, 1.0, 0.1, 0.5
+        _, _, theta, theta_dot = state
+        total = m_cart + m_pole
+        pm_l = m_pole * half
+        sin, cos = np.sin(theta), np.cos(theta)
+        temp = (force + pm_l * theta_dot**2 * sin) / total
+        theta_acc = (gravity * sin - cos * temp) / (half * (4.0 / 3.0 - m_pole * cos**2 / total))
+        x_acc = temp - pm_l * theta_acc * cos / total
+        return x_acc, theta_acc
+
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        dt = 0.02
+        x, x_dot, theta, theta_dot = self.state
+        x_acc, theta_acc = self.accelerations(self.state, 10.0 if action == 1 else -10.0)
+        self.state = np.array([x + dt * x_dot, x_dot + dt * x_acc,
+                               theta + dt * theta_dot, theta_dot + dt * theta_acc])
+        self.steps += 1
+        done = bool(abs(self.state[0]) > 2.4 or abs(self.state[2]) > 0.2095
+                    or self.steps >= 500)
+        self.pending += 1.0
+        self.phase += 1
+        reward = 0.0
+        if self.phase % self.d == 0 or done:
+            reward, self.pending = self.pending, 0.0
+        if done:
+            self.phase = 0
+        return self.state.copy(), reward, done

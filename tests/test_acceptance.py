@@ -124,7 +124,9 @@ def cartpole_runs(tmp_path_factory):
 
 def checkpoints_of(run_dir: str) -> list[str]:
     root = os.path.join(run_dir, "checkpoints")
-    return [os.path.join(root, name) for name in sorted(os.listdir(root))]
+    # only complete bundles: a save cut short leaves a `.step_*.partial` dir
+    return [os.path.join(root, name) for name in sorted(os.listdir(root))
+            if name.startswith("step_")]
 
 
 def rescore_run(run_dir: str, constraint: str, horizon: int = 1000):

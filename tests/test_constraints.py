@@ -5,7 +5,13 @@ import pytest
 
 from logicrl import constraints as fl
 from logicrl.envs import CartPole, GridWorld
-from oracles import oracle_evaluate_batch, random_formula
+from oracles import (
+    QUANTIFIED_SCHEMA,
+    oracle_evaluate_batch,
+    quantified_registry,
+    random_formula,
+    random_quantified_formula,
+)
 
 GRID_SCHEMA = GridWorld().schema
 CARTPOLE_SCHEMA = CartPole().schema
@@ -297,6 +303,58 @@ def test_brute_force_equivalence_sample():
         mine = fl.bind(f, reg, GRID_SCHEMA).evaluate_batch(states)
         oracle = oracle_evaluate_batch(f, states)
         assert np.array_equal(mine, oracle)
+
+
+def test_quantified_formulas_match_oracle():
+    """Quantifiers over every set (the empty one too), nested with and/or/
+    not, agree with the oracle's anchor-by-anchor loop."""
+    rng = np.random.default_rng(321)
+    reg = quantified_registry(rng)
+    states = rng.uniform(-2.0, 12.0, size=(150, 3))
+    mixed = 0
+    for _ in range(300):
+        f = random_quantified_formula(rng)
+        mine = fl.bind(f, reg, QUANTIFIED_SCHEMA).evaluate_batch(states)
+        oracle = oracle_evaluate_batch(f, states, reg, QUANTIFIED_SCHEMA.slices)
+        assert mine.shape == (150,) and mine.dtype == bool
+        assert np.array_equal(mine, oracle), fl.to_text(f)
+        mixed += 0 < mine.sum() < len(mine)
+    assert mixed >= 100  # most formulas split the states, so the check has teeth
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "-2.4 <= s[0] and s[0] <= 2.4 and -0.2095 <= s[2] and s[2] <= 0.2095",
+        "-2.4 < s[0] and s[0] < 2.4 and 0.2095 >= s[2] and s[2] >= -0.2095",
+        "(s[0] > -2.4 and (2.4 >= s[0] and s[1] >= 1)) and not s[3] < 0",
+        "s[0] <= 2.4 and 1 < s[1] or -0.2095 > s[2] and s[3] >= 0",
+    ],
+)
+def test_packed_bounds_match_oracle_at_the_bounds(source):
+    """`s[i] <op> literal` atoms of one conjunction, with the literal on
+    either side, strict and not, on states exactly at each bound and one
+    ulp either side of it."""
+    edges = {0: 2.4, 1: 1.0, 2: 0.2095, 3: 0.0}
+    values = []
+    for i, edge in edges.items():
+        near = [edge, -edge, np.nextafter(edge, 9), np.nextafter(edge, -9),
+                np.nextafter(-edge, 9), np.nextafter(-edge, -9), 0.0, 3.0, -3.0]
+        values.append(near)
+    grid = np.array(np.meshgrid(*values)).reshape(4, -1).T
+    f = fl.parse(source)
+    mine = fl.bind(f, fl.ObjectRegistry(), CARTPOLE_SCHEMA).evaluate_batch(grid)
+    assert np.array_equal(mine, oracle_evaluate_batch(f, grid))
+    assert 0 < mine.sum() < len(grid)
+
+
+def test_packed_bounds_strictness():
+    reg = fl.ObjectRegistry()
+    loose = fl.bind(fl.parse("-2.4 <= s[0] and s[0] <= 2.4"), reg, CARTPOLE_SCHEMA)
+    strict = fl.bind(fl.parse("-2.4 < s[0] and s[0] < 2.4"), reg, CARTPOLE_SCHEMA)
+    at_bounds = np.array([[-2.4, 0, 0, 0], [2.4, 0, 0, 0], [0, 0, 0, 0]])
+    assert loose.evaluate_batch(at_bounds).tolist() == [True, True, True]
+    assert strict.evaluate_batch(at_bounds).tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("n_anchors", [1, 2, 3, 5, 8])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logicrl.dynamics import ForwardModel, RunningNorm, forward_loss
+from logicrl.dynamics import ForwardModel, RunningNorm
 from logicrl.envs import GridWorld
 from logicrl.tensor import ParamSet, UpdateRejected
 from oracles import fd_gradient, grads_match
@@ -85,14 +85,14 @@ def test_predict_rejects_bad_inputs():
 def test_loss_hand_value():
     # net outputs 0.3, target 0.5: squared error 0.04
     model = constant_output_model(0.3)
-    loss, _ = forward_loss(model, [(np.array([0.0]), 0, np.array([0.5]))])
+    loss, _ = model.loss_and_grads([(np.array([0.0]), 0, np.array([0.5]))])
     assert abs(loss - 0.04) < 1e-15
 
 
 def test_loss_zero_at_perfect_prediction():
     model = constant_output_model(0.7)
     batch = [(np.array([v]), 0, np.array([0.7])) for v in (-1.0, 0.0, 2.0)]
-    loss, grads = forward_loss(model, batch)
+    loss, grads = model.loss_and_grads(batch)
     assert loss == 0.0
     assert all(np.all(g == 0) for _, g in grads)
 
@@ -100,7 +100,7 @@ def test_loss_zero_at_perfect_prediction():
 def test_loss_rejects_empty_batch():
     model = ForwardModel(2, 2, seed=0)
     with pytest.raises(ValueError):
-        forward_loss(model, [])
+        model.loss_and_grads([])
 
 
 def test_loss_gradients_match_finite_differences():

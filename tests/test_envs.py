@@ -14,7 +14,7 @@ from logicrl.envs import (
     make_env,
     unwrap,
 )
-from oracles import ReferenceGridStepper
+from oracles import ReferenceCartPole, ReferenceGridStepper
 
 # exact acceleration values for one step from the zero state with +10 N,
 # worked out by hand from the standard frictionless cart-pole equations:
@@ -296,6 +296,56 @@ def test_cartpole_reset_range():
     for seed in range(20):
         state = env.reset(seed)
         assert np.all(np.abs(state) <= 0.05)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_cartpole_step_matches_reference_stepper(seed, d):
+    """6000 steps with resets agree bit for bit with the numpy-array Euler
+    step: states, rewards (d-step sums when wrapped) and done. A noisy
+    balancing policy makes episodes long enough to reach the step cap."""
+    env = CartPole(seed) if d == 1 else DelayedReward(CartPole(seed), d)
+    ref = ReferenceCartPole(seed, d)
+    rng = np.random.default_rng(seed + 1)
+    assert env.state.tobytes() == ref.state.tobytes()
+    ends = {"cap": 0, "bound": 0}
+    for _ in range(6000):
+        prev = ref.state.copy()
+        if rng.random() < 0.75:
+            action = int(prev[2] + 0.5 * prev[3] + 0.01 * prev[1] > 0)
+        else:
+            action = int(rng.integers(2))
+        t = env.step(action)
+        nxt, reward, done = ref.step(action)
+        assert t.state.tobytes() == prev.tobytes()
+        assert t.next_state.tobytes() == nxt.tobytes()
+        assert (t.env_reward, t.done) == (reward, done)
+        if done:
+            ends["cap" if ref.steps >= CartPole.max_steps else "bound"] += 1
+            assert env.reset().tobytes() == ref.reset().tobytes()
+    assert ends["cap"] >= 1 and ends["bound"] >= 5
+
+
+def test_cartpole_accelerations_match_reference():
+    """Bit for bit on 40k random states, pole angles and angular velocities
+    well beyond what an episode reaches (where rounding differences between
+    ways of squaring show up)."""
+    rng = np.random.default_rng(11)
+    states = np.column_stack([rng.normal(0, 1, 20000), rng.normal(0, 2, 20000),
+                              rng.uniform(-1.5, 1.5, 20000), rng.normal(0, 5, 20000)])
+    for state in states:
+        for force in (10.0, -10.0):
+            got = CartPole.accelerations(state.tolist(), force)
+            want = ReferenceCartPole.accelerations(state, force)
+            assert got == (float(want[0]), float(want[1]))
+
+
+def test_cartpole_transition_arrays_are_read_only():
+    env = CartPole(3)
+    t = env.step(1)
+    with pytest.raises(ValueError):
+        t.next_state[0] = 9.0
+    assert env.state.flags.writeable  # `state` is still the caller's copy
 
 
 def test_cartpole_accelerations_symmetric_at_rest():

@@ -374,13 +374,15 @@ def test_cli_train_and_plot_and_value_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["train", "--constraint", "missing.fl", "--seeds", "0"]) == 2
     assert main(["eval", str(tmp_path), "--eval-horizon", "10"]) == 2
     bad = tmp_path / "bad.fl"
     bad.write_text("1 <=\n")
     assert main(["check-constraint", str(bad)]) == 2
     assert main(["plot", str(tmp_path / "missing.csv")]) == 2
+    assert not (tmp_path / "plots").exists()  # a failed plot leaves no output dir
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()

@@ -10,8 +10,6 @@ from logicrl.training import (
     System3Config,
     Trainer,
     TrainingDiverged,
-    compose_reward,
-    constraint_reward,
     evaluate_policy,
 )
 
@@ -56,19 +54,26 @@ def test_config_defaults_and_validation():
 
 
 def test_compose_reward_cases():
-    assert compose_reward(1.0, 1.0, True) == 2.0
-    assert compose_reward(1.0, 0.5, False) == 0.5
-    assert compose_reward(0.0, 0.0, True) == 0.0
+    """The rollout trains on env reward plus constraint reward, or on the
+    constraint reward alone (d = 5 cart-pole: env rewards are 0 or sums)."""
+    for use_env in (True, False):
+        for text, r_c in (("-100 <= s[0]", 0.5), ("s[0] > 100", 0.0)):
+            cfg = tiny_config(use_env_reward=use_env, constraint_reward_weight=0.5)
+            tr = Trainer(cfg, "cartpole", seed=1, d=5, formula=fl.parse(text))
+            buffer, _ = tr._collect_rollout()
+            assert buffer.env_rewards.max() > 1.0
+            expected = buffer.env_rewards + r_c if use_env else np.full((8, 4), r_c)
+            assert np.array_equal(buffer.rewards, expected)
 
 
 def test_constraint_reward_tautology_and_unsat():
-    tr = grid_trainer()
-    taut = fl.bind(fl.parse(TAUTOLOGY), tr.registry, tr.schema)
-    unsat = fl.bind(fl.parse(UNSAT), tr.registry, tr.schema)
-    for action in range(5):
-        s = np.array([4.0, 4.0])
-        assert constraint_reward(taut, tr.model, s, action, weight=0.7) == 0.7
-        assert constraint_reward(unsat, tr.model, s, action) == 0.0
+    """The learned model's predictions are scored: a tautology grants the
+    weight at every step, an unsatisfiable formula never does."""
+    for text, r_c in ((TAUTOLOGY, 0.7), (UNSAT, 0.0)):
+        tr = grid_trainer(text, use_env_reward=False, constraint_reward_weight=0.7)
+        buffer, side = tr._collect_rollout()
+        assert np.array_equal(buffer.rewards, np.full((8, 4), r_c))
+        assert side["rc_rate"] == (1.0 if r_c else 0.0)
 
 
 class _ExactMeanModel:
@@ -77,21 +82,22 @@ class _ExactMeanModel:
     def __init__(self, env):
         self.env = env
 
-    def predict(self, state, action):
-        return self.env.transition_mean(state, action)
+    def predict_batch(self, states, actions):
+        return np.array([self.env.transition_mean(s, a) for s, a in zip(states, actions)])
 
 
 def test_constraint_reward_near_band_with_perfect_model():
     """From a cell just below the unsafe band, stepping toward it lands the
     mean prediction inside the keep-out radius; stepping away stays outside.
     Distances were worked out by hand from the transition distribution."""
-    env = GridWorld()
-    tr = grid_trainer(KEEPOUT)
-    bound = fl.bind(fl.parse(KEEPOUT), tr.registry, tr.schema)
-    model = _ExactMeanModel(env)
-    s = np.array([5.0, 8.0])
-    assert constraint_reward(bound, model, s, 2) == 0.0   # up, toward the band
-    assert constraint_reward(bound, model, s, 3) == 1.0   # down, away from it
+    tr = grid_trainer(KEEPOUT, rollout_length=1, batch_size=2, use_env_reward=False)
+    tr.model = _ExactMeanModel(GridWorld())
+    for env in tr.envs:
+        env.set_state({**env.get_state(), "pos": [5, 8]})
+    up_down = np.array([2, 3])
+    tr.agent.act_batch = lambda states, rng: (up_down, np.zeros(2), np.zeros(2))
+    buffer, _ = tr._collect_rollout()
+    assert buffer.rewards[0].tolist() == [0.0, 1.0]   # up, toward the band; down, away
 
 
 # -- iteration mechanics -----------------------------------------------------------
