@@ -259,6 +259,12 @@ def _transition_table(layout: GridLayout) -> dict:
     return table
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only: an env hands it out without copying it."""
+    arr.flags.writeable = False
+    return arr
+
+
 class GridWorld:
     """Slippery grid: actions succeed with probability 0.85, otherwise the
     agent moves uniformly within its von Neumann neighbourhood including the
@@ -283,7 +289,7 @@ class GridWorld:
         self.action_spec = ActionSpec(5, GRID_ACTIONS)
         self._table = _transition_table(self.layout)
         self.rng = np.random.default_rng(seed)
-        self._pos = self.layout.start
+        self._place(self.layout.start)
         self._steps = 0
         self._done = False
 
@@ -306,19 +312,26 @@ class GridWorld:
 
     # -- episode interface ----------------------------------------------------
 
+    def _place(self, cell: tuple[int, int]) -> None:
+        """Move to `cell`: the table key and a read-only state array."""
+        self._pos = cell
+        self._state = _frozen(np.array(cell, dtype=np.float64))
+
     @property
     def state(self) -> np.ndarray:
-        return np.array(self._pos, dtype=np.float64)
+        return self._state.copy()
 
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         if seed is not None:
             self.rng = np.random.default_rng(seed)
-        self._pos = self.layout.start
+        self._place(self.layout.start)
         self._steps = 0
         self._done = False
         return self.state
 
     def step(self, action: int) -> Transition:
+        """One table lookup and one uniform draw. The transition shares the
+        env's read-only state arrays: one new array per step."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
         if not 0 <= action < self.action_spec.count:
@@ -329,13 +342,13 @@ class GridWorld:
         while cum[i] <= u:  # first entry above u: searchsorted(side="right")
             i += 1
         nxt, reward, done = outcomes[i]
-        state = self.state
-        self._pos = nxt
+        state = self._state
+        self._place(nxt)
         self._steps += 1
         if self._steps >= self.max_steps:
             done = True
         self._done = done
-        return Transition(state, action, reward, self.state, done)
+        return Transition(state, action, reward, self._state, done)
 
     # -- snapshot -------------------------------------------------------------
 
@@ -348,7 +361,7 @@ class GridWorld:
         }
 
     def set_state(self, snapshot: dict) -> None:
-        self._pos = tuple(snapshot["pos"])
+        self._place(tuple(snapshot["pos"]))
         self._steps = snapshot["steps"]
         self._done = snapshot["done"]
         self.rng = np.random.default_rng()
@@ -357,12 +370,6 @@ class GridWorld:
 
 # ---------------------------------------------------------------------------
 # Cart-pole
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """`arr`, made read-only: an env hands it out without copying it."""
-    arr.flags.writeable = False
-    return arr
 
 
 class CartPole:

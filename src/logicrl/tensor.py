@@ -1,4 +1,4 @@
-"""Dense MLP forward/backward passes, optimizers, and a text checkpoint format.
+"""Dense MLP forward/backward passes, optimizers, and the binary parameter file.
 
 Everything is float64. Parameters live in named, ordered ParamSets so that
 gradients, optimizer moments and checkpoints all share one representation.
@@ -6,15 +6,14 @@ gradients, optimizer moments and checkpoints all share one representation.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
-
-CHECKPOINT_MAGIC = "paramset-v1"
 
 
 class UpdateRejected(ValueError):
@@ -339,12 +338,13 @@ class Optimizer:
         return new_params
 
     def get_state(self) -> dict:
+        """Kind, learning rate, step count and Adam moments (as arrays)."""
         return {
             "kind": self.kind,
             "learning_rate": self.learning_rate,
             "t": self.adam.t,
-            "m": {n: a.tolist() for n, a in self.adam.m.items()},
-            "v": {n: a.tolist() for n, a in self.adam.v.items()},
+            "m": dict(self.adam.m),
+            "v": dict(self.adam.v),
         }
 
     def set_state(self, state: dict) -> None:
@@ -357,67 +357,69 @@ class Optimizer:
         )
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
+# Archive entry names: a JSON header, then one array per parameter and per
+# Adam moment. np.savez appends ".npy" to each name inside the zip.
+_META = "meta"
+_PARAM, _ADAM_M, _ADAM_V = "param/", "adam_m/", "adam_v/"
 
 
-def save_paramset(fp: IO[str], params: ParamSet, config: Optional[MLPConfig] = None) -> None:
-    """Write the text checkpoint: header lines then one decimal line per array.
-
-    Round-trips within float64 repr precision (exact in practice).
-    """
-    fp.write(CHECKPOINT_MAGIC + "\n")
-    fp.write(f"version_tag {params.version_tag}\n")
-    fp.write("config " + (config.to_json() if config is not None else "-") + "\n")
-    fp.write(f"entries {len(params)}\n")
-    for name, arr in params:
-        dims = " ".join(str(d) for d in arr.shape) if arr.ndim else "0"
-        fp.write(f"{name} {dims}\n")
-    fp.write("data\n")
-    for _, arr in params:
-        fp.write(" ".join(_format_value(v) for v in arr.ravel()) + "\n")
-
-
-def load_paramset(fp: IO[str]) -> tuple[ParamSet, Optional[MLPConfig]]:
-    """Read a checkpoint written by save_paramset."""
-    magic = fp.readline().strip()
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint (got {magic!r})")
-    tag_line = fp.readline().strip()
-    if not tag_line.startswith("version_tag "):
-        raise ValueError("missing version_tag header")
-    version_tag = tag_line.split(" ", 1)[1]
-    cfg_line = fp.readline().strip()
-    if not cfg_line.startswith("config "):
-        raise ValueError("missing config header")
-    cfg_text = cfg_line.split(" ", 1)[1]
-    config = None if cfg_text == "-" else MLPConfig.from_json(cfg_text)
-    count_line = fp.readline().strip()
-    if not count_line.startswith("entries "):
-        raise ValueError("missing entries header")
-    n = int(count_line.split(" ", 1)[1])
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(n):
-        parts = fp.readline().split()
-        name, dims = parts[0], tuple(int(d) for d in parts[1:])
-        shapes.append((name, () if dims == (0,) else dims))
-    if fp.readline().strip() != "data":
-        raise ValueError("missing data marker")
-    entries = []
-    for name, shape in shapes:
-        values = np.fromiter((float(t) for t in fp.readline().split()), dtype=np.float64)
-        size = int(np.prod(shape)) if shape else 1
-        if values.size != size:
-            raise ValueError(f"entry {name!r}: expected {size} values, got {values.size}")
-        entries.append((name, values.reshape(shape)))
-    return ParamSet(entries, version_tag), config
+def save_paramset_file(
+    path,
+    params: ParamSet,
+    config: Optional[MLPConfig] = None,
+    optimizer_state: Optional[dict] = None,
+) -> None:
+    """Write one parameter set, its net config and optionally the state of
+    the optimizer that updates it (`Optimizer.get_state`) as a numpy archive.
+    Arrays are stored in binary, so loading gives back every bit."""
+    meta = {
+        "version_tag": params.version_tag,
+        "config": config.to_json() if config is not None else None,
+        "entries": params.names(),
+        "optimizer": None,
+    }
+    arrays = {_PARAM + n: a for n, a in params}
+    if optimizer_state is not None:
+        m, v = optimizer_state["m"], optimizer_state["v"]
+        meta["optimizer"] = {
+            "kind": optimizer_state["kind"],
+            "learning_rate": optimizer_state["learning_rate"],
+            "t": optimizer_state["t"],
+            "moments": list(m),
+        }
+        arrays.update((_ADAM_M + n, m[n]) for n in m)
+        arrays.update((_ADAM_V + n, v[n]) for n in m)
+    arrays[_META] = np.array(json.dumps(meta))
+    # a file object, not a path: np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fp:
+        np.savez(fp, **arrays)
 
 
-def save_paramset_file(path, params: ParamSet, config: Optional[MLPConfig] = None) -> None:
-    with open(path, "w") as fp:
-        save_paramset(fp, params, config)
-
-
-def load_paramset_file(path) -> tuple[ParamSet, Optional[MLPConfig]]:
-    with open(path) as fp:
-        return load_paramset(fp)
+def load_paramset_file(path) -> tuple[ParamSet, Optional[MLPConfig], Optional[dict]]:
+    """Read an archive written by save_paramset_file: the parameters, their
+    config and the optimizer state (each None if not saved). A file that is
+    not such an archive (truncated, foreign, missing an entry) raises
+    ValueError; a missing file raises OSError."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(archive[_META].item())
+            params = ParamSet(
+                ((n, archive[_PARAM + n]) for n in meta["entries"]), meta["version_tag"]
+            )
+            opt = meta["optimizer"]
+            if opt is not None:
+                names = opt["moments"]
+                opt = {
+                    "kind": opt["kind"],
+                    "learning_rate": opt["learning_rate"],
+                    "t": opt["t"],
+                    "m": {n: archive[_ADAM_M + n] for n in names},
+                    "v": {n: archive[_ADAM_V + n] for n in names},
+                }
+        config = MLPConfig.from_json(meta["config"]) if meta["config"] is not None else None
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        # ValueError also covers pickled or malformed .npy data and bad JSON
+        raise ValueError(
+            f"unreadable parameter archive {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    return params, config, opt

@@ -36,7 +36,9 @@ from .envs import (
 )
 from .tensor import Optimizer, load_paramset_file, save_paramset_file
 
-VERSION_TAG = "logicrl-0.1.0"
+# Bumped whenever the checkpoint bundle's format changes, so a bundle of an
+# older format is refused by its state.json before any .params file is read.
+VERSION_TAG = "logicrl-0.2.0"
 
 
 class TrainingDiverged(RuntimeError):
@@ -450,17 +452,22 @@ class Trainer:
             shutil.rmtree(staging, ignore_errors=True)
 
     def _write_checkpoint(self, directory) -> None:
+        # parameters and optimizer moments go into the binary .params
+        # archives; state.json holds only scalars, text and RNG states
         save_paramset_file(
             os.path.join(directory, "policy.params"),
             self.agent.policy_params, self.agent.policy_config,
+            self.opt_policy.get_state(),
         )
         save_paramset_file(
             os.path.join(directory, "value.params"),
             self.agent.value_params, self.agent.value_config,
+            self.opt_value.get_state(),
         )
         save_paramset_file(
             os.path.join(directory, "forward.params"),
             self.model.params, self.model.config,
+            self.opt_forward.get_state(),
         )
         state = {
             "version": VERSION_TAG,
@@ -479,12 +486,6 @@ class Trainer:
             "action_rng": self.action_rng.bit_generator.state,
             "env_snapshots": [env.get_state() for env in self.envs],
             "normalizer": self.model.normalizer.get_state(),
-            "optimizers": {
-                "policy": self.opt_policy.get_state(),
-                "value": self.opt_value.get_state(),
-                "forward": self.opt_forward.get_state(),
-            },
-            "model_optimizer": self.model.optimizer.get_state(),
         }
         with open(os.path.join(directory, "state.json"), "w") as fp:
             json.dump(state, fp, indent=1, sort_keys=True)
@@ -509,12 +510,12 @@ class Trainer:
             config, state["env_id"], seed=state["seed"], layout=layout,
             d=state["d"], formula=formula,
         )
-        pi_params, _ = load_paramset_file(os.path.join(directory, "policy.params"))
-        vf_params, _ = load_paramset_file(os.path.join(directory, "value.params"))
-        fwd_params, _ = load_paramset_file(os.path.join(directory, "forward.params"))
-        trainer.agent.policy_params = pi_params
-        trainer.agent.value_params = vf_params
-        trainer.model.params = fwd_params
+        trainer.agent.policy_params, pi_opt = _read_params(directory, "policy")
+        trainer.agent.value_params, vf_opt = _read_params(directory, "value")
+        trainer.model.params, fwd_opt = _read_params(directory, "forward")
+        trainer.opt_policy.set_state(pi_opt)
+        trainer.opt_value.set_state(vf_opt)
+        trainer.opt_forward.set_state(fwd_opt)
         trainer.iteration = state["iteration"]
         trainer.steps = state["steps"]
         trainer._eval_count = state["eval_count"]
@@ -526,8 +527,16 @@ class Trainer:
         for env, snap in zip(trainer.envs, state["env_snapshots"]):
             env.set_state(snap)
         trainer.model.normalizer.set_state(state["normalizer"])
-        trainer.opt_policy.set_state(state["optimizers"]["policy"])
-        trainer.opt_value.set_state(state["optimizers"]["value"])
-        trainer.opt_forward.set_state(state["optimizers"]["forward"])
-        trainer.model.optimizer.set_state(state["model_optimizer"])
         return trainer
+
+
+def _read_params(directory, name: str):
+    """One parameter set of a checkpoint bundle and its optimizer state."""
+    path = os.path.join(directory, f"{name}.params")
+    try:
+        params, _, opt_state = load_paramset_file(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
+    if opt_state is None:
+        raise ValueError(f"unreadable checkpoint at {directory}: no optimizer state in {path}")
+    return params, opt_state

@@ -348,6 +348,18 @@ def test_cartpole_transition_arrays_are_read_only():
     assert env.state.flags.writeable  # `state` is still the caller's copy
 
 
+def test_grid_transition_arrays_are_read_only():
+    env = GridWorld(seed=3)
+    first = env.step(2)
+    second = env.step(2)
+    assert second.state is first.next_state  # shared, not copied
+    for arr in (first.state, first.next_state, second.next_state):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    assert env.state.flags.writeable  # `state` is still the caller's copy
+    assert env.reset().flags.writeable
+
+
 def test_cartpole_accelerations_symmetric_at_rest():
     zero = np.zeros(4)
     x_plus, th_plus = CartPole.accelerations(zero, 10.0)

@@ -388,6 +388,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_eval_of_damaged_checkpoint_exits_2(tmp_path, capsys):
+    run_dir = train_one_seed(build_run_config(tiny_values(tmp_path)), 0)
+    checkpoints = os.path.join(run_dir, "checkpoints")
+    ckpt = os.path.join(checkpoints, sorted(os.listdir(checkpoints))[-1])
+    policy = os.path.join(ckpt, "policy.params")
+    with open(policy, "rb") as fp:
+        data = fp.read()
+    with open(policy, "wb") as fp:
+        fp.write(data[: len(data) // 2])
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "policy.params" in err and "Traceback" not in err
+
+
 def test_heatmap_and_line_chart_svg_wellformed():
     svg = heatmap_svg(np.arange(12, dtype=float).reshape(3, 4), title="t")
     assert svg.startswith("<svg") and svg.count("<rect") >= 12

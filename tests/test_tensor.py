@@ -1,5 +1,6 @@
-import io
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from logicrl.tensor import (
     ParamSet,
     UpdateRejected,
     adam_step,
-    load_paramset,
+    load_paramset_file,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    save_paramset,
+    save_paramset_file,
     sgd_step,
     softmax,
 )
@@ -290,54 +291,137 @@ def test_adam_zero_lr_and_determinism():
     assert np.allclose(np.abs(a1["w0"] - params["w0"]), 1e-3, rtol=1e-4)
 
 
-def test_optimizer_state_roundtrip():
+def test_optimizer_state_roundtrip(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=4)
     grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
     opt = Optimizer("adam", 1e-2)
     p1 = opt.step(params, grads)
     snapshot = opt.get_state()
+    assert snapshot["t"] == 1 and sorted(snapshot["m"]) == sorted(params.names())
+    assert all(isinstance(a, np.ndarray) for a in (*snapshot["m"].values(),
+                                                   *snapshot["v"].values()))
     p2a = opt.step(p1, grads)
-    opt2 = Optimizer("adam", 1e-2)
-    opt2.set_state(snapshot)
-    p2b = opt2.step(p1, grads)
-    for name, arr in p2a:
-        assert np.array_equal(arr, p2b[name])
+    # through the archive, as a checkpoint stores it
+    path = tmp_path / "opt.params"
+    save_paramset_file(path, p1, None, snapshot)
+    _, _, loaded = load_paramset_file(path)
+    for restored in (snapshot, loaded):
+        opt2 = Optimizer("sgd", 0.5)
+        opt2.set_state(restored)
+        assert opt2.kind == "adam" and opt2.learning_rate == 1e-2 and opt2.adam.t == 1
+        for name in params.names():
+            assert opt2.adam.m[name].tobytes() == snapshot["m"][name].tobytes()
+            assert opt2.adam.v[name].tobytes() == snapshot["v"][name].tobytes()
+        p2b = opt2.step(p1, grads)
+        for name, arr in p2a:
+            assert np.array_equal(arr, p2b[name])
+    # an optimizer that has not stepped has no moments
+    save_paramset_file(path, params, None, Optimizer("adam", 1e-3).get_state())
+    _, _, fresh = load_paramset_file(path)
+    assert fresh["t"] == 0 and fresh["m"] == {} and fresh["v"] == {}
 
 
-# -- checkpoint format --------------------------------------------------------
+# -- parameter archive --------------------------------------------------------
 
 
-def test_paramset_checkpoint_roundtrip():
+def assert_bitwise_equal(loaded: ParamSet, params: ParamSet):
+    assert loaded.names() == params.names()
+    for name, arr in params:
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+def test_paramset_checkpoint_roundtrip(tmp_path):
     config = MLPConfig((3, 5, 2), "relu", "softmax")
     params = mlp_init(config, seed=9, version_tag="test-tag")
-    buf = io.StringIO()
-    save_paramset(buf, params, config)
-    buf.seek(0)
-    loaded, loaded_config = load_paramset(buf)
+    path = tmp_path / "policy.params"
+    save_paramset_file(path, params, config)
+    assert os.listdir(tmp_path) == ["policy.params"]  # no ".npz" appended
+    loaded, loaded_config, opt_state = load_paramset_file(path)
     assert loaded.version_tag == "test-tag"
     assert loaded_config == config
-    for name, arr in params:
-        assert np.allclose(loaded[name], arr, rtol=0, atol=1e-15)
-        assert np.array_equal(loaded[name], arr)  # repr round-trip is exact
+    assert opt_state is None
+    assert_bitwise_equal(loaded, params)
 
 
-def test_paramset_checkpoint_without_config():
+def test_paramset_checkpoint_without_config(tmp_path):
     params = ParamSet([("m.w0", np.array([[1.5, -2.25]]))])
-    buf = io.StringIO()
-    save_paramset(buf, params)
-    buf.seek(0)
-    loaded, config = load_paramset(buf)
+    path = tmp_path / "m.params"
+    save_paramset_file(path, params)
+    loaded, config, _ = load_paramset_file(path)
     assert config is None
-    assert np.array_equal(loaded["m.w0"], params["m.w0"])
+    assert_bitwise_equal(loaded, params)
 
 
-def test_paramset_checkpoint_bad_magic():
-    with pytest.raises(ValueError):
-        load_paramset(io.StringIO("not-a-checkpoint\n"))
+def test_paramset_archive_is_bitwise_exact(tmp_path):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    params = ParamSet([
+        ("zeros", np.array([-0.0, 0.0, -0.0])),
+        ("subnormal", np.array([[tiny, -tiny], [3 * tiny, np.finfo(np.float64).tiny / 3]])),
+        ("huge", np.array([1e308, -1e308, big, -big])),
+        ("single", np.array([0.1])),
+        ("scalar", np.array(-0.0)),
+    ])
+    moments = {n: a[::-1].copy() if a.ndim else a.copy() for n, a in params}
+    state = {"kind": "adam", "learning_rate": 0.1 + 0.2, "t": 7,
+             "m": moments, "v": {n: -a for n, a in moments.items()}}
+    path = tmp_path / "special.params"
+    save_paramset_file(path, params, None, state)
+    loaded, _, opt = load_paramset_file(path)
+    assert_bitwise_equal(loaded, params)
+    assert np.signbit(loaded["zeros"]).tolist() == [True, False, True]
+    assert np.signbit(loaded["scalar"]) and loaded["scalar"].shape == ()
+    assert opt["learning_rate"] == 0.1 + 0.2 and opt["t"] == 7
+    for key in ("m", "v"):
+        assert list(opt[key]) == params.names()
+        assert_bitwise_equal(ParamSet(opt[key].items()), ParamSet(state[key].items()))
 
 
-def test_paramset_rejects_nonfinite_and_duplicates():
+def write_archive(path, entries, **arrays):
+    """A hand-made archive whose header lists `entries` (no optimizer)."""
+    meta = {"version_tag": "v1", "config": None, "entries": entries, "optimizer": None}
+    with open(path, "wb") as fp:
+        np.savez(fp, meta=np.array(json.dumps(meta)), **arrays)
+
+
+def test_paramset_checkpoint_bad_magic(tmp_path):
+    """Anything but a complete archive is a ValueError naming the file."""
+    good = tmp_path / "good.params"
+    save_paramset_file(good, mlp_init(MLPConfig((3, 2)), seed=1), None,
+                       Optimizer("adam", 1e-3).get_state())
+    data = good.read_bytes()
+    cases = {
+        "empty": b"",
+        "text": b"not-a-checkpoint\n",
+        "old_text_format": b"paramset-v1\nversion_tag v1\nconfig -\nentries 0\ndata\n",
+        "truncated": data[: len(data) // 2],
+        "truncated_tail": data[:-10],
+    }
+    for name, content in cases.items():
+        (tmp_path / name).write_bytes(content)
+    with open(tmp_path / "no_meta", "wb") as fp:
+        np.savez(fp, **{"param/w0": np.zeros(2)})
+    with open(tmp_path / "pickled", "wb") as fp:
+        np.savez(fp, meta=np.array([{"a": 1}], dtype=object))
+    write_archive(tmp_path / "missing_entry", ["w0"])
+    for name in [*cases, "no_meta", "missing_entry", "pickled"]:
+        with pytest.raises(ValueError, match=f"unreadable parameter archive .*{name}"):
+            load_paramset_file(tmp_path / name)
+    with pytest.raises(OSError):
+        load_paramset_file(tmp_path / "absent.params")
+
+
+def test_paramset_rejects_nonfinite_and_duplicates(tmp_path):
     with pytest.raises(ValueError):
         ParamSet([("a", np.array([np.inf]))])
     with pytest.raises(ValueError):
         ParamSet([("a", np.zeros(1)), ("a", np.zeros(1))])
+    # the same checks guard what an archive holds
+    write_archive(tmp_path / "inf.params", ["a"], **{"param/a": np.array([1.0, np.nan])})
+    with pytest.raises(ValueError, match="non-finite"):
+        load_paramset_file(tmp_path / "inf.params")
+    write_archive(tmp_path / "dup.params", ["a", "a"], **{"param/a": np.zeros(1)})
+    with pytest.raises(ValueError, match="duplicate"):
+        load_paramset_file(tmp_path / "dup.params")

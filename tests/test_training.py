@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -217,13 +218,29 @@ def test_checkpoint_resume_bit_identical(tmp_path):
         resumed_src.train_iteration()
     resumed_src.save_checkpoint(tmp_path / "ckpt")
     resumed = Trainer.load_checkpoint(tmp_path / "ckpt")
+    assert_same_learners(resumed_src, resumed)
     for _ in range(2):
         m_straight = straight.train_iteration()
         m_resumed = resumed.train_iteration()
         assert m_straight == m_resumed
-    assert np.array_equal(straight.agent.policy_params.flat(),
-                          resumed.agent.policy_params.flat())
-    assert np.array_equal(straight.model.params.flat(), resumed.model.params.flat())
+    assert_same_learners(straight, resumed)
+
+
+def assert_same_learners(a: Trainer, b: Trainer):
+    """Parameters and every optimizer's Adam moments and step count agree
+    bit for bit."""
+    for pa, pb in ((a.agent.policy_params, b.agent.policy_params),
+                   (a.agent.value_params, b.agent.value_params),
+                   (a.model.params, b.model.params)):
+        assert pa.names() == pb.names()
+        assert pa.flat().tobytes() == pb.flat().tobytes()
+    for oa, ob in ((a.opt_policy, b.opt_policy), (a.opt_value, b.opt_value),
+                   (a.opt_forward, b.opt_forward)):
+        assert oa.adam.t == ob.adam.t > 0
+        for moments_a, moments_b in ((oa.adam.m, ob.adam.m), (oa.adam.v, ob.adam.v)):
+            assert list(moments_a) == list(moments_b) and moments_a
+            for name, arr in moments_a.items():
+                assert arr.tobytes() == moments_b[name].tobytes()
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -263,6 +280,40 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
     (bad / "state.json").write_text('{"version": "other"}')
     with pytest.raises(ValueError, match="version"):
         Trainer.load_checkpoint(bad)
+
+    # a damaged or missing .params file: a ValueError naming the file, never
+    # a zipfile, EOF or key error
+    grid_trainer(KEEPOUT, seed=3).save_checkpoint(tmp_path / "ckpt")
+    policy = tmp_path / "ckpt" / "policy.params"
+    data = policy.read_bytes()
+    for damaged in (data[: len(data) // 2], data[:-10], b"", b"not an archive\n"):
+        policy.write_bytes(damaged)
+        with pytest.raises(ValueError, match="unreadable checkpoint at .*policy.params"):
+            Trainer.load_checkpoint(tmp_path / "ckpt")
+    policy.unlink()
+    with pytest.raises(ValueError, match="unreadable checkpoint at .*policy.params"):
+        Trainer.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_load_checkpoint_refuses_old_text_format(tmp_path):
+    """A bundle of the text format (paramset-v1 files, optimizer moments as
+    JSON lists in state.json) is refused by its version, before any .params
+    file is read."""
+    ckpt = tmp_path / "old"
+    grid_trainer(KEEPOUT, seed=3).save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    state["version"] = "logicrl-0.1.0"
+    moments = {"kind": "adam", "learning_rate": 1e-3, "t": 1,
+               "m": {"pi.b0": [0.5, -0.25]}, "v": {"pi.b0": [0.125, 0.0625]}}
+    state["optimizers"] = {"policy": moments, "value": moments, "forward": moments}
+    state["model_optimizer"] = {"kind": "adam", "learning_rate": 1e-3, "t": 0,
+                                "m": {}, "v": {}}
+    (ckpt / "state.json").write_text(json.dumps(state, indent=1, sort_keys=True))
+    for name in ("policy", "value", "forward"):
+        (ckpt / f"{name}.params").write_text(
+            "paramset-v1\nversion_tag v1\nconfig -\nentries 1\nb0 2\ndata\n0.5 -0.25\n")
+    with pytest.raises(ValueError, match="version 'logicrl-0.1.0' does not match"):
+        Trainer.load_checkpoint(ckpt)
 
 
 # -- evaluation -----------------------------------------------------------------------
