@@ -19,7 +19,6 @@ from .constraints import (
     FLSyntaxError,
     ObjectRegistry,
     bind,
-    evaluate,
     load_constraint_file,
     norm_distance,
     parse,

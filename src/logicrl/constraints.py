@@ -810,8 +810,3 @@ class BoundFormula:
 def bind(formula: Formula, registry: ObjectRegistry, schema) -> BoundFormula:
     """Resolve set and slice names; returns an evaluation-ready BoundFormula."""
     return BoundFormula(formula, registry, schema)
-
-
-def evaluate(bound: BoundFormula, state) -> bool:
-    """Boolean satisfaction of a bound formula at one state."""
-    return bound.evaluate(state)

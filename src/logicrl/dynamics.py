@@ -25,13 +25,18 @@ STD_FLOOR = 1e-6
 
 
 class RunningNorm:
-    """Per-component running mean/std (Welford), std floored at 1e-6."""
+    """Per-component running mean/std (Welford), std floored at 1e-6.
+
+    `std` is a read-only array recomputed by `update` and `set_state`, the
+    only writers of `count`/`m2`, so a prediction does not recompute it.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
+        self._refresh_std()
 
     def update(self, states: np.ndarray) -> None:
         batch = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -45,12 +50,15 @@ class RunningNorm:
         self.mean = self.mean + delta * (n / total)
         self.m2 = self.m2 + b_m2 + delta * delta * (self.count * n / total)
         self.count = total
+        self._refresh_std()
 
-    @property
-    def std(self) -> np.ndarray:
+    def _refresh_std(self) -> None:
         if self.count < 2:
-            return np.ones(self.dim)
-        return np.maximum(np.sqrt(self.m2 / self.count), STD_FLOOR)
+            std = np.ones(self.dim)
+        else:
+            std = np.maximum(np.sqrt(self.m2 / self.count), STD_FLOOR)
+        std.flags.writeable = False
+        self.std = std
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
@@ -69,6 +77,7 @@ class RunningNorm:
         self.count = state["count"]
         self.mean = np.asarray(state["mean"], dtype=np.float64)
         self.m2 = np.asarray(state["m2"], dtype=np.float64)
+        self._refresh_std()
 
 
 def _as_triples(batch):
@@ -108,14 +117,13 @@ class ForwardModel:
         self.config = MLPConfig((state_dim + n_actions, *hidden, state_dim), "tanh", "identity")
         self.params = mlp_init(self.config, seed, prefix="fwd.")
         self.normalizer = RunningNorm(state_dim)
+        self._action_rows = np.eye(n_actions)  # one-hot rows, indexed by action
         self.optimizer = Optimizer(optimizer, learning_rate)
 
     # -- inputs ---------------------------------------------------------------
 
     def _net_input(self, normalized: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((len(normalized), self.n_actions))
-        onehot[np.arange(len(normalized)), actions] = 1.0
-        return np.concatenate([normalized, onehot], axis=1)
+        return np.concatenate([normalized, self._action_rows[actions]], axis=1)
 
     def update_normalizer(self, states: np.ndarray) -> None:
         self.normalizer.update(states)

@@ -5,6 +5,7 @@ gradients, optimizer moments and checkpoints all share one representation.
 """
 from __future__ import annotations
 
+import functools
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -130,6 +131,14 @@ def bias_name(layer: int) -> str:
     return f"b{layer}"
 
 
+@functools.lru_cache(maxsize=None)
+def _layer_names(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
+    """(weight, bias) entry names per layer, formatted once per net shape."""
+    return tuple(
+        (prefix + weight_name(layer), prefix + bias_name(layer)) for layer in range(n_layers)
+    )
+
+
 def mlp_init(config: MLPConfig, seed: int, prefix: str = "", version_tag: str = "v1") -> ParamSet:
     """Glorot-uniform weights, zero biases; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
@@ -208,11 +217,10 @@ def mlp_forward(
     pre_list: list[np.ndarray] = []
     post_list: list[np.ndarray] = []
     h = batch
-    last = config.n_layers - 1
-    for layer in range(config.n_layers):
-        w = params[prefix + weight_name(layer)]
-        b = params[prefix + bias_name(layer)]
-        pre = h @ w + b
+    n_layers = config.n_layers
+    last = n_layers - 1
+    for layer, (w_name, b_name) in enumerate(_layer_names(prefix, n_layers)):
+        pre = h @ params[w_name] + params[b_name]
         if layer < last:
             post = _activate(pre, config.activation)
         elif config.output_activation == "softmax":
@@ -251,8 +259,10 @@ def mlp_backward(
     prefix = cache.prefix
     grads: dict[str, np.ndarray] = {}
     last = config.n_layers - 1
+    names = _layer_names(prefix, config.n_layers)
     d_post = g
     for layer in range(last, -1, -1):
+        w_name, b_name = names[layer]
         pre, post = cache.pre[layer], cache.post[layer]
         if hidden_grads and layer in hidden_grads and layer != last:
             d_post = d_post + hidden_grads[layer]
@@ -266,9 +276,9 @@ def mlp_backward(
         else:
             d_pre = d_post * _activation_grad(pre, post, config.activation)
         h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
-        grads[prefix + weight_name(layer)] = h_in.T @ d_pre
-        grads[prefix + bias_name(layer)] = d_pre.sum(axis=0)
-        d_post = d_pre @ params[prefix + weight_name(layer)].T
+        grads[w_name] = h_in.T @ d_pre
+        grads[b_name] = d_pre.sum(axis=0)
+        d_post = d_pre @ params[w_name].T
     ordered = [(name, grads[name]) for name in params.names()]
     input_grad = d_post[0] if cache.single else d_post
     return ParamSet(ordered, params.version_tag), input_grad

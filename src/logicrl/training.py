@@ -146,24 +146,25 @@ def evaluate_policy(
     The constraint is checked on the true next state of every step; the mean
     return counts environment reward only. When `model` is given, the
     model-vs-reality constraint disagreement rate is reported as well.
+    Actions and model predictions are made step by step; the formula is
+    scored once over the whole stream after the loop (parameters are frozen
+    and each row's satisfaction depends on that row alone).
     """
     if eval_steps < 1:
         raise ValueError("eval_steps must be >= 1")
     state = env.reset(seed)
-    satisfied = 0
-    disagreements = 0
+    true_next = np.empty((eval_steps, len(state)))
+    predicted = np.empty_like(true_next)
     ep_return = 0.0
     episode_returns: list[float] = []
     end_counts: dict[str, int] = {}
-    for _ in range(eval_steps):
+    for i in range(eval_steps):
         action = int(agent.greedy_batch(state[None, :])[0])
         t = env.step(action)
         if bound is not None:
-            true_ok = bound.evaluate(t.next_state)
-            satisfied += bool(true_ok)
+            true_next[i] = t.next_state
             if model is not None:
-                pred_ok = bound.evaluate(model.predict(t.state, action))
-                disagreements += pred_ok != true_ok
+                predicted[i] = model.predict(t.state, action)
         ep_return += t.env_reward
         if t.done:
             episode_returns.append(ep_return)
@@ -173,6 +174,14 @@ def evaluate_policy(
             state = env.reset()
         else:
             state = t.next_state
+    satisfied = 0
+    disagreements = 0
+    if bound is not None:
+        true_ok = bound.evaluate_batch(true_next)
+        satisfied = int(true_ok.sum())
+        if model is not None:
+            pred_ok = bound.evaluate_batch(predicted)
+            disagreements = int((pred_ok != true_ok).sum())
     if episode_returns:
         mean_return = float(np.mean(episode_returns))
     else:

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These implement the 'other side' of dual-route checks: central finite
-differences for gradients, and a truth-table evaluator plus random formula
-generator for the constraint language. They intentionally avoid the library
+differences for gradients, a truth-table evaluator plus random formula
+generator for the constraint language, reference environment steppers, and
+the step-by-step evaluation loop. They intentionally avoid the library
 code paths they are used to check (numpy.linalg.norm instead of the DSL's
 norm code, operator dispatch instead of the DSL's comparison table).
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from logicrl import constraints as fl
 from logicrl.envs import StateSchema
+from logicrl.training import EvalResult, _episode_end_label
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
@@ -337,3 +339,49 @@ class ReferenceCartPole:
         if done:
             self.phase = 0
         return self.state.copy(), reward, done
+
+
+# ---------------------------------------------------------------------------
+# Greedy evaluation, scored step by step
+
+
+def reference_evaluate_policy(agent, env, bound, eval_steps: int, seed=None,
+                              model=None) -> EvalResult:
+    """The per-step evaluation loop: each step's true next state, and the
+    model's prediction for that step, is scored by its own single-state
+    `bound.evaluate` call as the step happens."""
+    state = env.reset(seed)
+    satisfied = 0
+    disagreements = 0
+    ep_return = 0.0
+    episode_returns: list[float] = []
+    end_counts: dict[str, int] = {}
+    for _ in range(eval_steps):
+        action = int(agent.greedy_batch(state[None, :])[0])
+        t = env.step(action)
+        if bound is not None:
+            true_ok = bound.evaluate(t.next_state)
+            satisfied += bool(true_ok)
+            if model is not None:
+                pred_ok = bound.evaluate(model.predict(t.state, action))
+                disagreements += pred_ok != true_ok
+        ep_return += t.env_reward
+        if t.done:
+            episode_returns.append(ep_return)
+            label = _episode_end_label(env, t.next_state)
+            end_counts[label] = end_counts.get(label, 0) + 1
+            ep_return = 0.0
+            state = env.reset()
+        else:
+            state = t.next_state
+    mean_return = float(np.mean(episode_returns)) if episode_returns else ep_return
+    return EvalResult(
+        mean_return=mean_return,
+        satisfaction_rate=satisfied / eval_steps if bound is not None else 1.0,
+        violation_count=eval_steps - satisfied if bound is not None else 0,
+        steps=eval_steps,
+        episodes=len(episode_returns),
+        episode_returns=episode_returns,
+        end_counts=end_counts,
+        disagreement_rate=disagreements / eval_steps if model is not None else 0.0,
+    )

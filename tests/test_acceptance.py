@@ -258,7 +258,7 @@ def test_criterion_3_grid_dynamics():
     counts: dict[tuple[int, int], int] = {}
     n = 100_000
     for _ in range(n):
-        env._pos = cell
+        env._place(cell)
         env._steps = 0
         env._done = False
         t = env.step(action)

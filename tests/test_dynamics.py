@@ -3,7 +3,7 @@ import pytest
 
 from logicrl.dynamics import ForwardModel, RunningNorm
 from logicrl.envs import GridWorld
-from logicrl.tensor import ParamSet, UpdateRejected
+from logicrl.tensor import ParamSet, UpdateRejected, mlp_forward
 from oracles import fd_gradient, grads_match
 
 
@@ -49,6 +49,50 @@ def test_running_norm_snapshot():
     other.set_state(norm.get_state())
     assert np.array_equal(other.mean, norm.mean)
     assert other.count == norm.count
+
+
+def _fresh_std(norm: RunningNorm) -> np.ndarray:
+    if norm.count < 2:
+        return np.ones(norm.dim)
+    return np.maximum(np.sqrt(norm.m2 / norm.count), 1e-6)
+
+
+def test_running_norm_std_follows_every_update_and_restore():
+    norm = RunningNorm(3)
+    assert norm.std.tobytes() == np.ones(3).tobytes()
+    norm.update(np.array([[1.0, 2.0, 0.0]]))  # one sample: still unit scale
+    assert norm.std.tobytes() == np.ones(3).tobytes()
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 40):
+        norm.update(rng.normal(size=(n, 3)) * [1.0, 50.0, 0.0])  # last column floored
+        assert norm.std.tobytes() == _fresh_std(norm).tobytes()
+    assert norm.std[2] == 1e-6
+    with pytest.raises(ValueError):
+        norm.std[0] = 2.0  # shared by every prediction, so read-only
+
+    restored = RunningNorm(3)
+    restored.set_state(norm.get_state())
+    assert restored.std.tobytes() == _fresh_std(restored).tobytes() == norm.std.tobytes()
+    single = RunningNorm(3)
+    single.update(np.array([[4.0, 5.0, 6.0]]))
+    restored.set_state(single.get_state())
+    assert restored.std.tobytes() == np.ones(3).tobytes()
+
+
+def test_prediction_tracks_normalizer_update_between_calls():
+    model = ForwardModel(2, 3, hidden=(8,), seed=4)
+    rng = np.random.default_rng(5)
+    states, actions = rng.uniform(0, 10, size=(6, 2)), np.array([0, 1, 2, 0, 1, 2])
+    model.update_normalizer(rng.uniform(0, 10, size=(30, 2)))
+    first = model.predict_batch(states, actions)
+    model.update_normalizer(rng.uniform(0, 40, size=(30, 2)))
+    second = model.predict_batch(states, actions)
+    norm = model.normalizer
+    std = _fresh_std(norm)
+    x = np.concatenate([(states - norm.mean) / std, np.eye(3)[actions]], axis=1)
+    z, _ = mlp_forward(model.params, model.config, x, "fwd.")
+    assert second.tobytes() == (z * std + norm.mean).tobytes()
+    assert not np.array_equal(first, second)
 
 
 # -- prediction -------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_intended_cell_frequency():
     env = GridWorld(seed=123)
     hits = 0
     for _ in range(10_000):
-        env._pos = (5, 5)
+        env._place((5, 5))
         env._steps = 0
         env._done = False
         t = env.step(2)

@@ -186,6 +186,30 @@ def test_cli_maps_divergence_in_evaluation_to_exit_3(tmp_path, monkeypatch, caps
     assert "diverged" in capsys.readouterr().err
 
 
+def test_cli_maps_nan_prediction_in_evaluation_to_exit_3(tmp_path, monkeypatch, capsys):
+    """A NaN model prediction during the in-loop evaluation is caught when
+    the predictions are scored after the loop: training exits 3 with a dump,
+    and `logicrl eval` of the checkpoint it left exits 2."""
+    from logicrl.dynamics import ForwardModel
+
+    def nan_predict(self, state, action):
+        return np.full(self.state_dim, np.nan)
+
+    monkeypatch.setattr(ForwardModel, "predict", nan_predict)
+    code = main(["train", "--env", "gridworld", "--constraint", "configs/grid_keepout.fl",
+                 "--seeds", "0", "--steps", "40", "--eval-every", "20",
+                 "--rollout-length", "10", "--batch-size", "2", "--out", str(tmp_path)])
+    assert code == 3
+    run_dir = tmp_path / "run" / "seed_0"
+    dump = (run_dir / "diverged.txt").read_text()
+    assert "'iteration': 1" in dump and "'steps': 20" in dump
+    assert "non-finite state components" in dump
+    assert "diverged" in capsys.readouterr().err
+    ckpt = run_dir / "checkpoints" / "step_000000020"
+    assert main(["eval", str(ckpt), "--eval-horizon", "10"]) == 2
+    assert "non-finite state components" in capsys.readouterr().err
+
+
 def test_run_eval_reproduces_training_loop_eval(tmp_path):
     cfg = build_run_config(tiny_values(tmp_path, constraint="configs/grid_keepout.fl"))
     run_dir = train_one_seed(cfg, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -13,10 +14,12 @@ from logicrl.training import (
     TrainingDiverged,
     evaluate_policy,
 )
+from oracles import reference_evaluate_policy
 
 TAUTOLOGY = "forall u in unsafe: 0 <= norm2(s - u)"
 KEEPOUT = "forall u in unsafe: 1.5 <= norm2(s - u)"
 UNSAT = "norm2(s - [5,5]) <= -1"
+CARTPOLE_THETA = "configs/cartpole_theta.fl"
 
 
 def tiny_config(**overrides) -> System3Config:
@@ -328,6 +331,46 @@ def test_evaluate_policy_tautology_and_unsat():
     unsat = fl.bind(fl.parse(UNSAT), tr.registry, tr.schema)
     result = evaluate_policy(tr.agent, make_env("gridworld", 5), unsat, 200, seed=5)
     assert result.satisfaction_rate == 0.0 and result.violation_count == 200
+
+
+def _eval_case(name: str):
+    """A trainer two iterations in (fitted normalizer, moved weights) and
+    the bound, model and horizon that one comparison case evaluates with."""
+    if name in ("cartpole_theta", "mid_episode"):
+        tr = Trainer(tiny_config(), "cartpole", seed=4,
+                     formula=fl.load_constraint_file(CARTPOLE_THETA))
+    else:
+        tr = grid_trainer(KEEPOUT, seed=7)  # its greedy walk passes the unsafe cells
+    for _ in range(2):
+        tr.train_iteration()
+    bound, model = tr.bound, tr.model
+    if name == "no_bound":
+        bound = None
+    elif name == "no_model":
+        model = None
+    elif name == "scrambled_model":
+        rng = np.random.default_rng(0)
+        model.params = model.params.with_flat(rng.normal(size=model.params.n_params()))
+    return tr, bound, model, 157 if name == "mid_episode" else 300
+
+
+@pytest.mark.parametrize("name", ["grid_keepout", "cartpole_theta", "no_bound",
+                                  "no_model", "scrambled_model", "mid_episode"])
+def test_evaluate_policy_matches_per_step_reference(name):
+    """Scoring the formula once over the evaluation stream gives every
+    EvalResult field exactly as scoring each step's states as it happens."""
+    tr, bound, model, horizon = _eval_case(name)
+    env = make_env(tr.env_id, 77, tr.layout, 1)
+    got = evaluate_policy(tr.agent, env, bound, horizon, 77, model)
+    want = reference_evaluate_policy(tr.agent, make_env(tr.env_id, 77, tr.layout, 1),
+                                     bound, horizon, 77, model)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    if name == "scrambled_model":
+        assert got.disagreement_rate > 0.0
+    if name in ("grid_keepout", "cartpole_theta"):
+        assert 0 < got.violation_count < horizon
+    if name == "mid_episode":  # the last episode is cut off by the horizon
+        assert got.episodes >= 1 and env.get_state()["steps"] > 0
 
 
 def test_evaluate_policy_random_uniform_regression_value():
