@@ -6,7 +6,7 @@ bounds, combined with and/or/not and bounded quantifiers over named sets.
 """
 import numpy as np
 
-from logicrl import GridWorld, bind, default_registry, parse, to_dnf, to_text
+from logicrl import GridWorld, bind, default_registry, parse, to_text
 
 env = GridWorld()
 registry = default_registry(env)
@@ -38,7 +38,3 @@ states = np.random.default_rng(0).uniform(0, 19, size=(100_000, 2))
 rate = bound.evaluate_batch(states).mean()
 print(f"\nsatisfaction rate over 1e5 uniform states: {rate:.3f}")
 
-# A DNF view is available for diagnostics.
-messy = parse("not (s[0] <= 3 or s[1] >= 15) and 1 <= norm1(s - [9,9])")
-print("\nDNF of a nested formula:")
-print("  ", to_text(to_dnf(messy)))

@@ -6,7 +6,7 @@ the constraint evaluator anticipate where an action will probably land.
 """
 import numpy as np
 
-from logicrl import ForwardModel, GridWorld
+from logicrl import ForwardModel, GridWorld, Optimizer
 
 env = GridWorld(seed=3)
 rng = np.random.default_rng(3)
@@ -24,10 +24,12 @@ states, actions, nexts = np.array(states), np.array(actions), np.array(nexts)
 
 model = ForwardModel(2, 5, seed=2)
 model.update_normalizer(states)
+optimizer = Optimizer("adam", 1e-3)
 batch_rng = np.random.default_rng(7)
 for step in range(2001):
     idx = batch_rng.integers(0, len(states), size=256)
-    loss = model.fit_step((states[idx], actions[idx], nexts[idx]))
+    loss, grads = model.loss_and_grads((states[idx], actions[idx], nexts[idx]))
+    model.params = optimizer.step(model.params, grads)
     if step % 400 == 0:
         print(f"step {step:5d}  loss {loss:.5f}")
 

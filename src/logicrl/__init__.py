@@ -8,7 +8,6 @@ back to a synchronous actor-critic as an extra reward channel.
 from .actor_critic import (
     ActorCritic,
     RolloutBuffer,
-    gae_advantages,
     gae_batch,
     policy_value_loss,
     standardize_advantages,
@@ -20,9 +19,7 @@ from .constraints import (
     ObjectRegistry,
     bind,
     load_constraint_file,
-    norm_distance,
     parse,
-    to_dnf,
     to_text,
 )
 from .dynamics import ForwardModel, RunningNorm

@@ -100,10 +100,6 @@ class ActorCritic:
         logp = log_softmax(pcache.pre[-1])[np.arange(len(probs)), actions]
         return actions, logp, values
 
-    def act(self, state, rng: np.random.Generator) -> tuple[int, float, float]:
-        actions, logp, values = self.act_batch(np.asarray(state)[None, :], rng)
-        return int(actions[0]), float(logp[0]), float(values[0])
-
     def greedy_batch(self, states) -> np.ndarray:
         probs, _, _, _ = self.policy_value(states)
         return np.argmax(probs, axis=1)
@@ -161,39 +157,6 @@ class RolloutBuffer:
 # Generalized advantage estimation
 
 
-def gae_advantages(
-    rewards,
-    values,
-    dones,
-    gamma: float,
-    lam: float,
-    bootstrap_value: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """GAE over one time-ordered sequence.
-
-    delta_t = r_t + gamma * V(s_{t+1}) * (1 - done_t) - V(s_t)
-    A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
-    returns = A + V
-
-    `bootstrap_value` stands in for V(s_T) when the last step is not
-    terminal; it is ignored (masked by done) otherwise.
-    """
-    r = np.asarray(rewards, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    d = np.asarray(dones, dtype=np.float64)
-    if not (len(r) == len(v) == len(d)) or len(r) == 0:
-        raise ValueError("rewards, values and dones must share a positive length")
-    T = len(r)
-    next_values = np.append(v[1:], bootstrap_value)
-    deltas = r + gamma * next_values * (1.0 - d) - v
-    advantages = np.zeros(T)
-    acc = 0.0
-    for t in range(T - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * (1.0 - d[t]) * acc
-        advantages[t] = acc
-    return advantages, advantages + v
-
-
 def gae_batch(
     rewards: np.ndarray,
     values: np.ndarray,
@@ -202,7 +165,17 @@ def gae_batch(
     lam: float,
     bootstrap_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise GAE over (T, B) arrays of independent rollout streams."""
+    """Column-wise GAE over (T, B) arrays of independent rollout streams.
+
+    delta_t = r_t + gamma * V(s_{t+1}) * (1 - done_t) - V(s_t)
+    A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
+    returns = A + V
+
+    `bootstrap_values` (B,) stand in for V(s_T) where the last step is not
+    terminal; they are ignored (masked by done) otherwise.
+    """
+    if not rewards.shape == values.shape == dones.shape or len(rewards) == 0:
+        raise ValueError("rewards, values and dones must share one (T, B) shape, T >= 1")
     T, _ = rewards.shape
     next_values = np.vstack([values[1:], bootstrap_values[None, :]])
     not_done = 1.0 - dones

@@ -10,6 +10,7 @@ import sys
 
 from .constraints import BindError, FLSyntaxError
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     build_run_config,
     check_constraint,
@@ -25,35 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# CLI flag name -> config key (flags override config-file values)
-_TRAIN_FLAGS = [
-    ("--experiment", "experiment", str),
-    ("--env", "env", str),
-    ("--layout", "layout", str),
-    ("--constraint", "constraint", str),
-    ("--seeds", "seeds", str),
-    ("--steps", "steps", str),
-    ("--eval-every", "eval_every", str),
-    ("--eval-horizon", "eval_horizon", str),
-    ("--out", "out", str),
-    ("--d", "d", str),
-    ("--lambda", "lambda", str),
-    ("--beta", "beta", str),
-    ("--gamma", "gamma", str),
-    ("--gae-lambda", "gae_lambda", str),
-    ("--lr", "lr", str),
-    ("--rollout-length", "rollout_length", str),
-    ("--batch-size", "batch_size", str),
-    ("--constraint-weight", "constraint_weight", str),
-    ("--use-env-reward", "use_env_reward", str),
-    ("--entropy-coef", "entropy_coef", str),
-    ("--value-coef", "value_coef", str),
-    ("--hidden", "hidden", str),
-    ("--optimizer", "optimizer", str),
-    ("--policy-features", "policy_features", str),
-    ("--model-warmup-iters", "model_warmup_iters", str),
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key=value run config file")
     p_train.add_argument("--parallel-seeds", action="store_true",
                          help="run seeds as isolated worker processes")
-    for flag, key, typ in _TRAIN_FLAGS:
-        p_train.add_argument(flag, dest=f"kv_{key}", type=typ, default=None)
+    for key, *_ in CONFIG_KEYS:  # flags override config-file values
+        p_train.add_argument("--" + key.replace("_", "-"), dest=f"kv_{key}", default=None)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     p_eval.add_argument("checkpoint")
@@ -99,7 +71,7 @@ def _cmd_train(args) -> int:
     values: dict[str, str] = {}
     if args.config:
         values.update(parse_kv_file(args.config))
-    for _, key, _ in _TRAIN_FLAGS:
+    for key, *_ in CONFIG_KEYS:
         flag_value = getattr(args, f"kv_{key}")
         if flag_value is not None:
             values[key] = flag_value

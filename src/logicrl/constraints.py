@@ -147,14 +147,13 @@ Formula = Union[Atom, Not, And, Or, ForAll]
 class ObjectRegistry:
     """Named finite sets of anchor points that quantifiers range over.
 
-    Each set is an (m, k) array of points, optionally tagged with the name of
-    the state slice those points live in.
+    Each set is an (m, k) array of points.
     """
 
     def __init__(self):
-        self.sets: dict[str, tuple[np.ndarray, Optional[str]]] = {}
+        self.sets: dict[str, np.ndarray] = {}
 
-    def add_set(self, name: str, points, slice_name: Optional[str] = None) -> None:
+    def add_set(self, name: str, points) -> None:
         if name in self.sets:
             raise ValueError(f"registry set {name!r} already exists")
         arr = np.asarray(points, dtype=np.float64)
@@ -164,16 +163,13 @@ class ObjectRegistry:
             raise ValueError(f"set {name!r}: points must form an (m, k) array")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"set {name!r}: non-finite anchor point")
-        self.sets[name] = (arr, slice_name)
+        self.sets[name] = arr
 
     def names(self) -> list[str]:
         return list(self.sets)
 
     def points(self, name: str) -> np.ndarray:
-        return self.sets[name][0]
-
-    def slice_tag(self, name: str) -> Optional[str]:
-        return self.sets[name][1]
+        return self.sets[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self.sets
@@ -186,33 +182,16 @@ class ObjectRegistry:
 # Norms
 
 
-def norm_distance(point_a, point_b, p: float = 2.0) -> float:
-    """Minkowski distance between two equal-length points; p >= 1 or inf."""
-    a = np.asarray(point_a, dtype=np.float64)
-    b = np.asarray(point_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not (p == math.inf or p >= 1.0):
-        raise ValueError(f"norm order must be >= 1 or inf, got {p}")
-    diff = np.abs(a - b)
-    if p == math.inf:
-        return float(diff.max(initial=0.0))
-    if p == 1.0:
-        return float(diff.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.sum(diff * diff)))
-    return float(np.sum(diff**p) ** (1.0 / p))
-
-
 def _norm_rows(diff: np.ndarray, p: float) -> np.ndarray:
-    """p-norm along the last axis."""
+    """p-norm along the last axis, for p >= 1 or inf."""
+    if p == 2.0:
+        # no np.abs copy: (-x) * (-x) == x * x bit for bit
+        return np.sqrt(np.sum(diff * diff, axis=-1))
     a = np.abs(diff)
     if p == math.inf:
         return a.max(axis=-1)
     if p == 1.0:
         return a.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt(np.sum(a * a, axis=-1))
     return np.sum(a**p, axis=-1) ** (1.0 / p)
 
 
@@ -511,49 +490,6 @@ def to_text(formula: Formula) -> str:
         return conj(f)
 
     return full(formula)
-
-
-# ---------------------------------------------------------------------------
-# DNF normalizer (diagnostics only; quantified subformulas treated as literals)
-
-
-def to_dnf(formula: Formula) -> Formula:
-    """Push negations inward and distribute `and` over `or`."""
-
-    def nnf(f: Formula, negate: bool) -> Formula:
-        if isinstance(f, Not):
-            return nnf(f.child, not negate)
-        if isinstance(f, And):
-            kids = tuple(nnf(c, negate) for c in f.children)
-            return Or(kids) if negate else And(kids)
-        if isinstance(f, Or):
-            kids = tuple(nnf(c, negate) for c in f.children)
-            return And(kids) if negate else Or(kids)
-        return Not(f) if negate else f
-
-    def distribute(f: Formula) -> Formula:
-        if isinstance(f, Or):
-            flat: list[Formula] = []
-            for c in f.children:
-                d = distribute(c)
-                flat.extend(d.children if isinstance(d, Or) else [d])
-            return Or(tuple(flat)) if len(flat) > 1 else flat[0]
-        if isinstance(f, And):
-            branches: list[list[Formula]] = [[]]
-            for c in f.children:
-                d = distribute(c)
-                terms = list(d.children) if isinstance(d, Or) else [d]
-                branches = [b + [t] for b in branches for t in terms]
-            clauses: list[Formula] = []
-            for b in branches:
-                flat: list[Formula] = []
-                for t in b:
-                    flat.extend(t.children if isinstance(t, And) else [t])
-                clauses.append(And(tuple(flat)) if len(flat) > 1 else flat[0])
-            return Or(tuple(clauses)) if len(clauses) > 1 else clauses[0]
-        return f
-
-    return distribute(nnf(formula, False))
 
 
 # ---------------------------------------------------------------------------

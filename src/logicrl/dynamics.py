@@ -7,13 +7,10 @@ one-hot block appended to the input.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .tensor import (
     MLPConfig,
-    Optimizer,
     ParamSet,
     UpdateRejected,
     mlp_backward,
@@ -80,26 +77,6 @@ class RunningNorm:
         self._refresh_std()
 
 
-def _as_triples(batch):
-    """Accept a list of (s, a, s') triples or a (states, actions, nexts) tuple."""
-    if isinstance(batch, tuple) and len(batch) == 3:
-        s, a, s2 = batch
-    else:
-        if len(batch) == 0:
-            raise ValueError("empty batch")
-        s = [t[0] for t in batch]
-        a = [t[1] for t in batch]
-        s2 = [t[2] for t in batch]
-    states = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    actions = np.asarray(a, dtype=np.int64).ravel()
-    nexts = np.atleast_2d(np.asarray(s2, dtype=np.float64))
-    if len(states) == 0:
-        raise ValueError("empty batch")
-    if not (len(states) == len(actions) == len(nexts)):
-        raise ValueError("batch arrays disagree on length")
-    return states, actions, nexts
-
-
 class ForwardModel:
     """MSE-trained deterministic point predictor of the next state."""
 
@@ -109,8 +86,6 @@ class ForwardModel:
         n_actions: int,
         hidden: tuple[int, ...] = (64, 64),
         seed: int = 0,
-        optimizer: str = "adam",
-        learning_rate: float = 1e-3,
     ):
         self.state_dim = state_dim
         self.n_actions = n_actions
@@ -118,7 +93,6 @@ class ForwardModel:
         self.params = mlp_init(self.config, seed, prefix="fwd.")
         self.normalizer = RunningNorm(state_dim)
         self._action_rows = np.eye(n_actions)  # one-hot rows, indexed by action
-        self.optimizer = Optimizer(optimizer, learning_rate)
 
     # -- inputs ---------------------------------------------------------------
 
@@ -149,8 +123,16 @@ class ForwardModel:
     # -- training -------------------------------------------------------------
 
     def loss_and_grads(self, batch) -> tuple[float, ParamSet]:
-        """Mean over the batch of squared L2 error, in normalized state units."""
-        states, actions, nexts = _as_triples(batch)
+        """Mean over a (states, actions, next states) batch of squared L2
+        error, in normalized state units."""
+        s, a, s2 = batch
+        states = np.atleast_2d(np.asarray(s, dtype=np.float64))
+        actions = np.asarray(a, dtype=np.int64).ravel()
+        nexts = np.atleast_2d(np.asarray(s2, dtype=np.float64))
+        if len(states) == 0:
+            raise ValueError("empty batch")
+        if not (len(states) == len(actions) == len(nexts)):
+            raise ValueError("batch arrays disagree on length")
         x = self._net_input(self.normalizer.normalize(states), actions)
         targets = self.normalizer.normalize(nexts)
         z, cache = mlp_forward(self.params, self.config, x, "fwd.")
@@ -160,14 +142,3 @@ class ForwardModel:
             raise UpdateRejected(f"non-finite dynamics loss {loss}; step aborted")
         grads, _ = mlp_backward(self.params, self.config, cache, 2.0 * err / len(states))
         return loss, grads
-
-    def fit_step(self, batch, learning_rate: Optional[float] = None) -> float:
-        """One optimizer step on the model parameters; aborts on NaN loss."""
-        loss, grads = self.loss_and_grads(batch)
-        if not np.isfinite(loss):
-            raise UpdateRejected(f"non-finite dynamics loss {loss}; step aborted")
-        if learning_rate is not None:
-            self.optimizer.learning_rate = learning_rate
-        self.params = self.optimizer.step(self.params, grads)
-        return loss
-

@@ -535,14 +535,14 @@ def unwrap(env):
 
 def default_registry(env) -> ObjectRegistry:
     """Anchor sets for an environment: unsafe and target cell centers on the
-    grid (tagged with the 'pos' slice), nothing for cart-pole."""
+    grid, nothing for cart-pole."""
     base = unwrap(env)
     registry = ObjectRegistry()
     if isinstance(base, GridWorld):
         unsafe = sorted(base.layout.unsafe)
         targets = sorted(base.layout.targets)
-        registry.add_set("unsafe", np.array(unsafe, dtype=np.float64).reshape(len(unsafe), 2), "pos")
-        registry.add_set("target", np.array(targets, dtype=np.float64).reshape(len(targets), 2), "pos")
+        registry.add_set("unsafe", np.array(unsafe, dtype=np.float64).reshape(len(unsafe), 2))
+        registry.add_set("target", np.array(targets, dtype=np.float64).reshape(len(targets), 2))
     return registry
 
 

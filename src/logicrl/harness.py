@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything one experiment needs; see README for the key names."""
+    """Everything one experiment needs; CONFIG_KEYS maps the key names."""
 
     experiment: str = "run"
     env: str = "gridworld"
@@ -65,36 +65,8 @@ class RunConfig:
             raise ConfigError("eval_every and eval_horizon must be >= 1")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-
-
-# Mapping of config-file keys onto RunConfig / System3Config fields.
-_RUN_KEYS = {
-    "experiment": str,
-    "env": str,
-    "layout": str,
-    "constraint": str,
-    "eval_every": int,
-    "eval_horizon": int,
-    "out": str,
-    "d": int,
-}
-_SYS3_KEYS = {
-    "lambda": ("lam", float),
-    "beta": ("beta", float),
-    "gamma": ("gamma", float),
-    "gae_lambda": ("gae_lambda", float),
-    "lr": ("learning_rate", float),
-    "rollout_length": ("rollout_length", int),
-    "batch_size": ("batch_size", int),
-    "steps": ("total_steps", int),
-    "constraint_weight": ("constraint_reward_weight", float),
-    "use_env_reward": ("use_env_reward", None),
-    "entropy_coef": ("entropy_coef", float),
-    "value_coef": ("value_coef", float),
-    "optimizer": ("optimizer", str),
-    "policy_features": ("policy_features", str),
-    "model_warmup_iters": ("model_warmup_iters", int),
-}
+        if self.env == "cartpole" and self.sys3.policy_features == "onehot":
+            raise ConfigError("policy_features onehot only applies to the gridworld env")
 
 
 def _parse_bool(text: str) -> bool:
@@ -103,7 +75,46 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; empty items are skipped."""
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+# Every run-config key, in config.snapshot order: the key as written in config
+# files (and, with "_" as "-", as a `logicrl train` flag), the config object
+# that holds it ("run" is RunConfig, "sys3" is System3Config), that object's
+# field, and the parser of the key's text. Defaults live on the dataclasses.
+CONFIG_KEYS = (
+    ("experiment", "run", "experiment", str),
+    ("env", "run", "env", str),
+    ("layout", "run", "layout", str),
+    ("constraint", "run", "constraint", str),
+    ("seeds", "run", "seeds", _parse_ints),
+    ("eval_every", "run", "eval_every", int),
+    ("eval_horizon", "run", "eval_horizon", int),
+    ("out", "run", "out", str),
+    ("d", "run", "d", int),
+    ("lambda", "sys3", "lam", float),
+    ("beta", "sys3", "beta", float),
+    ("gamma", "sys3", "gamma", float),
+    ("gae_lambda", "sys3", "gae_lambda", float),
+    ("lr", "sys3", "learning_rate", float),
+    ("rollout_length", "sys3", "rollout_length", int),
+    ("batch_size", "sys3", "batch_size", int),
+    ("steps", "sys3", "total_steps", int),
+    ("constraint_weight", "sys3", "constraint_reward_weight", float),
+    ("use_env_reward", "sys3", "use_env_reward", _parse_bool),
+    ("entropy_coef", "sys3", "entropy_coef", float),
+    ("value_coef", "sys3", "value_coef", float),
+    ("hidden", "sys3", "hidden", _parse_ints),
+    ("optimizer", "sys3", "optimizer", str),
+    ("policy_features", "sys3", "policy_features", str),
+    ("model_warmup_iters", "sys3", "model_warmup_iters", int),
+)
+_KEY_ROWS = {row[0]: row for row in CONFIG_KEYS}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -125,38 +136,17 @@ def parse_kv_file(path) -> dict[str, str]:
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
     """Typed RunConfig from flat string key/values; unknown keys rejected."""
-    values = dict(values)
-    run_kwargs: dict = {}
-    sys3_kwargs: dict = {}
-    if "seeds" in values:
-        text = values.pop("seeds")
-        try:
-            run_kwargs["seeds"] = tuple(int(s) for s in str(text).split(",") if s.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad seeds list {text!r}") from exc
-    if "hidden" in values:
-        text = values.pop("hidden")
-        try:
-            sys3_kwargs["hidden"] = tuple(int(s) for s in str(text).split(",") if s.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad hidden sizes {text!r}") from exc
-    for key, value in values.items():
-        if key in _RUN_KEYS:
-            run_kwargs[key] = _RUN_KEYS[key](value)
-        elif key in _SYS3_KEYS:
-            fieldname, conv = _SYS3_KEYS[key]
-            if conv is None:
-                sys3_kwargs[fieldname] = _parse_bool(str(value))
-            else:
-                try:
-                    sys3_kwargs[fieldname] = conv(value)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        else:
+    kwargs: dict[str, dict] = {"run": {}, "sys3": {}}
+    for key, text in values.items():
+        if key not in _KEY_ROWS:
             raise ConfigError(f"unknown config key {key!r}")
+        _, section, fieldname, parse = _KEY_ROWS[key]
+        try:
+            kwargs[section][fieldname] = parse(str(text))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r}") from exc
     try:
-        sys3 = System3Config(**sys3_kwargs)
-        config = RunConfig(sys3=sys3, **run_kwargs)
+        config = RunConfig(sys3=System3Config(**kwargs["sys3"]), **kwargs["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if config.constraint != "none" and not os.path.exists(config.constraint):
@@ -166,37 +156,22 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     return config
 
 
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def snapshot_text(config: RunConfig, seed: int) -> str:
     """Flat key=value snapshot that re-runs this seed identically."""
-    s = config.sys3
-    lines = [
-        f"# {VERSION_TAG}",
-        f"experiment = {config.experiment}",
-        f"env = {config.env}",
-        f"layout = {config.layout}",
-        f"constraint = {config.constraint}",
-        f"seeds = {seed}",
-        f"eval_every = {config.eval_every}",
-        f"eval_horizon = {config.eval_horizon}",
-        f"out = {config.out}",
-        f"d = {config.d}",
-        f"lambda = {s.lam!r}",
-        f"beta = {s.beta!r}",
-        f"gamma = {s.gamma!r}",
-        f"gae_lambda = {s.gae_lambda!r}",
-        f"lr = {s.learning_rate!r}",
-        f"rollout_length = {s.rollout_length}",
-        f"batch_size = {s.batch_size}",
-        f"steps = {s.total_steps}",
-        f"constraint_weight = {s.constraint_reward_weight!r}",
-        f"use_env_reward = {str(s.use_env_reward).lower()}",
-        f"entropy_coef = {s.entropy_coef!r}",
-        f"value_coef = {s.value_coef!r}",
-        f"hidden = {','.join(str(h) for h in s.hidden)}",
-        f"optimizer = {s.optimizer}",
-        f"policy_features = {s.policy_features}",
-        f"model_warmup_iters = {s.model_warmup_iters}",
-    ]
+    sections = {"run": replace(config, seeds=(seed,)), "sys3": config.sys3}
+    lines = [f"# {VERSION_TAG}"]
+    for key, section, fieldname, _ in CONFIG_KEYS:
+        lines.append(f"{key} = {_format_value(getattr(sections[section], fieldname))}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +212,7 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     """
     sys3 = config.sys3
     if config.constraint != "none":
-        sys3 = System3Config.from_dict({**sys3.to_dict(), "constraint_file": config.constraint})
+        sys3 = replace(sys3, constraint_file=config.constraint)
     run_dir = run_dir_for(config, seed)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:

@@ -15,6 +15,7 @@ import numpy as np
 
 ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
+OPTIMIZERS = ("sgd", "adam")
 
 
 class UpdateRejected(ValueError):
@@ -69,9 +70,8 @@ class MLPConfig:
 class ParamSet:
     """Ordered mapping of name -> float64 array; arrays must stay finite."""
 
-    def __init__(self, entries: Iterable[tuple[str, np.ndarray]], version_tag: str = "v1"):
+    def __init__(self, entries: Iterable[tuple[str, np.ndarray]]):
         self.entries: dict[str, np.ndarray] = {}
-        self.version_tag = version_tag
         for name, arr in entries:
             if name in self.entries:
                 raise ValueError(f"duplicate entry name {name!r}")
@@ -93,16 +93,16 @@ class ParamSet:
         return list(self.entries)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(((n, a.copy()) for n, a in self), self.version_tag)
+        return ParamSet((n, a.copy()) for n, a in self)
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet(((n, np.zeros_like(a)) for n, a in self), self.version_tag)
+        return ParamSet((n, np.zeros_like(a)) for n, a in self)
 
     def n_params(self) -> int:
         return sum(a.size for a in self.entries.values())
 
     def scaled(self, factor: float) -> "ParamSet":
-        return ParamSet(((n, a * factor) for n, a in self), self.version_tag)
+        return ParamSet((n, a * factor) for n, a in self)
 
     def flat(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.entries.values()])
@@ -115,7 +115,7 @@ class ParamSet:
             i += a.size
         if i != len(vec):
             raise ValueError("flat vector length mismatch")
-        return ParamSet(out, self.version_tag)
+        return ParamSet(out)
 
     def same_shapes(self, other: "ParamSet") -> bool:
         return self.names() == other.names() and all(
@@ -139,7 +139,7 @@ def _layer_names(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
     )
 
 
-def mlp_init(config: MLPConfig, seed: int, prefix: str = "", version_tag: str = "v1") -> ParamSet:
+def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
     """Glorot-uniform weights, zero biases; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     entries = []
@@ -150,7 +150,7 @@ def mlp_init(config: MLPConfig, seed: int, prefix: str = "", version_tag: str = 
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         entries.append((prefix + weight_name(layer), w))
         entries.append((prefix + bias_name(layer), np.zeros(fan_out)))
-    return ParamSet(entries, version_tag)
+    return ParamSet(entries)
 
 
 @dataclass
@@ -281,7 +281,7 @@ def mlp_backward(
         d_post = d_pre @ params[w_name].T
     ordered = [(name, grads[name]) for name in params.names()]
     input_grad = d_post[0] if cache.single else d_post
-    return ParamSet(ordered, params.version_tag), input_grad
+    return ParamSet(ordered), input_grad
 
 
 def _check_update(params: ParamSet, grads: ParamSet) -> None:
@@ -295,9 +295,7 @@ def _check_update(params: ParamSet, grads: ParamSet) -> None:
 def sgd_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:
     """One plain gradient-descent step; rejects non-finite gradients."""
     _check_update(params, grads)
-    return ParamSet(
-        ((n, a - learning_rate * grads[n]) for n, a in params), params.version_tag
-    )
+    return ParamSet((n, a - learning_rate * grads[n]) for n, a in params)
 
 
 @dataclass
@@ -328,14 +326,14 @@ def adam_step(
         v_hat = v / (1 - beta2**t)
         out.append((name, p - learning_rate * m_hat / (np.sqrt(v_hat) + eps)))
         new_m[name], new_v[name] = m, v
-    return ParamSet(out, params.version_tag), AdamState(new_m, new_v, t)
+    return ParamSet(out), AdamState(new_m, new_v, t)
 
 
 class Optimizer:
     """Stateful SGD or Adam wrapper over one ParamSet's update stream."""
 
     def __init__(self, kind: str = "adam", learning_rate: float = 1e-3):
-        if kind not in ("sgd", "adam"):
+        if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.learning_rate = learning_rate
@@ -383,7 +381,6 @@ def save_paramset_file(
     the optimizer that updates it (`Optimizer.get_state`) as a numpy archive.
     Arrays are stored in binary, so loading gives back every bit."""
     meta = {
-        "version_tag": params.version_tag,
         "config": config.to_json() if config is not None else None,
         "entries": params.names(),
         "optimizer": None,
@@ -411,11 +408,9 @@ def load_paramset_file(path) -> tuple[ParamSet, Optional[MLPConfig], Optional[di
     not such an archive (truncated, foreign, missing an entry) raises
     ValueError; a missing file raises OSError."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
             meta = json.loads(archive[_META].item())
-            params = ParamSet(
-                ((n, archive[_PARAM + n]) for n in meta["entries"]), meta["version_tag"]
-            )
+            params = ParamSet((n, archive[_PARAM + n]) for n in meta["entries"])
             opt = meta["optimizer"]
             if opt is not None:
                 names = opt["moments"]

@@ -8,6 +8,7 @@ next states (reality, not the model) and never updates parameters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -34,11 +35,22 @@ from .envs import (
     make_env,
     unwrap,
 )
-from .tensor import Optimizer, load_paramset_file, save_paramset_file
+from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_file
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
 VERSION_TAG = "logicrl-0.2.0"
+
+POLICY_FEATURES = ("auto", "raw", "scaled", "onehot")
+
+# Each trained parameter set, in checkpoint order: its name (the key of
+# Trainer.optimizers and the stem of its .params file), the Trainer attribute
+# that owns it, and that owner's parameter and net-config attributes.
+_PARAM_SETS = (
+    ("policy", "agent", "policy_params", "policy_config"),
+    ("value", "agent", "value_params", "value_config"),
+    ("forward", "model", "params", "config"),
+)
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,28 +93,30 @@ class System3Config:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gamma and gae_lambda must be in [0, 1]")
         if self.rollout_length < 1 or self.batch_size < 1:
             raise ValueError("rollout_length and batch_size must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list at least one layer size >= 1, got {self.hidden}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r} (one of {OPTIMIZERS})")
+        if self.policy_features not in POLICY_FEATURES:
+            raise ValueError(f"unknown policy_features {self.policy_features!r}")
 
     @property
     def steps_per_iteration(self) -> int:
         return self.rollout_length * self.batch_size
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "System3Config":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", (64, 64)))
-        return System3Config(**d)
+        return System3Config(**d)  # __post_init__ turns a JSON hidden list into a tuple
 
 
 @dataclass
@@ -215,11 +229,11 @@ def _build_featurizer(kind: str, env):
         if not isinstance(base, GridWorld):
             raise ValueError("onehot features only apply to the grid world")
         return grid_onehot_features(base.layout.width, base.layout.height)
-    raise ValueError(f"unknown policy_features {kind!r}")
 
 
 class Trainer:
-    """Owns the environments, the two learners and their optimizers."""
+    """Owns the environments, the two learners and one optimizer per
+    parameter set (`optimizers`, keyed policy/value/forward)."""
 
     def __init__(
         self,
@@ -265,12 +279,10 @@ class Trainer:
             self.n_actions,
             hidden=config.hidden,
             seed=fwd_seed,
-            optimizer=config.optimizer,
-            learning_rate=config.learning_rate,
         )
-        self.opt_policy = Optimizer(config.optimizer, config.learning_rate)
-        self.opt_value = Optimizer(config.optimizer, config.learning_rate)
-        self.opt_forward = Optimizer(config.optimizer, config.learning_rate)
+        self.optimizers = {
+            name: Optimizer(config.optimizer, config.learning_rate) for name, *_ in _PARAM_SETS
+        }
         self.action_rng = np.random.default_rng(action_seed)
 
         self.formula = formula
@@ -400,13 +412,15 @@ class Trainer:
 
         warmup = self.iteration < cfg.model_warmup_iters
         if not warmup:
-            self.agent.policy_params = self.opt_policy.step(
+            self.agent.policy_params = self.optimizers["policy"].step(
                 self.agent.policy_params, pi_grads.scaled(cfg.lam)
             )
-            self.agent.value_params = self.opt_value.step(
+            self.agent.value_params = self.optimizers["value"].step(
                 self.agent.value_params, vf_grads.scaled(cfg.lam)
             )
-        self.model.params = self.opt_forward.step(self.model.params, fwd_grads.scaled(cfg.beta))
+        self.model.params = self.optimizers["forward"].step(
+            self.model.params, fwd_grads.scaled(cfg.beta)
+        )
 
         self.iteration += 1
         self.steps += buffer.steps
@@ -463,21 +477,13 @@ class Trainer:
     def _write_checkpoint(self, directory) -> None:
         # parameters and optimizer moments go into the binary .params
         # archives; state.json holds only scalars, text and RNG states
-        save_paramset_file(
-            os.path.join(directory, "policy.params"),
-            self.agent.policy_params, self.agent.policy_config,
-            self.opt_policy.get_state(),
-        )
-        save_paramset_file(
-            os.path.join(directory, "value.params"),
-            self.agent.value_params, self.agent.value_config,
-            self.opt_value.get_state(),
-        )
-        save_paramset_file(
-            os.path.join(directory, "forward.params"),
-            self.model.params, self.model.config,
-            self.opt_forward.get_state(),
-        )
+        for name, owner, params_attr, config_attr in _PARAM_SETS:
+            learner = getattr(self, owner)
+            save_paramset_file(
+                os.path.join(directory, f"{name}.params"),
+                getattr(learner, params_attr), getattr(learner, config_attr),
+                self.optimizers[name].get_state(),
+            )
         state = {
             "version": VERSION_TAG,
             "config": self.config.to_dict(),
@@ -519,12 +525,10 @@ class Trainer:
             config, state["env_id"], seed=state["seed"], layout=layout,
             d=state["d"], formula=formula,
         )
-        trainer.agent.policy_params, pi_opt = _read_params(directory, "policy")
-        trainer.agent.value_params, vf_opt = _read_params(directory, "value")
-        trainer.model.params, fwd_opt = _read_params(directory, "forward")
-        trainer.opt_policy.set_state(pi_opt)
-        trainer.opt_value.set_state(vf_opt)
-        trainer.opt_forward.set_state(fwd_opt)
+        for name, owner, params_attr, _ in _PARAM_SETS:
+            params, opt_state = _read_params(directory, name)
+            setattr(getattr(trainer, owner), params_attr, params)
+            trainer.optimizers[name].set_state(opt_state)
         trainer.iteration = state["iteration"]
         trainer.steps = state["steps"]
         trainer._eval_count = state["eval_count"]

@@ -2,8 +2,9 @@
 
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
-generator for the constraint language, reference environment steppers, and
-the step-by-step evaluation loop. They intentionally avoid the library
+generator for the constraint language, a scalar Minkowski distance, a scalar
+GAE recursion, reference environment steppers, and the step-by-step
+evaluation loop. They intentionally avoid the library
 code paths they are used to check (numpy.linalg.norm instead of the DSL's
 norm code, operator dispatch instead of the DSL's comparison table).
 """
@@ -40,6 +41,61 @@ def grads_match(analytic: np.ndarray, numeric: np.ndarray,
     diff = np.abs(analytic - numeric)
     tol = np.maximum(rel * np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return bool(np.all(diff <= tol))
+
+
+# ---------------------------------------------------------------------------
+# Scalar twins of the batched norm and GAE
+
+
+def norm_distance(point_a, point_b, p: float = 2.0) -> float:
+    """Minkowski distance between two equal-length points; p >= 1 or inf."""
+    a = np.asarray(point_a, dtype=np.float64)
+    b = np.asarray(point_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not (p == math.inf or p >= 1.0):
+        raise ValueError(f"norm order must be >= 1 or inf, got {p}")
+    diff = np.abs(a - b)
+    if p == math.inf:
+        return float(diff.max(initial=0.0))
+    if p == 1.0:
+        return float(diff.sum())
+    if p == 2.0:
+        return float(np.sqrt(np.sum(diff * diff)))
+    return float(np.sum(diff**p) ** (1.0 / p))
+
+
+def gae_advantages(
+    rewards,
+    values,
+    dones,
+    gamma: float,
+    lam: float,
+    bootstrap_value: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """GAE over one time-ordered sequence, one step at a time.
+
+    delta_t = r_t + gamma * V(s_{t+1}) * (1 - done_t) - V(s_t)
+    A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
+    returns = A + V
+
+    `bootstrap_value` stands in for V(s_T) when the last step is not
+    terminal; it is ignored (masked by done) otherwise.
+    """
+    r = np.asarray(rewards, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    d = np.asarray(dones, dtype=np.float64)
+    if not (len(r) == len(v) == len(d)) or len(r) == 0:
+        raise ValueError("rewards, values and dones must share a positive length")
+    T = len(r)
+    next_values = np.append(v[1:], bootstrap_value)
+    deltas = r + gamma * next_values * (1.0 - d) - v
+    advantages = np.zeros(T)
+    acc = 0.0
+    for t in range(T - 1, -1, -1):
+        acc = deltas[t] + gamma * lam * (1.0 - d[t]) * acc
+        advantages[t] = acc
+    return advantages, advantages + v
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +225,7 @@ def quantified_registry(rng: np.random.Generator) -> fl.ObjectRegistry:
     random_quantified_formula; "empty" has no points at all."""
     reg = fl.ObjectRegistry()
     for name, m in (("few", 3), ("one", 1), ("many", 7)):
-        reg.add_set(name, np.round(rng.uniform(0, 10, size=(m, 2)), 2), "pos")
+        reg.add_set(name, np.round(rng.uniform(0, 10, size=(m, 2)), 2))
     reg.add_set("empty", np.zeros((0, 0)))
     return reg
 

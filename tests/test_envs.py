@@ -535,8 +535,6 @@ def test_default_registry_grid():
     assert set(reg.names()) == {"unsafe", "target"}
     assert reg.points("unsafe").shape == (36, 2)
     assert reg.points("target").shape == (1, 2)
-    assert reg.slice_tag("unsafe") == "pos"
-    assert reg.slice_tag("target") == "pos"
 
 
 def test_default_registry_cartpole_empty():

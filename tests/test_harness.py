@@ -5,8 +5,10 @@ import pytest
 
 from logicrl.cli import main
 from logicrl.harness import (
+    CONFIG_KEYS,
     METRICS_HEADER,
     ConfigError,
+    RunConfig,
     build_run_config,
     check_constraint,
     emit_curves,
@@ -89,6 +91,19 @@ def test_snapshot_round_trips(tmp_path):
     assert parsed.sys3 == cfg.sys3
     assert parsed.seeds == (0,)
     assert parsed.env == cfg.env
+
+
+def test_readme_config_table_matches_config_keys():
+    """README's run-config table lists the CONFIG_KEYS keys in order, each
+    with its dataclass default as config.snapshot writes it."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fp:
+        readme = fp.read()
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
+    documented = [(key.strip("| `"), default) for key, default in rows]
+    assert [key for key, _ in documented] == [row[0] for row in CONFIG_KEYS]
+    snapshot = snapshot_text(RunConfig(), seed=0).splitlines()[1:]
+    assert documented == [tuple(line.split(" = ")) for line in snapshot]
 
 
 # -- training runs ------------------------------------------------------------------
@@ -410,6 +425,22 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--optimizer", "rmsprop"], "optimizer"),
+    (["--policy-features", "bogus"], "policy_features"),
+    (["--hidden", ","], "hidden"),
+    (["--lr", "nan"], "learning_rate"),
+    (["--eval-every", "x"], "eval_every"),
+    (["--env", "cartpole", "--policy-features", "onehot"], "onehot"),
+])
+def test_cli_rejects_bad_values_before_writing(tmp_path, capsys, flags, named):
+    """A bad config value exits 2, names the key, and leaves no run directory."""
+    out = tmp_path / "out"
+    assert main(["train", "--seeds", "0", "--steps", "40", "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
 
 
 def test_cli_eval_of_damaged_checkpoint_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -334,12 +336,11 @@ def assert_bitwise_equal(loaded: ParamSet, params: ParamSet):
 
 def test_paramset_checkpoint_roundtrip(tmp_path):
     config = MLPConfig((3, 5, 2), "relu", "softmax")
-    params = mlp_init(config, seed=9, version_tag="test-tag")
+    params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
     save_paramset_file(path, params, config)
     assert os.listdir(tmp_path) == ["policy.params"]  # no ".npz" appended
     loaded, loaded_config, opt_state = load_paramset_file(path)
-    assert loaded.version_tag == "test-tag"
     assert loaded_config == config
     assert opt_state is None
     assert_bitwise_equal(loaded, params)
@@ -380,10 +381,31 @@ def test_paramset_archive_is_bitwise_exact(tmp_path):
 
 
 def write_archive(path, entries, **arrays):
-    """A hand-made archive whose header lists `entries` (no optimizer)."""
+    """A hand-made archive whose header lists `entries` (no optimizer), with
+    the `version_tag` key that archives of logicrl 0.2.0 carry."""
     meta = {"version_tag": "v1", "config": None, "entries": entries, "optimizer": None}
     with open(path, "wb") as fp:
         np.savez(fp, meta=np.array(json.dumps(meta)), **arrays)
+
+
+def test_paramset_archive_with_old_version_tag_loads(tmp_path):
+    write_archive(tmp_path / "old.params", ["w0"], **{"param/w0": np.array([0.5, -0.25])})
+    loaded, config, opt_state = load_paramset_file(tmp_path / "old.params")
+    assert loaded.names() == ["w0"] and loaded["w0"].tolist() == [0.5, -0.25]
+    assert config is None and opt_state is None
+
+
+def test_failed_paramset_load_closes_the_file(tmp_path):
+    good = tmp_path / "good.params"
+    save_paramset_file(good, mlp_init(MLPConfig((3, 2)), seed=1))
+    data = good.read_bytes()
+    (tmp_path / "truncated").write_bytes(data[: len(data) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            load_paramset_file(tmp_path / "truncated")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_paramset_checkpoint_bad_magic(tmp_path):

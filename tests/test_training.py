@@ -237,8 +237,9 @@ def assert_same_learners(a: Trainer, b: Trainer):
                    (a.model.params, b.model.params)):
         assert pa.names() == pb.names()
         assert pa.flat().tobytes() == pb.flat().tobytes()
-    for oa, ob in ((a.opt_policy, b.opt_policy), (a.opt_value, b.opt_value),
-                   (a.opt_forward, b.opt_forward)):
+    assert list(a.optimizers) == list(b.optimizers) == ["policy", "value", "forward"]
+    for key, oa in a.optimizers.items():
+        ob = b.optimizers[key]
         assert oa.adam.t == ob.adam.t > 0
         for moments_a, moments_b in ((oa.adam.m, ob.adam.m), (oa.adam.v, ob.adam.v)):
             assert list(moments_a) == list(moments_b) and moments_a
