@@ -36,17 +36,15 @@ def scaled_features(scale) -> tuple[int, Callable]:
 
 
 def grid_onehot_features(width: int, height: int) -> tuple[int, Callable]:
-    """One-hot cell indicator for integer (x, y) grid states."""
-    dim = width * height
+    """One-hot cell indicator for integer (x, y) grid states, given as an
+    (n, 1) int64 column of cell indices y * width + x: mlp_forward reads an
+    integer input as the position of each row's one 1."""
 
     def featurize(states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(states)
-        idx = (states[:, 1].astype(np.int64) * width + states[:, 0].astype(np.int64))
-        out = np.zeros((len(states), dim))
-        out[np.arange(len(states)), idx] = 1.0
-        return out
+        return states[:, 1:2].astype(np.int64) * width + states[:, 0:1].astype(np.int64)
 
-    return dim, featurize
+    return width * height, featurize
 
 
 class ActorCritic:

@@ -265,6 +265,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# One read-only (x, y) state array per cell, shared by every GridWorld: a
+# step hands out the cell's array instead of building a new one.
+_CELL_STATES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _cell_state(cell: tuple[int, int]) -> np.ndarray:
+    arr = _CELL_STATES.get(cell)
+    if arr is None:
+        arr = _CELL_STATES[cell] = _frozen(np.array(cell, dtype=np.float64))
+    return arr
+
+
 class GridWorld:
     """Slippery grid: actions succeed with probability 0.85, otherwise the
     agent moves uniformly within its von Neumann neighbourhood including the
@@ -313,9 +325,9 @@ class GridWorld:
     # -- episode interface ----------------------------------------------------
 
     def _place(self, cell: tuple[int, int]) -> None:
-        """Move to `cell`: the table key and a read-only state array."""
+        """Move to `cell`: the table key and the cell's read-only state array."""
         self._pos = cell
-        self._state = _frozen(np.array(cell, dtype=np.float64))
+        self._state = _cell_state(cell)
 
     @property
     def state(self) -> np.ndarray:
@@ -330,8 +342,8 @@ class GridWorld:
         return self.state
 
     def step(self, action: int) -> Transition:
-        """One table lookup and one uniform draw. The transition shares the
-        env's read-only state arrays: one new array per step."""
+        """One table lookup and one uniform draw. The transition holds the
+        shared read-only state arrays of its two cells: no new array."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
         if not 0 <= action < self.action_spec.count:

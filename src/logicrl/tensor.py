@@ -157,7 +157,7 @@ def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
 class MLPCache:
     """Per-layer records from a forward pass, consumed by mlp_backward."""
 
-    inputs: np.ndarray            # (n, d_in)
+    inputs: np.ndarray            # (n, d_in) floats, or (n, 1) one-hot indices
     pre: list[np.ndarray]         # pre-activation per layer, (n, d_l)
     post: list[np.ndarray]        # post-activation per layer, (n, d_l)
     single: bool                  # input was 1-D
@@ -175,6 +175,19 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
             raise ValueError(f"{what}: expected width {dim}, got {x.shape[1]}")
         return x, False
     raise ValueError(f"{what}: expected 1-D or 2-D input")
+
+
+def _as_index_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """An integer input: one one-hot index per row, as a length-1 vector or
+    an (n, 1) column. An index past the input width raises on use."""
+    if x.ndim == 1 and x.shape[0] == 1:
+        return x[None, :], True
+    if x.ndim == 2 and x.shape[1] == 1:
+        return x, False
+    raise ValueError(
+        "mlp_forward input: an integer input holds one one-hot index per row, "
+        f"as a length-1 vector or an (n, 1) column; got shape {x.shape}"
+    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,26 +223,31 @@ def mlp_forward(
 ) -> tuple[np.ndarray, MLPCache]:
     """Run the net on one input vector or a batch of row vectors.
 
+    An integer input is a column of one-hot indices: row i stands for the
+    unit vector with a 1 at x[i, 0], and layer 0 is the row gather
+    `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
+
     Returns the output (same leading shape as the input) and the activation
     cache needed for mlp_backward.
     """
-    batch, single = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
-    pre_list: list[np.ndarray] = []
+    names = _layer_names(prefix, config.n_layers)
+    w_name, b_name = names[0]
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        batch, single = _as_index_batch(x)
+        pre = params[w_name][batch[:, 0]] + params[b_name]
+    else:
+        batch, single = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
+        pre = batch @ params[w_name] + params[b_name]
+    pre_list: list[np.ndarray] = [pre]
     post_list: list[np.ndarray] = []
-    h = batch
-    n_layers = config.n_layers
-    last = n_layers - 1
-    for layer, (w_name, b_name) in enumerate(_layer_names(prefix, n_layers)):
-        pre = h @ params[w_name] + params[b_name]
-        if layer < last:
-            post = _activate(pre, config.activation)
-        elif config.output_activation == "softmax":
-            post = softmax(pre)
-        else:
-            post = pre
-        pre_list.append(pre)
+    for w_name, b_name in names[1:]:
+        post = _activate(pre, config.activation)
         post_list.append(post)
-        h = post
+        pre = post @ params[w_name] + params[b_name]
+        pre_list.append(pre)
+    h = softmax(pre) if config.output_activation == "softmax" else pre
+    post_list.append(h)
     cache = MLPCache(batch, pre_list, post_list, single, prefix)
     return (h[0] if single else h), cache
 
@@ -240,14 +258,16 @@ def mlp_backward(
     cache: MLPCache,
     output_grad: np.ndarray,
     hidden_grads: Optional[dict[int, np.ndarray]] = None,
-) -> tuple[ParamSet, np.ndarray]:
+) -> tuple[ParamSet, Optional[np.ndarray]]:
     """Backpropagate a gradient w.r.t. the net output through the cache.
 
     `hidden_grads` maps a layer index to an extra gradient added at that
     layer's post-activation; this is how a side head (e.g. a value head fed
     from the last hidden layer) routes its gradient into a shared trunk.
     Gradients are summed over the batch. Also returns the gradient w.r.t.
-    the input batch.
+    the input batch, or None for a one-hot index input. The layer-0 weight
+    gradient of an index input is the dense `onehot.T @ d_pre`: a scatter-add
+    sums in another order and is not bitwise equal.
     """
     if len(cache.pre) != config.n_layers:
         raise ValueError("cache does not match config")
@@ -256,6 +276,12 @@ def mlp_backward(
     )
     if single != cache.single or g.shape[0] != cache.inputs.shape[0]:
         raise ValueError("output_grad does not match cached batch")
+    inputs = cache.inputs
+    index_input = inputs.dtype.kind in "iu"
+    if index_input:
+        idx = inputs[:, 0]
+        inputs = np.zeros((len(idx), config.layer_sizes[0]))
+        inputs[np.arange(len(idx)), idx] = 1.0
     prefix = cache.prefix
     grads: dict[str, np.ndarray] = {}
     last = config.n_layers - 1
@@ -275,13 +301,15 @@ def mlp_backward(
                 d_pre = d_post
         else:
             d_pre = d_post * _activation_grad(pre, post, config.activation)
-        h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
+        h_in = inputs if layer == 0 else cache.post[layer - 1]
         grads[w_name] = h_in.T @ d_pre
         grads[b_name] = d_pre.sum(axis=0)
-        d_post = d_pre @ params[w_name].T
+        if layer or not index_input:
+            d_post = d_pre @ params[w_name].T
     ordered = [(name, grads[name]) for name in params.names()]
-    input_grad = d_post[0] if cache.single else d_post
-    return ParamSet(ordered), input_grad
+    if index_input:
+        return ParamSet(ordered), None
+    return ParamSet(ordered), (d_post[0] if cache.single else d_post)
 
 
 def _check_update(params: ParamSet, grads: ParamSet) -> None:

@@ -91,6 +91,10 @@ class System3Config:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        for key in ("lam", "entropy_coef", "value_coef", "constraint_reward_weight"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):

@@ -3,8 +3,8 @@
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
-GAE recursion, reference environment steppers, and the step-by-step
-evaluation loop. They intentionally avoid the library
+GAE recursion, dense one-hot inputs, reference environment steppers, and
+the step-by-step evaluation loop. They intentionally avoid the library
 code paths they are used to check (numpy.linalg.norm instead of the DSL's
 norm code, operator dispatch instead of the DSL's comparison table).
 """
@@ -96,6 +96,29 @@ def gae_advantages(
         acc = deltas[t] + gamma * lam * (1.0 - d[t]) * acc
         advantages[t] = acc
     return advantages, advantages + v
+
+
+# ---------------------------------------------------------------------------
+# Dense one-hot inputs, the reference for the index input
+
+
+def dense_onehot(indices, width: int) -> np.ndarray:
+    """(n, width) float rows with a 1 at each row's index."""
+    indices = np.asarray(indices).ravel()
+    out = np.zeros((len(indices), width))
+    out[np.arange(len(indices)), indices] = 1.0
+    return out
+
+
+def dense_grid_onehot_features(width: int, height: int):
+    """The grid featurizer as dense one-hot rows: (feature_dim, featurize)."""
+
+    def featurize(states: np.ndarray) -> np.ndarray:
+        states = np.atleast_2d(states)
+        idx = states[:, 1].astype(np.int64) * width + states[:, 0].astype(np.int64)
+        return dense_onehot(idx, width * height)
+
+    return width * height, featurize
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from logicrl.actor_critic import (
     scaled_features,
     standardize_advantages,
 )
+from logicrl.envs import GridWorld
 from logicrl.tensor import sgd_step
-from oracles import fd_gradient, gae_advantages, grads_match
+from oracles import dense_grid_onehot_features, fd_gradient, gae_advantages, grads_match
 
 
 def zero_policy_agent(n_actions=5, feature_dim=3, **kw) -> ActorCritic:
@@ -84,12 +85,48 @@ def test_sampling_reproducible_under_seed():
 
 
 def test_grid_onehot_features():
+    """The grid featurizer gives the (n, 1) int64 column of cell indices
+    y * width + x, the position of the 1 in each dense one-hot row."""
     dim, feats = grid_onehot_features(4, 3)
     assert dim == 12
-    out = feats(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    assert out.shape == (2, 12)
-    assert out[0, 2 * 4 + 1] == 1.0 and out[0].sum() == 1.0
-    assert out[1, 0] == 1.0
+    states = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 2.0]])
+    out = feats(states)
+    assert out.dtype == np.int64 and out.shape == (3, 1)
+    assert out[:, 0].tolist() == [2 * 4 + 1, 0, 11]
+    dense = dense_grid_onehot_features(4, 3)[1](states)
+    assert out[:, 0].tolist() == np.argmax(dense, axis=1).tolist()
+    assert feats(np.array([1.0, 2.0])).tolist() == [[9]]
+
+
+def bridge_states(n: int, seed: int) -> np.ndarray:
+    """n states visited by a random walk on the bridge grid."""
+    env = GridWorld(seed=seed)
+    rng = np.random.default_rng(seed)
+    states = [env.reset()]
+    while len(states) < n:
+        t = env.step(int(rng.integers(5)))
+        states.append(env.reset() if t.done else t.next_state)
+    return np.array(states)
+
+
+def test_index_and_dense_onehot_give_the_same_loss_bits():
+    """policy_value_loss on 1000 bridge states: the index featurizer and the
+    dense one-hot featurizer give bitwise-equal losses and gradients."""
+    states = bridge_states(1000, seed=4)
+    rng = np.random.default_rng(4)
+    actions = rng.integers(0, 5, size=1000)
+    advantages, returns = rng.normal(size=1000), rng.normal(size=1000)
+    results = []
+    for features in (grid_onehot_features, dense_grid_onehot_features):
+        dim, featurize = features(20, 20)
+        agent = ActorCritic(dim, 5, hidden=(64, 64), seed=4, featurize=featurize)
+        results.append(policy_value_loss(agent, states, actions, advantages, returns))
+    (loss_i, pi_i, vf_i, stats_i), (loss_d, pi_d, vf_d, stats_d) = results
+    assert loss_i == loss_d and stats_i == stats_d
+    for got, want in ((pi_i, pi_d), (vf_i, vf_d)):
+        assert got.names() == want.names()
+        for name in want.names():
+            assert got[name].tobytes() == want[name].tobytes()
 
 
 def test_scaled_features():

@@ -360,6 +360,40 @@ def test_grid_transition_arrays_are_read_only():
     assert env.reset().flags.writeable
 
 
+def test_grid_cells_share_one_state_array():
+    """Envs in the same cell hand out one equal, read-only array for it, and
+    set_state, reset and step all give the cell as float64 (x, y)."""
+    a, b = GridWorld(seed=0), GridWorld(seed=1)
+    start = np.array(a.layout.start, dtype=float)
+    first_a, first_b = a.step(4), b.step(4)  # both step from the start cell
+    assert first_a.state is first_b.state
+    assert np.array_equal(first_a.state, start)
+    with pytest.raises(ValueError):
+        first_b.state[1] = 0.0
+
+    def pos_array(env):
+        return np.array(env.get_state()["pos"], dtype=float)
+
+    snapshot = a.get_state()
+    snapshot["pos"] = [3, 8]
+    b.set_state(snapshot)
+    assert np.array_equal(b.state, [3.0, 8.0])
+    t = b.step(0)
+    assert t.state.dtype == np.float64 and np.array_equal(t.state, [3.0, 8.0])
+    rng = np.random.default_rng(0)
+    resets = 0
+    for _ in range(300):
+        assert np.array_equal(t.next_state, pos_array(b))
+        assert t.next_state.dtype == np.float64 and t.next_state.shape == (2,)
+        assert not t.next_state.flags.writeable
+        if t.done:
+            reset = b.reset()
+            assert reset.dtype == np.float64 and np.array_equal(reset, start)
+            resets += 1
+        t = b.step(int(rng.choice([0, 1, 2, 2])))  # drift up into the band
+    assert resets > 0
+
+
 def test_cartpole_accelerations_symmetric_at_rest():
     zero = np.zeros(4)
     x_plus, th_plus = CartPole.accelerations(zero, 10.0)

@@ -129,9 +129,11 @@ def test_run_train_writes_artifacts(tmp_path):
 def test_run_train_byte_identical_reruns(tmp_path):
     cfg = build_run_config(tiny_values(tmp_path, constraint="configs/grid_keepout.fl"))
     run_dir = train_one_seed(cfg, 0)
-    first = open(os.path.join(run_dir, "metrics.csv"), "rb").read()
+    with open(os.path.join(run_dir, "metrics.csv"), "rb") as fp:
+        first = fp.read()
     train_one_seed(cfg, 0)
-    second = open(os.path.join(run_dir, "metrics.csv"), "rb").read()
+    with open(os.path.join(run_dir, "metrics.csv"), "rb") as fp:
+        second = fp.read()
     assert first == second
 
 
@@ -292,7 +294,8 @@ def test_emit_curves_band_and_smoothing(tmp_path):
     assert lines[0] == "step,mean,min,max"
     step, mean, lo, hi = lines[1].split(",")
     assert (float(mean), float(lo), float(hi)) == (6.0, 5.0, 7.0)
-    svg = open(by_name["curve_mean_env_return.svg"]).read()
+    with open(by_name["curve_mean_env_return.svg"]) as fp:
+        svg = fp.read()
     assert svg.startswith("<svg") and "polyline" in svg and "polygon" in svg
 
 
@@ -338,7 +341,8 @@ def test_export_value_grid_zero_head_and_round_trip(tmp_path):
     assert values.shape == (20, 20)
     assert np.all(values == 0.0)
     assert np.array_equal(read_value_grid(csv_path), values)
-    assert open(svg_path).read().startswith("<svg")
+    with open(svg_path) as fp:
+        assert fp.read().startswith("<svg")
 
 
 def test_export_value_grid_exact_round_trip(tmp_path):
@@ -434,6 +438,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     (["--lr", "nan"], "learning_rate"),
     (["--eval-every", "x"], "eval_every"),
     (["--env", "cartpole", "--policy-features", "onehot"], "onehot"),
+    (["--lambda", "nan"], "lam"),
+    (["--entropy-coef", "nan"], "entropy_coef"),
+    (["--value-coef", "inf"], "value_coef"),
+    (["--constraint-weight", "inf"], "constraint_reward_weight"),
 ])
 def test_cli_rejects_bad_values_before_writing(tmp_path, capsys, flags, named):
     """A bad config value exits 2, names the key, and leaves no run directory."""

@@ -22,7 +22,7 @@ from logicrl.tensor import (
     sgd_step,
     softmax,
 )
-from oracles import fd_gradient, grads_match
+from oracles import dense_onehot, fd_gradient, grads_match
 
 
 def zeroed(params: ParamSet) -> ParamSet:
@@ -216,6 +216,73 @@ def test_backward_input_gradient_matches_fd():
         num = (np.dot(mlp_forward(params, config, up)[0], v)
                - np.dot(mlp_forward(params, config, dn)[0], v)) / (2 * eps)
         assert abs(input_grad[i] - num) < 1e-6
+
+
+# -- one-hot index input -------------------------------------------------------
+
+
+GRID_POLICY = MLPConfig((400, 64, 64, 5), "tanh", "softmax")
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def visited_cells(n: int, seed: int) -> np.ndarray:
+    """(n, 1) int64 indices drawn with repeats from half the cells, so the
+    other half are never visited."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.arange(0, 400, 2), size=(n, 1))
+
+
+@pytest.mark.parametrize("n", [1, 20, 1000])
+@pytest.mark.parametrize("with_hidden", [False, True])
+def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
+    """An int index column gives the same bits as its dense one-hot rows:
+    outputs, every cached layer, and every gradient entry."""
+    params = mlp_init(GRID_POLICY, seed=n)
+    idx = visited_cells(n, seed=n)
+    if n > 1:
+        assert len(np.unique(idx)) < n  # some cells repeat
+    rng = np.random.default_rng(n + 1)
+    g_out = rng.normal(size=(n, 5))
+    hidden = {1: rng.normal(size=(n, 64))} if with_hidden else None
+    out_i, cache_i = mlp_forward(params, GRID_POLICY, idx)
+    out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
+    assert same_bits(out_i, out_d)
+    for a, b in zip(cache_i.pre + cache_i.post, cache_d.pre + cache_d.post):
+        assert same_bits(a, b)
+    grads_i, input_grad_i = mlp_backward(params, GRID_POLICY, cache_i, g_out, hidden)
+    grads_d, input_grad_d = mlp_backward(params, GRID_POLICY, cache_d, g_out, hidden)
+    assert grads_i.names() == grads_d.names()
+    for name in grads_d.names():
+        assert same_bits(grads_i[name], grads_d[name])
+    assert input_grad_i is None and input_grad_d.shape == (n, 400)
+    unvisited = np.setdiff1d(np.arange(400), idx)
+    assert np.all(grads_i["w0"][unvisited] == 0.0)
+
+
+def test_single_index_bitwise_equals_dense_row():
+    params = mlp_init(GRID_POLICY, seed=3)
+    out_i, cache_i = mlp_forward(params, GRID_POLICY, np.array([37]))
+    out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot([37], 400)[0])
+    assert out_i.shape == (5,) and same_bits(out_i, out_d)
+    g_out = np.linspace(-1.0, 1.0, 5)
+    grads_i, input_grad = mlp_backward(params, GRID_POLICY, cache_i, g_out)
+    grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
+    assert input_grad is None
+    assert all(same_bits(grads_i[name], grads_d[name]) for name in grads_d.names())
+
+
+def test_index_input_rejects_bad_indices_and_shapes():
+    params = mlp_init(GRID_POLICY, seed=0)
+    for too_big in ([[400]], [[3], [1000]]):
+        with pytest.raises(IndexError):
+            mlp_forward(params, GRID_POLICY, np.array(too_big))
+    for bad_shape in (np.zeros((3, 2), dtype=np.int64), np.array([1, 2])):
+        with pytest.raises(ValueError):
+            mlp_forward(params, GRID_POLICY, bad_shape)
 
 
 # -- softmax ------------------------------------------------------------------
