@@ -36,18 +36,15 @@ from .envs import (
     make_env,
 )
 from .tensor import (
-    AdamState,
     MLPConfig,
     Optimizer,
     ParamSet,
     UpdateRejected,
-    adam_step,
     load_paramset_file,
     mlp_backward,
     mlp_forward,
     mlp_init,
     save_paramset_file,
-    sgd_step,
     softmax,
 )
 from .training import (

@@ -38,11 +38,21 @@ def scaled_features(scale) -> tuple[int, Callable]:
 def grid_onehot_features(width: int, height: int) -> tuple[int, Callable]:
     """One-hot cell indicator for integer (x, y) grid states, given as an
     (n, 1) int64 column of cell indices y * width + x: mlp_forward reads an
-    integer input as the position of each row's one 1."""
+    integer input as the position of each row's one 1. A state off the grid
+    raises ValueError rather than alias another cell."""
+
+    limits = np.array([width, height], dtype=np.uint64)
 
     def featurize(states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(states)
-        return states[:, 1:2].astype(np.int64) * width + states[:, 0:1].astype(np.int64)
+        xy = states.astype(np.int64)
+        # a negative coordinate reads as a huge unsigned one, so one
+        # comparison per coordinate checks both ends
+        off = xy.view(np.uint64) >= limits
+        if off.any():
+            bad = states[off.any(axis=1).argmax()].tolist()
+            raise ValueError(f"grid state {bad} lies off the {width}x{height} grid")
+        return xy[:, 1:2] * width + xy[:, 0:1]
 
     return width * height, featurize
 

@@ -23,18 +23,19 @@ from .training import (
     Trainer,
     TrainingDiverged,
     VERSION_TAG,
-    evaluate_policy,
 )
 
 METRICS_HEADER = (
     "step,iteration,mean_env_return,constraint_satisfaction,"
     "violations,forward_loss,policy_loss,entropy,seed"
 )
-TRAIN_LOG_HEADER = (
-    "iteration,steps,mean_env_return,episodes_completed,rc_rate,"
-    "true_satisfaction_rate,disagreement_rate,forward_loss,policy_loss,"
-    "value_loss,entropy,combined_loss"
+# train_log.csv columns: the keys of Trainer.train_iteration's metrics dict
+TRAIN_LOG_KEYS = (
+    "iteration", "steps", "mean_env_return", "episodes_completed", "rc_rate",
+    "true_satisfaction_rate", "disagreement_rate", "forward_loss", "policy_loss",
+    "value_loss", "entropy", "combined_loss",
 )
+TRAIN_LOG_HEADER = ",".join(TRAIN_LOG_KEYS)
 
 
 class ConfigError(ValueError):
@@ -229,25 +230,8 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
         try:
             while trainer.steps < sys3.total_steps:
                 last = trainer.train_iteration()
-                log_fp.write(
-                    ",".join(
-                        [
-                            str(last["iteration"]),
-                            str(last["steps"]),
-                            repr(last["mean_env_return"]),
-                            str(last["episodes_completed"]),
-                            repr(last["rc_rate"]),
-                            repr(last["true_satisfaction_rate"]),
-                            repr(last["disagreement_rate"]),
-                            repr(last["forward_loss"]),
-                            repr(last["policy_loss"]),
-                            repr(last["value_loss"]),
-                            repr(last["entropy"]),
-                            repr(last["combined_loss"]),
-                        ]
-                    )
-                    + "\n"
-                )
+                # every value is a Python int or float, so repr is its text
+                log_fp.write(",".join(repr(last[k]) for k in TRAIN_LOG_KEYS) + "\n")
                 if trainer.steps >= next_eval_at:
                     ckpt = os.path.join(run_dir, "checkpoints", f"step_{trainer.steps:09d}")
                     trainer.save_checkpoint(ckpt)
@@ -300,18 +284,14 @@ def run_eval(
     if eval_horizon < 1:
         raise ConfigError("eval_horizon must be >= 1")
     trainer = Trainer.load_checkpoint(checkpoint)
-    bound = trainer.bound
-    if constraint is not None and constraint != "none":
+    if constraint == "none":
+        trainer.bound = None
+    elif constraint is not None:
         if not os.path.exists(constraint):
             raise ConfigError(f"constraint file not found: {constraint}")
         formula = fl.load_constraint_file(constraint)
-        bound = fl.bind(formula, trainer.registry, trainer.schema)
-    elif constraint == "none":
-        bound = None
-    if seed is None:
-        seed = (trainer._eval_seed_base + trainer._eval_count) % 2**62
-    env = make_env(trainer.env_id, seed, trainer.layout, 1)
-    ev = evaluate_policy(trainer.agent, env, bound, eval_horizon, seed, trainer.model)
+        trainer.bound = fl.bind(formula, trainer.registry, trainer.schema)
+    ev = trainer.evaluate(eval_horizon, seed)
     row = _metrics_row(trainer.steps, trainer.iteration, ev, {}, trainer.seed)
     return ev, row
 
@@ -320,13 +300,10 @@ def run_eval(
 # Curves
 
 
+# every metrics.csv column but the step, iteration and seed bookkeeping
 _METRIC_COLUMNS = {
-    "mean_env_return": 2,
-    "constraint_satisfaction": 3,
-    "violations": 4,
-    "forward_loss": 5,
-    "policy_loss": 6,
-    "entropy": 7,
+    name: col for col, name in enumerate(METRICS_HEADER.split(","))
+    if name not in ("step", "iteration", "seed")
 }
 _SCORE_METRICS = ("mean_env_return",)
 

@@ -1,14 +1,14 @@
 """Dense MLP forward/backward passes, optimizers, and the binary parameter file.
 
-Everything is float64. Parameters live in named, ordered ParamSets so that
-gradients, optimizer moments and checkpoints all share one representation.
+Everything is float64. Parameters and gradients live in named, ordered
+ParamSets; the optimizer and the parameter file see each set as one flat
+vector in `ParamSet.flat()` order.
 """
 from __future__ import annotations
 
 import functools
-import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -50,22 +50,6 @@ class MLPConfig:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "layer_sizes": list(self.layer_sizes),
-                "activation": self.activation,
-                "output_activation": self.output_activation,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "MLPConfig":
-        d = json.loads(text)
-        return MLPConfig(
-            tuple(d["layer_sizes"]), d["activation"], d["output_activation"]
-        )
-
 
 class ParamSet:
     """Ordered mapping of name -> float64 array; arrays must stay finite."""
@@ -82,9 +66,6 @@ class ParamSet:
 
     def __iter__(self):
         return iter(self.entries.items())
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.entries[name]
@@ -117,26 +98,11 @@ class ParamSet:
             raise ValueError("flat vector length mismatch")
         return ParamSet(out)
 
-    def same_shapes(self, other: "ParamSet") -> bool:
-        return self.names() == other.names() and all(
-            self[n].shape == other[n].shape for n in self.entries
-        )
-
-
-def weight_name(layer: int) -> str:
-    return f"w{layer}"
-
-
-def bias_name(layer: int) -> str:
-    return f"b{layer}"
-
 
 @functools.lru_cache(maxsize=None)
 def _layer_names(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
     """(weight, bias) entry names per layer, formatted once per net shape."""
-    return tuple(
-        (prefix + weight_name(layer), prefix + bias_name(layer)) for layer in range(n_layers)
-    )
+    return tuple((f"{prefix}w{layer}", f"{prefix}b{layer}") for layer in range(n_layers))
 
 
 def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
@@ -144,12 +110,12 @@ def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
     rng = np.random.default_rng(seed)
     entries = []
     sizes = config.layer_sizes
-    for layer in range(config.n_layers):
+    for layer, (w_name, b_name) in enumerate(_layer_names(prefix, config.n_layers)):
         fan_in, fan_out = sizes[layer], sizes[layer + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        entries.append((prefix + weight_name(layer), w))
-        entries.append((prefix + bias_name(layer), np.zeros(fan_out)))
+        entries.append((w_name, w))
+        entries.append((b_name, np.zeros(fan_out)))
     return ParamSet(entries)
 
 
@@ -313,146 +279,102 @@ def mlp_backward(
 
 
 def _check_update(params: ParamSet, grads: ParamSet) -> None:
-    if not params.same_shapes(grads):
+    if [(n, a.shape) for n, a in params] != [(n, g.shape) for n, g in grads]:
         raise ValueError("gradient names/shapes do not match parameters")
     for name, g in grads:
         if not np.all(np.isfinite(g)):
             raise UpdateRejected(f"non-finite gradient in {name!r}; step skipped")
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:
-    """One plain gradient-descent step; rejects non-finite gradients."""
-    _check_update(params, grads)
-    return ParamSet((n, a - learning_rate * grads[n]) for n, a in params)
-
-
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
-
-
-def adam_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[ParamSet, AdamState]:
-    """One Adam step; moment buffers live in `state` (updated copy returned)."""
-    _check_update(params, grads)
-    t = state.t + 1
-    new_m, new_v, out = {}, {}, []
-    for name, p in params:
-        g = grads[name]
-        m = beta1 * state.m.get(name, np.zeros_like(p)) + (1 - beta1) * g
-        v = beta2 * state.v.get(name, np.zeros_like(p)) + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        out.append((name, p - learning_rate * m_hat / (np.sqrt(v_hat) + eps)))
-        new_m[name], new_v[name] = m, v
-    return ParamSet(out), AdamState(new_m, new_v, t)
-
-
 class Optimizer:
-    """Stateful SGD or Adam wrapper over one ParamSet's update stream."""
+    """SGD or Adam over one ParamSet's update stream. Each step updates the
+    parameters as one flat vector in `ParamSet.flat()` order; the Adam
+    moments `m` and `v` are flat vectors of that layout (None before the
+    first Adam step) and `t` counts Adam steps."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, kind: str = "adam", learning_rate: float = 1e-3):
         if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.learning_rate = learning_rate
-        self.adam = AdamState()
+        self.t = 0
+        self.m: Optional[np.ndarray] = None
+        self.v: Optional[np.ndarray] = None
 
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
+        """The updated parameters. A mismatched or non-finite gradient raises
+        (UpdateRejected names the entry), as does a non-finite result, and
+        leaves the optimizer state as it was."""
+        _check_update(params, grads)
+        p, g = params.flat(), grads.flat()
         if self.kind == "sgd":
-            return sgd_step(params, grads, self.learning_rate)
-        new_params, self.adam = adam_step(params, grads, self.adam, self.learning_rate)
-        return new_params
+            return params.with_flat(p - self.learning_rate * g)
+        t = self.t + 1
+        # zero moments before the first step, so a -0.0 gradient gives +0.0
+        m0 = np.zeros_like(p) if self.m is None else self.m
+        v0 = np.zeros_like(p) if self.v is None else self.v
+        m = self.beta1 * m0 + (1 - self.beta1) * g
+        v = self.beta2 * v0 + (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        out = params.with_flat(p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps))
+        self.t, self.m, self.v = t, m, v
+        return out
 
     def get_state(self) -> dict:
-        """Kind, learning rate, step count and Adam moments (as arrays)."""
-        return {
-            "kind": self.kind,
-            "learning_rate": self.learning_rate,
-            "t": self.adam.t,
-            "m": dict(self.adam.m),
-            "v": dict(self.adam.v),
-        }
+        """Step count and flat Adam moments; kind and learning rate come
+        from the run config."""
+        return {"t": self.t, "m": self.m, "v": self.v}
 
     def set_state(self, state: dict) -> None:
-        self.kind = state["kind"]
-        self.learning_rate = state["learning_rate"]
-        self.adam = AdamState(
-            {n: np.asarray(a, dtype=np.float64) for n, a in state["m"].items()},
-            {n: np.asarray(a, dtype=np.float64) for n, a in state["v"].items()},
-            state["t"],
-        )
+        self.t, self.m, self.v = state["t"], state["m"], state["v"]
 
 
-# Archive entry names: a JSON header, then one array per parameter and per
-# Adam moment. np.savez appends ".npy" to each name inside the zip.
-_META = "meta"
-_PARAM, _ADAM_M, _ADAM_V = "param/", "adam_m/", "adam_v/"
-
-
-def save_paramset_file(
-    path,
-    params: ParamSet,
-    config: Optional[MLPConfig] = None,
-    optimizer_state: Optional[dict] = None,
-) -> None:
-    """Write one parameter set, its net config and optionally the state of
-    the optimizer that updates it (`Optimizer.get_state`) as a numpy archive.
-    Arrays are stored in binary, so loading gives back every bit."""
-    meta = {
-        "config": config.to_json() if config is not None else None,
-        "entries": params.names(),
-        "optimizer": None,
-    }
-    arrays = {_PARAM + n: a for n, a in params}
+def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict] = None) -> None:
+    """Write one parameter set as a numpy archive: `params`, the flat vector
+    in `ParamSet.flat()` order, and with an optimizer state
+    (`Optimizer.get_state`) its step count `t` and, once Adam has stepped,
+    its moments `m` and `v`. Arrays are stored in binary, so loading gives
+    back every bit. Entry names and shapes are not stored: the loader takes
+    them from a ParamSet of the same net."""
+    arrays = {"params": params.flat()}
     if optimizer_state is not None:
-        m, v = optimizer_state["m"], optimizer_state["v"]
-        meta["optimizer"] = {
-            "kind": optimizer_state["kind"],
-            "learning_rate": optimizer_state["learning_rate"],
-            "t": optimizer_state["t"],
-            "moments": list(m),
-        }
-        arrays.update((_ADAM_M + n, m[n]) for n in m)
-        arrays.update((_ADAM_V + n, v[n]) for n in m)
-    arrays[_META] = np.array(json.dumps(meta))
+        arrays["t"] = np.int64(optimizer_state["t"])
+        if optimizer_state["m"] is not None:
+            arrays["m"], arrays["v"] = optimizer_state["m"], optimizer_state["v"]
     # a file object, not a path: np.savez appends ".npz" to a path without it
     with open(path, "wb") as fp:
         np.savez(fp, **arrays)
 
 
-def load_paramset_file(path) -> tuple[ParamSet, Optional[MLPConfig], Optional[dict]]:
-    """Read an archive written by save_paramset_file: the parameters, their
-    config and the optimizer state (each None if not saved). A file that is
-    not such an archive (truncated, foreign, missing an entry) raises
-    ValueError; a missing file raises OSError."""
+def _flat_array(archive, key: str, size: int) -> np.ndarray:
+    a = archive[key]
+    if a.dtype != np.float64 or a.shape != (size,):
+        raise ValueError(f"{key!r} holds {a.dtype} {a.shape}, expected float64 ({size},)")
+    return a
+
+
+def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
+    """Read an archive written by save_paramset_file for a net shaped like
+    `like`: the parameters, laid out as `like`'s entries, and the optimizer
+    state (None if not saved). A file that is not such an archive
+    (truncated, foreign, missing an array, or of another length than `like`)
+    raises ValueError; a missing file raises OSError."""
+    size = like.n_params()
     try:
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
-            meta = json.loads(archive[_META].item())
-            params = ParamSet((n, archive[_PARAM + n]) for n in meta["entries"])
-            opt = meta["optimizer"]
-            if opt is not None:
-                names = opt["moments"]
-                opt = {
-                    "kind": opt["kind"],
-                    "learning_rate": opt["learning_rate"],
-                    "t": opt["t"],
-                    "m": {n: archive[_ADAM_M + n] for n in names},
-                    "v": {n: archive[_ADAM_V + n] for n in names},
-                }
-        config = MLPConfig.from_json(meta["config"]) if meta["config"] is not None else None
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
-        # ValueError also covers pickled or malformed .npy data and bad JSON
+            params = like.with_flat(_flat_array(archive, "params", size))
+            state = None
+            if "t" in archive.files:
+                state = {"t": int(archive["t"]), "m": None, "v": None}
+                if "m" in archive.files:
+                    state["m"] = _flat_array(archive, "m", size)
+                    state["v"] = _flat_array(archive, "v", size)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        # ValueError also covers pickled or malformed .npy data
         raise ValueError(
             f"unreadable parameter archive {path}: {type(exc).__name__}: {exc}"
         ) from exc
-    return params, config, opt
+    return params, state

@@ -39,17 +39,17 @@ from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_fil
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.2.0"
+VERSION_TAG = "logicrl-0.3.0"
 
 POLICY_FEATURES = ("auto", "raw", "scaled", "onehot")
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
-# that owns it, and that owner's parameter and net-config attributes.
+# that owns it, and that owner's parameter attribute.
 _PARAM_SETS = (
-    ("policy", "agent", "policy_params", "policy_config"),
-    ("value", "agent", "value_params", "value_config"),
-    ("forward", "model", "params", "config"),
+    ("policy", "agent", "policy_params"),
+    ("value", "agent", "value_params"),
+    ("forward", "model", "params"),
 )
 
 
@@ -480,12 +480,12 @@ class Trainer:
 
     def _write_checkpoint(self, directory) -> None:
         # parameters and optimizer moments go into the binary .params
-        # archives; state.json holds only scalars, text and RNG states
-        for name, owner, params_attr, config_attr in _PARAM_SETS:
-            learner = getattr(self, owner)
+        # archives; state.json holds only scalars, text and RNG states, and
+        # its config fixes every net's shape
+        for name, owner, params_attr in _PARAM_SETS:
             save_paramset_file(
                 os.path.join(directory, f"{name}.params"),
-                getattr(learner, params_attr), getattr(learner, config_attr),
+                getattr(getattr(self, owner), params_attr),
                 self.optimizers[name].get_state(),
             )
         state = {
@@ -529,9 +529,19 @@ class Trainer:
             config, state["env_id"], seed=state["seed"], layout=layout,
             d=state["d"], formula=formula,
         )
-        for name, owner, params_attr, _ in _PARAM_SETS:
-            params, opt_state = _read_params(directory, name)
-            setattr(getattr(trainer, owner), params_attr, params)
+        for name, owner, params_attr in _PARAM_SETS:
+            # the freshly built net gives the entry names and shapes
+            learner = getattr(trainer, owner)
+            path = os.path.join(directory, f"{name}.params")
+            try:
+                params, opt_state = load_paramset_file(path, getattr(learner, params_attr))
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
+            if opt_state is None:
+                raise ValueError(
+                    f"unreadable checkpoint at {directory}: no optimizer state in {path}"
+                )
+            setattr(learner, params_attr, params)
             trainer.optimizers[name].set_state(opt_state)
         trainer.iteration = state["iteration"]
         trainer.steps = state["steps"]
@@ -545,15 +555,3 @@ class Trainer:
             env.set_state(snap)
         trainer.model.normalizer.set_state(state["normalizer"])
         return trainer
-
-
-def _read_params(directory, name: str):
-    """One parameter set of a checkpoint bundle and its optimizer state."""
-    path = os.path.join(directory, f"{name}.params")
-    try:
-        params, _, opt_state = load_paramset_file(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
-    if opt_state is None:
-        raise ValueError(f"unreadable checkpoint at {directory}: no optimizer state in {path}")
-    return params, opt_state

@@ -3,10 +3,11 @@
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
-GAE recursion, dense one-hot inputs, reference environment steppers, and
-the step-by-step evaluation loop. They intentionally avoid the library
-code paths they are used to check (numpy.linalg.norm instead of the DSL's
-norm code, operator dispatch instead of the DSL's comparison table).
+GAE recursion, dense one-hot inputs, per-entry SGD and Adam updates,
+reference environment steppers, and the step-by-step evaluation loop. They
+intentionally avoid the library code paths they are used to check
+(numpy.linalg.norm instead of the DSL's norm code, operator dispatch instead
+of the DSL's comparison table).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from logicrl import constraints as fl
 from logicrl.envs import StateSchema
+from logicrl.tensor import ParamSet
 from logicrl.training import EvalResult, _episode_end_label
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -119,6 +121,33 @@ def dense_grid_onehot_features(width: int, height: int):
         return dense_onehot(idx, width * height)
 
     return width * height, featurize
+
+
+# ---------------------------------------------------------------------------
+# Per-entry optimizer updates, the reference for the flat-vector Optimizer
+
+
+def sgd_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:
+    """One plain gradient-descent step, entry by entry."""
+    return ParamSet((n, a - learning_rate * grads[n]) for n, a in params)
+
+
+def adam_step(params: ParamSet, grads: ParamSet, state: dict, learning_rate: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One Adam step, entry by entry. `state` holds `t` and per-entry moment
+    dicts `m` and `v` (empty before the first step); returns the updated
+    parameters and a new state."""
+    t = state["t"] + 1
+    new_m, new_v, out = {}, {}, []
+    for name, p in params:
+        g = grads[name]
+        m = beta1 * state["m"].get(name, np.zeros_like(p)) + (1 - beta1) * g
+        v = beta2 * state["v"].get(name, np.zeros_like(p)) + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        out.append((name, p - learning_rate * m_hat / (np.sqrt(v_hat) + eps)))
+        new_m[name], new_v[name] = m, v
+    return ParamSet(out), {"t": t, "m": new_m, "v": new_v}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from logicrl.actor_critic import (
     standardize_advantages,
 )
 from logicrl.envs import GridWorld
-from logicrl.tensor import sgd_step
+from logicrl.tensor import Optimizer
 from oracles import dense_grid_onehot_features, fd_gradient, gae_advantages, grads_match
 
 
@@ -96,6 +96,18 @@ def test_grid_onehot_features():
     dense = dense_grid_onehot_features(4, 3)[1](states)
     assert out[:, 0].tolist() == np.argmax(dense, axis=1).tolist()
     assert feats(np.array([1.0, 2.0])).tolist() == [[9]]
+
+
+def test_grid_onehot_features_rejects_off_grid_states():
+    """A state off the grid is a ValueError naming it, never another cell:
+    (20, 0), (-1, 0) and (0, -1) would read as cells 20, -1 and -20."""
+    _, feats = grid_onehot_features(20, 20)
+    assert feats(np.array([[0.0, 0.0], [19.0, 19.0]]))[:, 0].tolist() == [0, 399]
+    for state in ([20.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 20.0]):
+        with pytest.raises(ValueError, match=rf"grid state \[{state[0]}, {state[1]}\] lies off"):
+            feats(np.array([[3.0, 4.0], state]))
+        with pytest.raises(ValueError, match="off the 20x20 grid"):
+            feats(np.array(state))
 
 
 def bridge_states(n: int, seed: int) -> np.ndarray:
@@ -353,6 +365,6 @@ def test_small_step_raises_log_prob_of_positive_advantage_actions():
 
     before = mean_logp()
     _, pi_grads, vf_grads, _ = policy_value_loss(agent, states, actions, advantages, returns)
-    agent.policy_params = sgd_step(agent.policy_params, pi_grads, 1e-3)
-    agent.value_params = sgd_step(agent.value_params, vf_grads, 1e-3)
+    agent.policy_params = Optimizer("sgd", 1e-3).step(agent.policy_params, pi_grads)
+    agent.value_params = Optimizer("sgd", 1e-3).step(agent.value_params, vf_grads)
     assert mean_logp() > before

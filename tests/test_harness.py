@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -460,6 +461,22 @@ def test_cli_eval_of_damaged_checkpoint_exits_2(tmp_path, capsys):
         data = fp.read()
     with open(policy, "wb") as fp:
         fp.write(data[: len(data) // 2])
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "policy.params" in err and "Traceback" not in err
+
+
+def test_cli_eval_of_checkpoint_with_foreign_net_exits_2(tmp_path, capsys):
+    """A policy.params written for another net shape (hidden 32,32 in a
+    bundle whose state.json says 64,64) is refused, not evaluated."""
+    run_dir = train_one_seed(build_run_config(tiny_values(tmp_path)), 0)
+    small_dir = train_one_seed(build_run_config(
+        tiny_values(tmp_path, hidden="32,32", out=str(tmp_path / "small"))), 0)
+    name = sorted(os.listdir(os.path.join(run_dir, "checkpoints")))[-1]
+    ckpt = os.path.join(run_dir, "checkpoints", name)
+    shutil.copyfile(os.path.join(small_dir, "checkpoints", name, "policy.params"),
+                    os.path.join(ckpt, "policy.params"))
     assert main(["eval", ckpt, "--eval-horizon", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")

@@ -1,5 +1,4 @@
 import gc
-import json
 import math
 import os
 import warnings
@@ -7,19 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from logicrl.tensor import (
-    AdamState,
     MLPConfig,
     Optimizer,
     ParamSet,
     UpdateRejected,
-    adam_step,
     load_paramset_file,
     mlp_backward,
     mlp_forward,
     mlp_init,
     save_paramset_file,
-    sgd_step,
     softmax,
 )
 from oracles import dense_onehot, fd_gradient, grads_match
@@ -324,7 +321,7 @@ def test_softmax_rejects_empty():
 def test_sgd_zero_lr_is_identity():
     params = mlp_init(MLPConfig((3, 2)), seed=0)
     grads = ParamSet([(n, np.ones_like(a)) for n, a in params])
-    updated = sgd_step(params, grads, 0.0)
+    updated = Optimizer("sgd", 0.0).step(params, grads)
     for name, arr in params:
         assert np.array_equal(arr, updated[name])
 
@@ -332,7 +329,7 @@ def test_sgd_zero_lr_is_identity():
 def test_sgd_definition():
     params = ParamSet([("w0", np.array([[1.0]])), ("b0", np.array([0.0]))])
     grads = ParamSet([("w0", np.array([[0.5]])), ("b0", np.array([0.0]))])
-    updated = sgd_step(params, grads, 0.1)
+    updated = Optimizer("sgd", 0.1).step(params, grads)
     assert updated["w0"][0, 0] == 0.95
 
 
@@ -340,24 +337,89 @@ def test_sgd_rejects_nan_grads():
     params = ParamSet([("w0", np.array([[1.0]])), ("b0", np.array([0.0]))])
     bad = params.copy()
     bad.entries["w0"] = np.array([[np.nan]])  # bypass constructor check
-    with pytest.raises(UpdateRejected):
-        sgd_step(params, bad, 0.1)
+    with pytest.raises(UpdateRejected, match="'w0'"):
+        Optimizer("sgd", 0.1).step(params, bad)
     assert params["w0"][0, 0] == 1.0
 
 
 def test_adam_zero_lr_and_determinism():
     params = mlp_init(MLPConfig((4, 3)), seed=1)
     grads = ParamSet([(n, np.full_like(a, 0.3)) for n, a in params])
-    updated, state = adam_step(params, grads, AdamState(), 0.0)
+    opt = Optimizer("adam", 0.0)
+    updated = opt.step(params, grads)
     for name, arr in params:
         assert np.array_equal(arr, updated[name])
-    assert state.t == 1
-    a1, s1 = adam_step(params, grads, AdamState(), 1e-3)
-    a2, _ = adam_step(params, grads, AdamState(), 1e-3)
+    assert opt.t == 1
+    a1 = Optimizer("adam", 1e-3).step(params, grads)
+    a2 = Optimizer("adam", 1e-3).step(params, grads)
     for name, arr in a1:
         assert np.array_equal(arr, a2[name])
     # first Adam step moves every entry by about the learning rate
     assert np.allclose(np.abs(a1["w0"] - params["w0"]), 1e-3, rtol=1e-4)
+
+
+def special_gradients(params: ParamSet, rng) -> ParamSet:
+    """Normal gradients salted with -0.0, +0.0, subnormals and magnitudes up
+    to 1e150 (whose squares stay finite)."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([-0.0, 0.0, tiny, -tiny, 7 * tiny, np.finfo(np.float64).tiny / 3,
+                         1e150, -1e150, 3e100, -2.5e-300])
+    out = []
+    for name, a in params:
+        g = rng.normal(size=a.shape)
+        mask = rng.random(a.shape) < 0.2
+        g[mask] = rng.choice(specials, size=int(mask.sum()))
+        out.append((name, g))
+    return ParamSet(out)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_matches_per_entry_reference(kind):
+    """The flat-vector update equals the per-entry reference bit for bit at
+    each of 25 steps on the grid policy's shapes: parameters, and for Adam
+    the step count and both moments."""
+    params = mlp_init(MLPConfig((400, 64, 64, 5), "tanh", "softmax"), seed=3, prefix="pi.")
+    ref_params, ref_state = params, {"t": 0, "m": {}, "v": {}}
+    opt = Optimizer(kind, 1e-3)
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        grads = special_gradients(params, rng)
+        params = opt.step(params, grads)
+        if kind == "sgd":
+            ref_params = oracles.sgd_step(ref_params, grads, 1e-3)
+        else:
+            ref_params, ref_state = oracles.adam_step(ref_params, grads, ref_state, 1e-3)
+        assert params.names() == ref_params.names()
+        for name, arr in ref_params:
+            assert params[name].shape == arr.shape
+            assert params[name].tobytes() == arr.tobytes()
+        state = opt.get_state()
+        if kind == "sgd":
+            assert state == {"t": 0, "m": None, "v": None}
+            continue
+        assert state["t"] == ref_state["t"]
+        for key in ("m", "v"):
+            want = np.concatenate([ref_state[key][n].ravel() for n in params.names()])
+            assert state[key].tobytes() == want.tobytes()
+
+
+def test_rejected_adam_step_leaves_the_state():
+    params = mlp_init(MLPConfig((3, 2)), seed=2)
+    grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
+    opt = Optimizer("adam", 1e-2)
+    opt.step(params, grads)
+    before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+              for k, v in opt.get_state().items()}
+    bad = grads.copy()
+    bad.entries["b0"] = np.array([0.0, np.inf])
+    with pytest.raises(UpdateRejected, match="'b0'"):
+        opt.step(params, bad)
+    with pytest.raises(ValueError, match="names/shapes"):
+        opt.step(params, ParamSet([(n, g) for n, g in reversed(list(grads))]))
+    after = opt.get_state()
+    assert after["t"] == before["t"] == 1
+    for key in ("m", "v"):
+        assert after[key].tobytes() == before[key].tobytes()
 
 
 def test_optimizer_state_roundtrip(tmp_path):
@@ -366,28 +428,27 @@ def test_optimizer_state_roundtrip(tmp_path):
     opt = Optimizer("adam", 1e-2)
     p1 = opt.step(params, grads)
     snapshot = opt.get_state()
-    assert snapshot["t"] == 1 and sorted(snapshot["m"]) == sorted(params.names())
-    assert all(isinstance(a, np.ndarray) for a in (*snapshot["m"].values(),
-                                                   *snapshot["v"].values()))
+    assert snapshot["t"] == 1
+    for key in ("m", "v"):
+        assert snapshot[key].dtype == np.float64 and snapshot[key].shape == (params.n_params(),)
     p2a = opt.step(p1, grads)
     # through the archive, as a checkpoint stores it
     path = tmp_path / "opt.params"
-    save_paramset_file(path, p1, None, snapshot)
-    _, _, loaded = load_paramset_file(path)
+    save_paramset_file(path, p1, snapshot)
+    _, loaded = load_paramset_file(path, params)
     for restored in (snapshot, loaded):
-        opt2 = Optimizer("sgd", 0.5)
+        opt2 = Optimizer("adam", 1e-2)
         opt2.set_state(restored)
-        assert opt2.kind == "adam" and opt2.learning_rate == 1e-2 and opt2.adam.t == 1
-        for name in params.names():
-            assert opt2.adam.m[name].tobytes() == snapshot["m"][name].tobytes()
-            assert opt2.adam.v[name].tobytes() == snapshot["v"][name].tobytes()
+        assert opt2.t == 1
+        assert opt2.m.tobytes() == snapshot["m"].tobytes()
+        assert opt2.v.tobytes() == snapshot["v"].tobytes()
         p2b = opt2.step(p1, grads)
         for name, arr in p2a:
             assert np.array_equal(arr, p2b[name])
     # an optimizer that has not stepped has no moments
-    save_paramset_file(path, params, None, Optimizer("adam", 1e-3).get_state())
-    _, _, fresh = load_paramset_file(path)
-    assert fresh["t"] == 0 and fresh["m"] == {} and fresh["v"] == {}
+    save_paramset_file(path, params, Optimizer("adam", 1e-3).get_state())
+    _, fresh = load_paramset_file(path, params)
+    assert fresh == {"t": 0, "m": None, "v": None}
 
 
 # -- parameter archive --------------------------------------------------------
@@ -405,21 +466,13 @@ def test_paramset_checkpoint_roundtrip(tmp_path):
     config = MLPConfig((3, 5, 2), "relu", "softmax")
     params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
-    save_paramset_file(path, params, config)
+    save_paramset_file(path, params)
     assert os.listdir(tmp_path) == ["policy.params"]  # no ".npz" appended
-    loaded, loaded_config, opt_state = load_paramset_file(path)
-    assert loaded_config == config
+    loaded, opt_state = load_paramset_file(path, mlp_init(config, seed=10))
     assert opt_state is None
     assert_bitwise_equal(loaded, params)
-
-
-def test_paramset_checkpoint_without_config(tmp_path):
-    params = ParamSet([("m.w0", np.array([[1.5, -2.25]]))])
-    path = tmp_path / "m.params"
-    save_paramset_file(path, params)
-    loaded, config, _ = load_paramset_file(path)
-    assert config is None
-    assert_bitwise_equal(loaded, params)
+    with np.load(path) as archive:
+        assert archive.files == ["params"]
 
 
 def test_paramset_archive_is_bitwise_exact(tmp_path):
@@ -432,54 +485,48 @@ def test_paramset_archive_is_bitwise_exact(tmp_path):
         ("single", np.array([0.1])),
         ("scalar", np.array(-0.0)),
     ])
-    moments = {n: a[::-1].copy() if a.ndim else a.copy() for n, a in params}
-    state = {"kind": "adam", "learning_rate": 0.1 + 0.2, "t": 7,
-             "m": moments, "v": {n: -a for n, a in moments.items()}}
+    m = params.flat()[::-1].copy()
+    state = {"t": 7, "m": m, "v": -m}
     path = tmp_path / "special.params"
-    save_paramset_file(path, params, None, state)
-    loaded, _, opt = load_paramset_file(path)
+    save_paramset_file(path, params, state)
+    loaded, opt = load_paramset_file(path, params.zeros_like())
     assert_bitwise_equal(loaded, params)
     assert np.signbit(loaded["zeros"]).tolist() == [True, False, True]
     assert np.signbit(loaded["scalar"]) and loaded["scalar"].shape == ()
-    assert opt["learning_rate"] == 0.1 + 0.2 and opt["t"] == 7
+    assert opt["t"] == 7 and type(opt["t"]) is int
     for key in ("m", "v"):
-        assert list(opt[key]) == params.names()
-        assert_bitwise_equal(ParamSet(opt[key].items()), ParamSet(state[key].items()))
+        assert opt[key].dtype == np.float64 and opt[key].tobytes() == state[key].tobytes()
 
 
-def write_archive(path, entries, **arrays):
-    """A hand-made archive whose header lists `entries` (no optimizer), with
-    the `version_tag` key that archives of logicrl 0.2.0 carry."""
-    meta = {"version_tag": "v1", "config": None, "entries": entries, "optimizer": None}
+def write_archive(path, **arrays):
+    """A hand-made archive holding exactly `arrays`."""
     with open(path, "wb") as fp:
-        np.savez(fp, meta=np.array(json.dumps(meta)), **arrays)
-
-
-def test_paramset_archive_with_old_version_tag_loads(tmp_path):
-    write_archive(tmp_path / "old.params", ["w0"], **{"param/w0": np.array([0.5, -0.25])})
-    loaded, config, opt_state = load_paramset_file(tmp_path / "old.params")
-    assert loaded.names() == ["w0"] and loaded["w0"].tolist() == [0.5, -0.25]
-    assert config is None and opt_state is None
+        np.savez(fp, **arrays)
 
 
 def test_failed_paramset_load_closes_the_file(tmp_path):
+    params = mlp_init(MLPConfig((3, 2)), seed=1)
     good = tmp_path / "good.params"
-    save_paramset_file(good, mlp_init(MLPConfig((3, 2)), seed=1))
+    save_paramset_file(good, params)
     data = good.read_bytes()
     (tmp_path / "truncated").write_bytes(data[: len(data) // 2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError):
-            load_paramset_file(tmp_path / "truncated")
+            load_paramset_file(tmp_path / "truncated", params)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_paramset_checkpoint_bad_magic(tmp_path):
-    """Anything but a complete archive is a ValueError naming the file."""
+    """Anything but a complete archive for a net of `like`'s size is a
+    ValueError naming the file."""
+    like = mlp_init(MLPConfig((3, 2)), seed=1)
+    n = like.n_params()
     good = tmp_path / "good.params"
-    save_paramset_file(good, mlp_init(MLPConfig((3, 2)), seed=1), None,
-                       Optimizer("adam", 1e-3).get_state())
+    opt = Optimizer("adam", 1e-3)
+    opt.step(like, like)
+    save_paramset_file(good, like, opt.get_state())
     data = good.read_bytes()
     cases = {
         "empty": b"",
@@ -490,16 +537,32 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
     }
     for name, content in cases.items():
         (tmp_path / name).write_bytes(content)
-    with open(tmp_path / "no_meta", "wb") as fp:
-        np.savez(fp, **{"param/w0": np.zeros(2)})
     with open(tmp_path / "pickled", "wb") as fp:
-        np.savez(fp, meta=np.array([{"a": 1}], dtype=object))
-    write_archive(tmp_path / "missing_entry", ["w0"])
-    for name in [*cases, "no_meta", "missing_entry", "pickled"]:
+        np.savez(fp, params=np.array([{"a": 1}], dtype=object))
+    archives = {
+        "no_params": {"t": np.int64(0)},
+        "short": {"params": np.zeros(n - 1)},
+        "long": {"params": np.zeros(n + 1)},
+        "two_d": {"params": np.zeros((1, n))},
+        "float32": {"params": np.zeros(n, dtype=np.float32)},
+        "short_moment": {"params": np.zeros(n), "t": np.int64(1),
+                         "m": np.zeros(n - 1), "v": np.zeros(n)},
+        "missing_v": {"params": np.zeros(n), "t": np.int64(1), "m": np.zeros(n)},
+        "vector_t": {"params": np.zeros(n), "t": np.arange(2)},
+        # an archive of the 0.2.0 layout: one array per entry and a JSON header
+        "entry_layout": {"meta": np.array("{}"), "param/w0": np.zeros((3, 2)),
+                         "param/b0": np.zeros(2)},
+    }
+    for name, arrays in archives.items():
+        write_archive(tmp_path / name, **arrays)
+    for name in [*cases, "pickled", *archives]:
         with pytest.raises(ValueError, match=f"unreadable parameter archive .*{name}"):
-            load_paramset_file(tmp_path / name)
+            load_paramset_file(tmp_path / name, like)
+    # a well-formed archive of another net's size
+    with pytest.raises(ValueError, match="unreadable parameter archive"):
+        load_paramset_file(good, mlp_init(MLPConfig((3, 3)), seed=1))
     with pytest.raises(OSError):
-        load_paramset_file(tmp_path / "absent.params")
+        load_paramset_file(tmp_path / "absent.params", like)
 
 
 def test_paramset_rejects_nonfinite_and_duplicates(tmp_path):
@@ -507,10 +570,8 @@ def test_paramset_rejects_nonfinite_and_duplicates(tmp_path):
         ParamSet([("a", np.array([np.inf]))])
     with pytest.raises(ValueError):
         ParamSet([("a", np.zeros(1)), ("a", np.zeros(1))])
-    # the same checks guard what an archive holds
-    write_archive(tmp_path / "inf.params", ["a"], **{"param/a": np.array([1.0, np.nan])})
-    with pytest.raises(ValueError, match="non-finite"):
-        load_paramset_file(tmp_path / "inf.params")
-    write_archive(tmp_path / "dup.params", ["a", "a"], **{"param/a": np.zeros(1)})
-    with pytest.raises(ValueError, match="duplicate"):
-        load_paramset_file(tmp_path / "dup.params")
+    # the same check guards what an archive holds, naming the entry
+    like = ParamSet([("a", np.zeros(1)), ("b", np.zeros(2))])
+    write_archive(tmp_path / "inf.params", params=np.array([1.0, 0.0, np.nan]))
+    with pytest.raises(ValueError, match="non-finite values in entry 'b'"):
+        load_paramset_file(tmp_path / "inf.params", like)
