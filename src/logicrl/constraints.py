@@ -195,6 +195,37 @@ def _norm_rows(diff: np.ndarray, p: float) -> np.ndarray:
     return np.sum(a**p, axis=-1) ** (1.0 / p)
 
 
+# Below 8 terms np.sum adds sequentially, so a running sum over the
+# components is bitwise equal to _norm_rows; from 8 on it sums pairwise.
+_PLANE_NORM_MAX_WIDTH = 7
+
+
+def _plane_norm(cols: tuple, const: np.ndarray, p: float, depth: int):
+    """A closure equal bit for bit to `_norm_rows(s[:, cols] - const, p)`
+    (lifted to `depth` quantifier axes) for p in {1, 2, inf} and at most
+    _PLANE_NORM_MAX_WIDTH columns. It takes one (rows, anchors...) plane
+    per component and sums (or maxes) the planes in order, so no
+    (rows, anchors, width) difference is built. |a - b| == |b - a|, so the
+    side the state stands on does not matter."""
+    shape = (-1,) + (1,) * depth
+    planes = [(i, np.ascontiguousarray(const[..., k])) for k, i in enumerate(cols)]
+    square = p == 2.0
+    combine = np.maximum if p == math.inf else np.add
+
+    def norm(s):
+        acc = None
+        for i, plane in planes:
+            d = s[:, i].reshape(shape) - plane
+            if square:
+                d *= d  # (-x) * (-x) == x * x, so no abs
+            else:
+                np.abs(d, out=d)
+            acc = d if acc is None else combine(acc, d, out=acc)
+        return np.sqrt(acc, out=acc) if square else acc
+
+    return norm
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -533,20 +564,27 @@ def _flatten(f: Formula) -> list:
     return out
 
 
+def _term_vs_literal(cmp: Comparison):
+    """(term, op, literal value) with the literal moved to the right, as
+    c <op> t is t <flipped op> c; None when neither side is a literal."""
+    if isinstance(cmp.rhs, Literal):
+        return cmp.lhs, cmp.op, cmp.rhs.value
+    if isinstance(cmp.lhs, Literal):
+        return cmp.rhs, _flip(cmp.op), cmp.lhs.value
+    return None
+
+
 def _box_bound(f: Formula):
     """(column, sign, literal, strict) for an `s[i] <op> literal` atom, as
     the upper bound sign * s[i] <op> sign * literal with <op> in {<=, <}:
     s[i] >= c is -s[i] <= -c, exactly, since negation does not round.
     None for any other formula."""
-    if not isinstance(f, Atom):
+    parts = _term_vs_literal(f.cmp) if isinstance(f, Atom) else None
+    if parts is None or not isinstance(parts[0], Component):
         return None
-    lhs, op, rhs = f.cmp.lhs, f.cmp.op, f.cmp.rhs
-    if isinstance(lhs, Literal) and isinstance(rhs, Component):
-        lhs, op, rhs = rhs, _flip(op), lhs
-    if not (isinstance(lhs, Component) and isinstance(rhs, Literal)):
-        return None
+    term, op, value = parts
     sign = 1.0 if op in ("<=", "<") else -1.0
-    return lhs.index, sign, sign * rhs.value, op in ("<", ">")
+    return term.index, sign, sign * value, op in ("<", ">")
 
 
 class BoundFormula:
@@ -567,11 +605,14 @@ class BoundFormula:
             raise BindError(f"unknown state slice {name!r}; schema has {sorted(self._slices)}")
         return self._slices[name]
 
+    def _state_columns(self, ref: StateRef) -> tuple[int, ...]:
+        if ref.slice_name is None:
+            return tuple(range(self.schema.size))
+        return self._slice_indices(ref.slice_name)
+
     def _vector_dim(self, ref: VectorExpr, var_dims: dict[str, int]) -> int:
         if isinstance(ref, StateRef):
-            if ref.slice_name is None:
-                return self.schema.size
-            return len(self._slice_indices(ref.slice_name))
+            return len(self._state_columns(ref))
         if isinstance(ref, VarRef):
             if ref.name not in var_dims:
                 raise BindError(f"unknown identifier {ref.name!r} (not bound by any quantifier)")
@@ -630,8 +671,37 @@ class BoundFormula:
         points = self.registry.points(f.set_name)
         if len(points) == 0:  # vacuous: true, and the body is never scored
             return _constant(np.ones((1,) * (len(scope) + 1), dtype=bool))
-        body = self._compile(f.body, scope + ((f.var, points),))
+        inner = scope + ((f.var, points),)
+        reduced = self._compile_reduced(f.body, inner)
+        if reduced is not None:
+            return reduced
+        body = self._compile(f.body, inner)
         return lambda s: body(s).all(axis=-1)
+
+    def _compile_reduced(self, body: Formula, scope: tuple):
+        """A `forall` whose body is `term <op> literal` (literal on either
+        side, or the atom under one `not`, as `exists` parses) as one
+        comparison of the term reduced over the anchor axis: comparing with
+        a constant is monotone, so `forall u: t(u) >= c` is `min t >= c`
+        and `forall u: not t(u) >= c` is `not max t >= c`. Exact, since
+        evaluate_batch admits only finite states and anchors are finite.
+        None when the body has another form or the term does not read the
+        state."""
+        negated = isinstance(body, Not)
+        atom = body.child if negated else body
+        parts = _term_vs_literal(atom.cmp) if isinstance(atom, Atom) else None
+        if parts is None:
+            return None
+        expr, op, c = parts
+        _, term = self._compile_scalar(expr, scope)
+        if term is None:
+            return None
+        cmp = _CMP_FN[op]
+        # min for a lower bound under forall; max under exists (`negated`)
+        reduce = (np.minimum if (op in (">=", ">")) != negated else np.maximum).reduce
+        if negated:
+            return lambda s: ~cmp(reduce(term(s), axis=-1), c)
+        return lambda s: cmp(reduce(term(s), axis=-1), c)
 
     def _compile_connective(self, f: Formula, scope: tuple):
         children = _flatten(f)
@@ -699,6 +769,11 @@ class BoundFormula:
         right, right_fn = self._compile_vector(expr.right, scope)
         if left_fn is None and right_fn is None:
             return _norm_rows(left - right, p), None
+        if (left_fn is None) != (right_fn is None) and p in (1.0, 2.0, math.inf):
+            ref, const = (expr.left, right) if right_fn is None else (expr.right, left)
+            cols = self._state_columns(ref)
+            if len(cols) <= _PLANE_NORM_MAX_WIDTH:
+                return None, _plane_norm(cols, const, p, depth)
         if right_fn is None:
             return None, lambda s: _norm_rows(left_fn(s) - right, p)
         if left_fn is None:
@@ -712,7 +787,7 @@ class BoundFormula:
         if isinstance(ref, StateRef):
             if ref.slice_name is None:
                 return None, _lifted(lambda s: s, depth, self.schema.size)
-            idx = list(self._slice_indices(ref.slice_name))
+            idx = list(self._state_columns(ref))
             return None, _lifted(lambda s: s[:, idx], depth, len(idx))
         if isinstance(ref, VarRef):
             # innermost binding of the name wins

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -215,7 +216,13 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     if config.constraint != "none":
         sys3 = replace(sys3, constraint_file=config.constraint)
     run_dir = run_dir_for(config, seed)
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
+    checkpoints = os.path.join(run_dir, "checkpoints")
+    os.makedirs(checkpoints, exist_ok=True)
+    # staging directories of saves cut short by a hard kill (see
+    # Trainer.save_checkpoint); complete step_* bundles stay
+    for name in os.listdir(checkpoints):
+        if name.startswith(".step_") and name.endswith(".partial"):
+            shutil.rmtree(os.path.join(checkpoints, name))
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))
 
@@ -233,7 +240,7 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
                 # every value is a Python int or float, so repr is its text
                 log_fp.write(",".join(repr(last[k]) for k in TRAIN_LOG_KEYS) + "\n")
                 if trainer.steps >= next_eval_at:
-                    ckpt = os.path.join(run_dir, "checkpoints", f"step_{trainer.steps:09d}")
+                    ckpt = os.path.join(checkpoints, f"step_{trainer.steps:09d}")
                     trainer.save_checkpoint(ckpt)
                     try:
                         ev = trainer.evaluate(config.eval_horizon)

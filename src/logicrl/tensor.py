@@ -218,6 +218,34 @@ def mlp_forward(
     return (h[0] if single else h), cache
 
 
+# OpenBLAS 0.3 (measured with its SkylakeX kernels) sends a product of at
+# most 100**3 multiply-adds to a small-matrix kernel, which sums a long inner
+# axis in another order than its blocked kernel does; numpy sends a one-row
+# product to gemv.
+_SMALL_GEMM_MAX_MACS = 100**3
+
+
+def _index_weight_grad(idx: np.ndarray, width: int, d_pre: np.ndarray) -> np.ndarray:
+    """The weight gradient `onehot(idx).T @ d_pre` of a one-hot index input,
+    bitwise equal to the dense product: BLAS sums each output row over the
+    batch in the same order whatever the row count, so only the rows of the
+    visited cells are computed and the rest stay zero. Too few rows would
+    leave the dense product's kernel, so unvisited cells pad the visited
+    ones up to `floor` rows."""
+    n, h = d_pre.shape
+    floor = min(width, max(2, _SMALL_GEMM_MAX_MACS // (n * h) + 1))
+    idx = idx % width  # the forward gather read a negative index from the end
+    cells, col = np.unique(idx, return_inverse=True)
+    if len(cells) < floor:
+        cells, col = np.unique(np.concatenate([idx, np.arange(floor)]), return_inverse=True)
+        col = col[:n]
+    onehot = np.zeros((n, len(cells)))
+    onehot[np.arange(n), col] = 1.0
+    grad = np.zeros((width, h))
+    grad[cells] = onehot.T @ d_pre
+    return grad
+
+
 def mlp_backward(
     params: ParamSet,
     config: MLPConfig,
@@ -231,9 +259,8 @@ def mlp_backward(
     layer's post-activation; this is how a side head (e.g. a value head fed
     from the last hidden layer) routes its gradient into a shared trunk.
     Gradients are summed over the batch. Also returns the gradient w.r.t.
-    the input batch, or None for a one-hot index input. The layer-0 weight
-    gradient of an index input is the dense `onehot.T @ d_pre`: a scatter-add
-    sums in another order and is not bitwise equal.
+    the input batch, or None for a one-hot index input, whose layer-0 weight
+    gradient comes from _index_weight_grad.
     """
     if len(cache.pre) != config.n_layers:
         raise ValueError("cache does not match config")
@@ -244,10 +271,6 @@ def mlp_backward(
         raise ValueError("output_grad does not match cached batch")
     inputs = cache.inputs
     index_input = inputs.dtype.kind in "iu"
-    if index_input:
-        idx = inputs[:, 0]
-        inputs = np.zeros((len(idx), config.layer_sizes[0]))
-        inputs[np.arange(len(idx)), idx] = 1.0
     prefix = cache.prefix
     grads: dict[str, np.ndarray] = {}
     last = config.n_layers - 1
@@ -267,8 +290,11 @@ def mlp_backward(
                 d_pre = d_post
         else:
             d_pre = d_post * _activation_grad(pre, post, config.activation)
-        h_in = inputs if layer == 0 else cache.post[layer - 1]
-        grads[w_name] = h_in.T @ d_pre
+        if layer == 0 and index_input:
+            grads[w_name] = _index_weight_grad(inputs[:, 0], config.layer_sizes[0], d_pre)
+        else:
+            h_in = inputs if layer == 0 else cache.post[layer - 1]
+            grads[w_name] = h_in.T @ d_pre
         grads[b_name] = d_pre.sum(axis=0)
         if layer or not index_input:
             d_post = d_pre @ params[w_name].T

@@ -335,7 +335,8 @@ def random_quantified_formula(rng: np.random.Generator, budget: int = 3, scope: 
     the empty one too, nested up to `budget` levels together with
     `and`/`or`/`not`. Variables are named u or v, so an inner quantifier
     sometimes shadows an outer one. A quantifier body is often the bare
-    `norm(s.pos - u) <op> c` atom, else any formula."""
+    `norm(s.pos - u) <op> c` atom, with the literal on either side, else
+    any formula."""
     r = rng.random()
     if budget > 0 and r < 0.35:
         var = "uv"[rng.integers(2)]
@@ -345,8 +346,10 @@ def random_quantified_formula(rng: np.random.Generator, budget: int = 3, scope: 
             sides = (fl.StateRef("pos"), fl.VarRef(var))
             p = [1.0, 2.0, math.inf][rng.integers(3)]
             op = list(OPS)[rng.integers(4)]
-            body = fl.Atom(fl.Comparison(fl.NormDistance(p, *sides), op,
-                                         fl.Literal(_num(rng, 0, 9))))
+            term, literal = fl.NormDistance(p, *sides), fl.Literal(_num(rng, 0, 9))
+            if rng.random() < 0.5:
+                term, literal = literal, term
+            body = fl.Atom(fl.Comparison(term, op, literal))
         else:
             body = random_quantified_formula(rng, budget - 1, inner)
         if rng.random() < 0.4:

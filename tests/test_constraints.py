@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logicrl import constraints as fl
-from logicrl.envs import CartPole, GridWorld
+from logicrl.envs import CartPole, GridWorld, StateSchema
 from oracles import (
     QUANTIFIED_SCHEMA,
     norm_distance,
@@ -341,6 +341,46 @@ def test_packed_bounds_strictness():
     at_bounds = np.array([[-2.4, 0, 0, 0], [2.4, 0, 0, 0], [0, 0, 0, 0]])
     assert loose.evaluate_batch(at_bounds).tolist() == [True, True, True]
     assert strict.evaluate_batch(at_bounds).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_reduced_quantifiers_match_oracle_at_the_boundary(width, monkeypatch):
+    """`forall`/`exists` over a bare `c <op> norm(s.pos - u)` body (literal
+    on either side, state on either side of the norm, every operator, p in
+    {1, 2, inf}) on states exactly at distance c from an anchor and one ulp
+    either side. Slices of up to 7 components take the plane-wise norm;
+    8 components take _norm_rows."""
+    calls = []
+    norm_rows = fl._norm_rows
+    monkeypatch.setattr(fl, "_norm_rows", lambda diff, p: calls.append(p) or norm_rows(diff, p))
+    # `pos` reads the last `width` components in reverse; s[0] is unread
+    schema = StateSchema(tuple(f"x{i}" for i in range(width + 1)), ("",) * (width + 1),
+                         {"pos": tuple(range(width, 0, -1))})
+    anchors = np.array([np.zeros(width), np.full(width, 4.0), np.resize([-3.0, 2.0], width)])
+    reg = registry_with(pts=anchors)
+    c = 1.5
+    rows = []
+    for a in anchors:
+        for k in range(width):
+            for edge in (a[k] + c, a[k] - c):
+                for v in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)):
+                    rows.append(np.concatenate([a[:k], [v], a[k + 1:]]))
+    states = np.full((len(rows), width + 1), 7.0)
+    states[:, width:0:-1] = rows
+    mixed = 0
+    for quantifier in ("forall", "exists"):
+        for op in fl.CMP_OPS:
+            for norm in ("norm1", "norm2", "norminf"):
+                for body in (f"{c} {op} {norm}(s.pos - u)", f"{norm}(u - s.pos) {op} {c}"):
+                    f = fl.parse(f"{quantifier} u in pts: {body}")
+                    mine = fl.bind(f, reg, schema).evaluate_batch(states)
+                    oracle = oracle_evaluate_batch(f, states, reg, schema.slices)
+                    assert np.array_equal(mine, oracle), fl.to_text(f)
+                    mixed += 0 < mine.sum() < len(states)
+    # a lower bound under forall and an upper bound under exists split the
+    # states at the boundary; no state is near every anchor at once
+    assert mixed == 24
+    assert bool(calls) == (width == 8)
 
 
 @pytest.mark.parametrize("n_anchors", [1, 2, 3, 5, 8])

@@ -18,6 +18,7 @@ from logicrl.harness import (
     read_metrics_csv,
     read_value_grid,
     run_eval,
+    run_dir_for,
     run_train,
     snapshot_text,
     train_one_seed,
@@ -136,6 +137,26 @@ def test_run_train_byte_identical_reruns(tmp_path):
     with open(os.path.join(run_dir, "metrics.csv"), "rb") as fp:
         second = fp.read()
     assert first == second
+
+
+def test_run_train_removes_partial_checkpoints_left_by_a_hard_kill(tmp_path):
+    """A `.step_*.partial` staging directory (a save cut short by a hard
+    kill) is gone after the next run into the directory; a complete bundle
+    from an earlier run, which this run does not overwrite, is kept."""
+    cfg = build_run_config(tiny_values(tmp_path))
+    checkpoints = os.path.join(run_dir_for(cfg, 0), "checkpoints")
+    partial = os.path.join(checkpoints, ".step_000000090.partial")
+    kept = os.path.join(checkpoints, "step_000000001")
+    for path, text in ((partial, b"half a bundle"), (kept, b"an earlier run's bundle")):
+        os.makedirs(path)
+        with open(os.path.join(path, "policy.params"), "wb") as fp:
+            fp.write(text)
+    train_one_seed(cfg, 0)
+    assert sorted(os.listdir(checkpoints)) == [
+        "step_000000001", "step_000000040", "step_000000080",
+        "step_000000120", "step_000000160"]
+    with open(os.path.join(kept, "policy.params"), "rb") as fp:
+        assert fp.read() == b"an earlier run's bundle"
 
 
 def test_run_train_parallel_seeds_matches_sequential(tmp_path):

@@ -260,6 +260,48 @@ def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
     assert np.all(grads_i["w0"][unvisited] == 0.0)
 
 
+@pytest.mark.parametrize("n_cells", [1, 3, 7, 8, 9, 64, 137, 399, 400])
+def test_visited_cell_weight_gradient_bitwise_equals_dense(n_cells):
+    """The layer-0 weight gradient of an index input, computed over the
+    visited cells only, equals the dense one-hot product in every entry,
+    whatever the number of visited cells, with one cell visited 1000
+    times. A one-layer identity net, whose layer-0 d_pre is the output
+    gradient, salts d_pre with -0.0 and subnormals."""
+    rng = np.random.default_rng(n_cells)
+    cells = rng.choice(400, size=n_cells, replace=False)
+    idx = rng.permutation(np.concatenate([cells, np.full(1000, cells[0])]))[:, None]
+    n = len(idx)
+    salted = rng.normal(size=(n, 64))
+    salted[rng.random(salted.shape) < 0.1] = -0.0
+    tiny = rng.random(salted.shape) < 0.1
+    salted[tiny] = rng.choice([-1.0, 1.0], size=tiny.sum()) * 5e-324 * rng.integers(1, 2**40, size=tiny.sum())
+    assert np.any((salted != 0) & (np.abs(salted) < np.finfo(float).tiny))
+    one_layer = MLPConfig((400, 64))
+    for config, g_out in ((GRID_POLICY, rng.normal(size=(n, 5))), (one_layer, salted)):
+        params = mlp_init(config, seed=n_cells)
+        _, cache_i = mlp_forward(params, config, idx)
+        _, cache_d = mlp_forward(params, config, dense_onehot(idx, 400))
+        grads_i, _ = mlp_backward(params, config, cache_i, g_out)
+        grads_d, _ = mlp_backward(params, config, cache_d, g_out)
+        for name in grads_d.names():
+            assert same_bits(grads_i[name], grads_d[name]), name
+        assert not np.any(grads_i["w0"][np.setdiff1d(np.arange(400), cells)])
+
+
+def test_negative_index_gradient_matches_its_forward_alias():
+    """A negative index reads W0 from the end, as numpy indexing does, and
+    its gradient lands on the same row as in the dense product, summed with
+    the row's positive alias."""
+    params = mlp_init(GRID_POLICY, seed=5)
+    idx = np.array([[-1], [399], [3], [-400], [0]])
+    g_out = np.random.default_rng(5).normal(size=(5, 5))
+    _, cache_i = mlp_forward(params, GRID_POLICY, idx)
+    _, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
+    grads_i, _ = mlp_backward(params, GRID_POLICY, cache_i, g_out)
+    grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
+    assert all(same_bits(grads_i[name], grads_d[name]) for name in grads_d.names())
+
+
 def test_single_index_bitwise_equals_dense_row():
     params = mlp_init(GRID_POLICY, seed=3)
     out_i, cache_i = mlp_forward(params, GRID_POLICY, np.array([37]))
