@@ -89,14 +89,14 @@ class ActorCritic:
         x = np.asarray(states, dtype=np.float64)
         if x.ndim < 2:
             x = x.reshape(1, -1)
-        probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x), "pi.")
+        probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x))
         logits = pcache.pre[-1]
         if not np.isfinite(logits).all():
             raise NonFiniteLogits(
                 f"non-finite logits for states {np.asarray(states)!r}"
             )
         h_last = pcache.post[-2]
-        values, vcache = mlp_forward(self.value_params, self.value_config, h_last, "vf.")
+        values, vcache = mlp_forward(self.value_params, self.value_config, h_last)
         return probs, values[:, 0], pcache, vcache
 
     def act_batch(self, states, rng: np.random.Generator):

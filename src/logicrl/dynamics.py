@@ -111,11 +111,9 @@ class ForwardModel:
             raise ValueError("non-finite state components")
         if (actions < 0).any() or (actions >= self.n_actions).any():
             raise ValueError("action index out of range")
-        norm = self.normalizer
-        std = norm.std  # RunningNorm.normalize/denormalize, sharing one std
-        x = self._net_input((states - norm.mean) / std, actions)
-        z, _ = mlp_forward(self.params, self.config, x, "fwd.")
-        return z * std + norm.mean
+        x = self._net_input(self.normalizer.normalize(states), actions)
+        z, _ = mlp_forward(self.params, self.config, x)
+        return self.normalizer.denormalize(z)
 
     def predict(self, state, action: int) -> np.ndarray:
         return self.predict_batch(np.asarray(state)[None, :], [action])[0]
@@ -135,7 +133,7 @@ class ForwardModel:
             raise ValueError("batch arrays disagree on length")
         x = self._net_input(self.normalizer.normalize(states), actions)
         targets = self.normalizer.normalize(nexts)
-        z, cache = mlp_forward(self.params, self.config, x, "fwd.")
+        z, cache = mlp_forward(self.params, self.config, x)
         err = z - targets
         loss = float(np.mean(np.sum(err * err, axis=1)))
         if not np.isfinite(loss):

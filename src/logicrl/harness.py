@@ -218,10 +218,12 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     run_dir = run_dir_for(config, seed)
     checkpoints = os.path.join(run_dir, "checkpoints")
     os.makedirs(checkpoints, exist_ok=True)
-    # staging directories of saves cut short by a hard kill (see
-    # Trainer.save_checkpoint); complete step_* bundles stay
+    # a fresh run starts from no bundle, so checkpoints/ and metrics.csv
+    # describe the same run: complete step_* bundles of an earlier run go, as
+    # do staging directories of saves cut short by a hard kill (see
+    # Trainer.save_checkpoint)
     for name in os.listdir(checkpoints):
-        if name.startswith(".step_") and name.endswith(".partial"):
+        if name.startswith("step_") or (name.startswith(".step_") and name.endswith(".partial")):
             shutil.rmtree(os.path.join(checkpoints, name))
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))

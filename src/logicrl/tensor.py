@@ -1,12 +1,14 @@
 """Dense MLP forward/backward passes, optimizers, and the binary parameter file.
 
-Everything is float64. Parameters and gradients live in named, ordered
-ParamSets; the optimizer and the parameter file see each set as one flat
-vector in `ParamSet.flat()` order.
+Everything is float64. A ParamSet is one finite, read-only vector plus a
+layout of (name, shape) rows; each entry is a reshaped view of its slice of
+that vector, so the optimizer and the parameter file use the vector itself.
+A net's layer l reads its weight and bias as entries 2l and 2l+1, the order
+mlp_init lays them out in.
 """
 from __future__ import annotations
 
-import functools
+import math
 import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -51,71 +53,85 @@ class MLPConfig:
         return len(self.layer_sizes) - 1
 
 
+def _entry_views(vec: np.ndarray, layout) -> list[np.ndarray]:
+    """Each (name, shape) row of `layout` as a reshaped view of its slice of
+    the 1-D `vec`, in order."""
+    views, start = [], 0
+    for _, shape in layout:
+        stop = start + math.prod(shape)
+        views.append(vec[start:stop].reshape(shape))
+        start = stop
+    if vec.ndim != 1 or start != vec.size:
+        raise ValueError("flat vector length mismatch")
+    return views
+
+
+def _nonfinite_entry(params: "ParamSet") -> Optional[str]:
+    """The name of the first entry holding a non-finite value, or None; one
+    pass over the vector unless there is one."""
+    if np.isfinite(params.flat()).all():
+        return None
+    return next(name for name, a in params if not np.isfinite(a).all())
+
+
 class ParamSet:
-    """Ordered mapping of name -> float64 array; arrays must stay finite."""
+    """One finite, read-only float64 vector read as named entries: `layout`
+    lists each entry's (name, shape) in order, and `views[i]` is entry i as a
+    reshaped view of its slice of the vector."""
 
     def __init__(self, entries: Iterable[tuple[str, np.ndarray]]):
-        self.entries: dict[str, np.ndarray] = {}
-        for name, arr in entries:
-            if name in self.entries:
+        entries = [(name, np.asarray(a, dtype=np.float64)) for name, a in entries]
+        names = [name for name, _ in entries]
+        for name in names:
+            if names.count(name) > 1:
                 raise ValueError(f"duplicate entry name {name!r}")
-            arr = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in entry {name!r}")
-            self.entries[name] = arr
+        vec = np.concatenate([np.zeros(0)] + [a.ravel() for _, a in entries])
+        self._wrap(vec, tuple((name, a.shape) for name, a in entries))
+
+    def _wrap(self, vec: np.ndarray, layout) -> None:
+        vec = vec.view()
+        vec.flags.writeable = False
+        self.layout, self.views, self._vec = layout, tuple(_entry_views(vec, layout)), vec
+        bad = _nonfinite_entry(self)
+        if bad is not None:
+            raise ValueError(f"non-finite values in entry {bad!r}")
 
     def __iter__(self):
-        return iter(self.entries.items())
+        return zip((name for name, _ in self.layout), self.views)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.entries[name]
-
-    def names(self) -> list[str]:
-        return list(self.entries)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet((n, a.copy()) for n, a in self)
-
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet((n, np.zeros_like(a)) for n, a in self)
+        return dict(self)[name]
 
     def n_params(self) -> int:
-        return sum(a.size for a in self.entries.values())
+        return self._vec.size
 
     def scaled(self, factor: float) -> "ParamSet":
-        return ParamSet((n, a * factor) for n, a in self)
+        return self.with_flat(self._vec * factor)
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.entries.values()])
+        """The vector itself; nothing writes it, so it stays a snapshot."""
+        return self._vec
 
     def with_flat(self, vec: np.ndarray) -> "ParamSet":
-        """Rebuild a ParamSet from a flat vector laid out in entry order."""
-        out, i = [], 0
-        for name, a in self:
-            out.append((name, np.asarray(vec[i : i + a.size]).reshape(a.shape)))
-            i += a.size
-        if i != len(vec):
-            raise ValueError("flat vector length mismatch")
-        return ParamSet(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _layer_names(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
-    """(weight, bias) entry names per layer, formatted once per net shape."""
-    return tuple((f"{prefix}w{layer}", f"{prefix}b{layer}") for layer in range(n_layers))
+        """`vec`, without a copy, read in this set's layout."""
+        out = ParamSet.__new__(ParamSet)
+        out._wrap(np.asarray(vec, dtype=np.float64), self.layout)
+        return out
 
 
 def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
-    """Glorot-uniform weights, zero biases; deterministic for a fixed seed."""
+    """Glorot-uniform weights, zero biases; deterministic for a fixed seed.
+    Layer l's weight and bias are entries 2l and 2l+1, named
+    `{prefix}w{l}` and `{prefix}b{l}`."""
     rng = np.random.default_rng(seed)
     entries = []
     sizes = config.layer_sizes
-    for layer, (w_name, b_name) in enumerate(_layer_names(prefix, config.n_layers)):
+    for layer in range(config.n_layers):
         fan_in, fan_out = sizes[layer], sizes[layer + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        entries.append((w_name, w))
-        entries.append((b_name, np.zeros(fan_out)))
+        entries.append((f"{prefix}w{layer}", w))
+        entries.append((f"{prefix}b{layer}", np.zeros(fan_out)))
     return ParamSet(entries)
 
 
@@ -126,34 +142,13 @@ class MLPCache:
     inputs: np.ndarray            # (n, d_in) floats, or (n, 1) one-hot indices
     pre: list[np.ndarray]         # pre-activation per layer, (n, d_l)
     post: list[np.ndarray]        # post-activation per layer, (n, d_l)
-    single: bool                  # input was 1-D
-    prefix: str = ""
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"{what}: expected length {dim}, got {x.shape[0]}")
-        return x[None, :], True
-    if x.ndim == 2:
-        if x.shape[1] != dim:
-            raise ValueError(f"{what}: expected width {dim}, got {x.shape[1]}")
-        return x, False
-    raise ValueError(f"{what}: expected 1-D or 2-D input")
-
-
-def _as_index_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """An integer input: one one-hot index per row, as a length-1 vector or
-    an (n, 1) column. An index past the input width raises on use."""
-    if x.ndim == 1 and x.shape[0] == 1:
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == 1:
-        return x, False
-    raise ValueError(
-        "mlp_forward input: an integer input holds one one-hot index per row, "
-        f"as a length-1 vector or an (n, 1) column; got shape {x.shape}"
-    )
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"{what}: expected an (n, {dim}) batch, got shape {x.shape}")
+    return x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -184,38 +179,38 @@ def _activation_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray
     return (pre > 0.0).astype(np.float64)
 
 
-def mlp_forward(
-    params: ParamSet, config: MLPConfig, x: np.ndarray, prefix: str = ""
-) -> tuple[np.ndarray, MLPCache]:
-    """Run the net on one input vector or a batch of row vectors.
+def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.ndarray, MLPCache]:
+    """Run the net on a batch of row vectors.
 
     An integer input is a column of one-hot indices: row i stands for the
     unit vector with a 1 at x[i, 0], and layer 0 is the row gather
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
-    Returns the output (same leading shape as the input) and the activation
-    cache needed for mlp_backward.
+    Returns the (n, d_out) output and the activation cache needed for
+    mlp_backward.
     """
-    names = _layer_names(prefix, config.n_layers)
-    w_name, b_name = names[0]
+    weights = params.views
     x = np.asarray(x)
     if x.dtype.kind in "iu":
-        batch, single = _as_index_batch(x)
-        pre = params[w_name][batch[:, 0]] + params[b_name]
+        if x.ndim != 2 or x.shape[1] != 1:
+            raise ValueError(
+                "mlp_forward input: an integer input holds one one-hot index per row, "
+                f"as an (n, 1) column; got shape {x.shape}"
+            )
+        pre = weights[0][x[:, 0]] + weights[1]
     else:
-        batch, single = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
-        pre = batch @ params[w_name] + params[b_name]
+        x = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
+        pre = x @ weights[0] + weights[1]
     pre_list: list[np.ndarray] = [pre]
     post_list: list[np.ndarray] = []
-    for w_name, b_name in names[1:]:
+    for layer in range(1, config.n_layers):
         post = _activate(pre, config.activation)
         post_list.append(post)
-        pre = post @ params[w_name] + params[b_name]
+        pre = post @ weights[2 * layer] + weights[2 * layer + 1]
         pre_list.append(pre)
     h = softmax(pre) if config.output_activation == "softmax" else pre
     post_list.append(h)
-    cache = MLPCache(batch, pre_list, post_list, single, prefix)
-    return (h[0] if single else h), cache
+    return h, MLPCache(x, pre_list, post_list)
 
 
 # OpenBLAS 0.3 (measured with its SkylakeX kernels) sends a product of at
@@ -225,13 +220,15 @@ def mlp_forward(
 _SMALL_GEMM_MAX_MACS = 100**3
 
 
-def _index_weight_grad(idx: np.ndarray, width: int, d_pre: np.ndarray) -> np.ndarray:
-    """The weight gradient `onehot(idx).T @ d_pre` of a one-hot index input,
-    bitwise equal to the dense product: BLAS sums each output row over the
-    batch in the same order whatever the row count, so only the rows of the
-    visited cells are computed and the rest stay zero. Too few rows would
-    leave the dense product's kernel, so unvisited cells pad the visited
-    ones up to `floor` rows."""
+def _index_weight_grad(idx: np.ndarray, d_pre: np.ndarray, out: np.ndarray) -> None:
+    """Fill the zeroed (width, h) `out` with the weight gradient
+    `onehot(idx).T @ d_pre` of a one-hot index input, bitwise equal to the
+    dense product: BLAS sums each output row over the batch in the same
+    order whatever the row count, so only the rows of the visited cells are
+    computed and the rest stay zero. Too few rows would leave the dense
+    product's kernel, so unvisited cells pad the visited ones up to `floor`
+    rows."""
+    width = len(out)
     n, h = d_pre.shape
     floor = min(width, max(2, _SMALL_GEMM_MAX_MACS // (n * h) + 1))
     idx = idx % width  # the forward gather read a negative index from the end
@@ -241,9 +238,7 @@ def _index_weight_grad(idx: np.ndarray, width: int, d_pre: np.ndarray) -> np.nda
         col = col[:n]
     onehot = np.zeros((n, len(cells)))
     onehot[np.arange(n), col] = 1.0
-    grad = np.zeros((width, h))
-    grad[cells] = onehot.T @ d_pre
-    return grad
+    out[cells] = onehot.T @ d_pre
 
 
 def mlp_backward(
@@ -258,26 +253,23 @@ def mlp_backward(
     `hidden_grads` maps a layer index to an extra gradient added at that
     layer's post-activation; this is how a side head (e.g. a value head fed
     from the last hidden layer) routes its gradient into a shared trunk.
-    Gradients are summed over the batch. Also returns the gradient w.r.t.
+    Gradients are summed over the batch and written into views of one
+    zeroed vector in `params`'s layout. Also returns the gradient w.r.t.
     the input batch, or None for a one-hot index input, whose layer-0 weight
     gradient comes from _index_weight_grad.
     """
     if len(cache.pre) != config.n_layers:
         raise ValueError("cache does not match config")
-    g, single = _as_batch(
-        output_grad, config.layer_sizes[-1], "mlp_backward output_grad"
-    )
-    if single != cache.single or g.shape[0] != cache.inputs.shape[0]:
+    g = _as_batch(output_grad, config.layer_sizes[-1], "mlp_backward output_grad")
+    if g.shape[0] != cache.inputs.shape[0]:
         raise ValueError("output_grad does not match cached batch")
     inputs = cache.inputs
     index_input = inputs.dtype.kind in "iu"
-    prefix = cache.prefix
-    grads: dict[str, np.ndarray] = {}
+    flat = np.zeros(params.n_params())
+    grads = _entry_views(flat, params.layout)
     last = config.n_layers - 1
-    names = _layer_names(prefix, config.n_layers)
     d_post = g
     for layer in range(last, -1, -1):
-        w_name, b_name = names[layer]
         pre, post = cache.pre[layer], cache.post[layer]
         if hidden_grads and layer in hidden_grads and layer != last:
             d_post = d_post + hidden_grads[layer]
@@ -291,25 +283,22 @@ def mlp_backward(
         else:
             d_pre = d_post * _activation_grad(pre, post, config.activation)
         if layer == 0 and index_input:
-            grads[w_name] = _index_weight_grad(inputs[:, 0], config.layer_sizes[0], d_pre)
+            _index_weight_grad(inputs[:, 0], d_pre, grads[0])
         else:
             h_in = inputs if layer == 0 else cache.post[layer - 1]
-            grads[w_name] = h_in.T @ d_pre
-        grads[b_name] = d_pre.sum(axis=0)
+            np.matmul(h_in.T, d_pre, out=grads[2 * layer])
+        np.sum(d_pre, axis=0, out=grads[2 * layer + 1])
         if layer or not index_input:
-            d_post = d_pre @ params[w_name].T
-    ordered = [(name, grads[name]) for name in params.names()]
-    if index_input:
-        return ParamSet(ordered), None
-    return ParamSet(ordered), (d_post[0] if cache.single else d_post)
+            d_post = d_pre @ params.views[2 * layer].T
+    return params.with_flat(flat), (None if index_input else d_post)
 
 
 def _check_update(params: ParamSet, grads: ParamSet) -> None:
-    if [(n, a.shape) for n, a in params] != [(n, g.shape) for n, g in grads]:
+    if params.layout != grads.layout:
         raise ValueError("gradient names/shapes do not match parameters")
-    for name, g in grads:
-        if not np.all(np.isfinite(g)):
-            raise UpdateRejected(f"non-finite gradient in {name!r}; step skipped")
+    bad = _nonfinite_entry(grads)
+    if bad is not None:
+        raise UpdateRejected(f"non-finite gradient in {bad!r}; step skipped")
 
 
 class Optimizer:

@@ -3,8 +3,9 @@
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
-GAE recursion, dense one-hot inputs, per-entry SGD and Adam updates,
-reference environment steppers, and the step-by-step evaluation loop. They
+GAE recursion, dense one-hot inputs, ParamSets with chosen entries, a
+per-entry backward pass, per-entry SGD and Adam updates, reference
+environment steppers, and the step-by-step evaluation loop. They
 intentionally avoid the library code paths they are used to check
 (numpy.linalg.norm instead of the DSL's norm code, operator dispatch instead
 of the DSL's comparison table).
@@ -124,7 +125,48 @@ def dense_grid_onehot_features(width: int, height: int):
 
 
 # ---------------------------------------------------------------------------
-# Per-entry optimizer updates, the reference for the flat-vector Optimizer
+# ParamSets with chosen entries, and the per-entry backward pass and
+# optimizer updates, the references for the one-vector gradient and Optimizer
+
+
+def paramset_with(like: ParamSet, entries: dict | None = None, fill: float | None = None) -> ParamSet:
+    """A ParamSet in `like`'s layout holding `like`'s values (or `fill`
+    everywhere), with each entry named in `entries` set to its value. The
+    values are written through the vector after the ParamSet is built, so a
+    test can plant a NaN or inf that the constructor refuses."""
+    vec = like.flat().copy() if fill is None else np.full(like.n_params(), float(fill))
+    out = like.with_flat(vec)
+    start = 0
+    for name, shape in like.layout:
+        stop = start + math.prod(shape)
+        if entries and name in entries:
+            vec[start:stop] = np.broadcast_to(entries[name], shape).ravel()
+        start = stop
+    return out
+
+
+def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grads=None) -> list:
+    """mlp_backward's gradients for a float input batch, one freshly
+    allocated array per entry (each layer's weight, then its bias): the
+    reference for the views into one gradient vector. `hidden_grads` may
+    not name the output layer."""
+    grads = [None] * (2 * config.n_layers)
+    d_post = output_grad
+    for layer in reversed(range(config.n_layers)):
+        pre, post = cache.pre[layer], cache.post[layer]
+        if hidden_grads and layer in hidden_grads:
+            d_post = d_post + hidden_grads[layer]
+        if layer < config.n_layers - 1:
+            slope = 1.0 - post * post if config.activation == "tanh" else (pre > 0.0).astype(float)
+            d_pre = d_post * slope
+        elif config.output_activation == "softmax":
+            d_pre = post * (d_post - np.sum(d_post * post, axis=1, keepdims=True))
+        else:
+            d_pre = d_post
+        h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
+        grads[2 * layer], grads[2 * layer + 1] = h_in.T @ d_pre, d_pre.sum(axis=0)
+        d_post = d_pre @ params.views[2 * layer].T
+    return grads
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:

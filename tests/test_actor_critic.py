@@ -15,19 +15,25 @@ from logicrl.actor_critic import (
 )
 from logicrl.envs import GridWorld
 from logicrl.tensor import Optimizer
-from oracles import dense_grid_onehot_features, fd_gradient, gae_advantages, grads_match
+from oracles import (
+    dense_grid_onehot_features,
+    fd_gradient,
+    gae_advantages,
+    grads_match,
+    paramset_with,
+)
 
 
 def zero_policy_agent(n_actions=5, feature_dim=3, **kw) -> ActorCritic:
     """Agent whose logits are all zero (uniform policy)."""
     agent = ActorCritic(feature_dim, n_actions, hidden=(8,), seed=0, **kw)
-    agent.policy_params = agent.policy_params.zeros_like()
+    agent.policy_params = paramset_with(agent.policy_params, fill=0.0)
     return agent
 
 
 def biased_logits_agent(bias) -> ActorCritic:
     agent = zero_policy_agent(n_actions=len(bias))
-    agent.policy_params.entries["pi.b1"] = np.asarray(bias, dtype=float)
+    agent.policy_params = paramset_with(agent.policy_params, {"pi.b1": bias})
     return agent
 
 
@@ -63,7 +69,7 @@ def test_act_log_prob_is_log_softmax_of_logits():
 
 def test_act_rejects_nonfinite_logits():
     agent = ActorCritic(2, 3, hidden=(4,), seed=0)
-    agent.policy_params.entries["pi.b1"] = np.array([np.nan, 0.0, 0.0])
+    agent.policy_params = paramset_with(agent.policy_params, {"pi.b1": [np.nan, 0.0, 0.0]})
     with pytest.raises(NonFiniteLogits):
         agent.act_batch(np.zeros((1, 2)), np.random.default_rng(0))
 
@@ -136,9 +142,8 @@ def test_index_and_dense_onehot_give_the_same_loss_bits():
     (loss_i, pi_i, vf_i, stats_i), (loss_d, pi_d, vf_d, stats_d) = results
     assert loss_i == loss_d and stats_i == stats_d
     for got, want in ((pi_i, pi_d), (vf_i, vf_d)):
-        assert got.names() == want.names()
-        for name in want.names():
-            assert got[name].tobytes() == want[name].tobytes()
+        assert got.layout == want.layout
+        assert got.flat().tobytes() == want.flat().tobytes()
 
 
 def test_scaled_features():

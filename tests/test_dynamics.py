@@ -3,20 +3,14 @@ import pytest
 
 from logicrl.dynamics import ForwardModel, RunningNorm
 from logicrl.envs import GridWorld
-from logicrl.tensor import Optimizer, ParamSet, UpdateRejected, mlp_forward
-from oracles import fd_gradient, grads_match
+from logicrl.tensor import Optimizer, UpdateRejected, mlp_forward
+from oracles import fd_gradient, grads_match, paramset_with
 
 
 def constant_output_model(value: float) -> ForwardModel:
     """1-D model whose net always outputs `value` (zero weights, set bias)."""
     model = ForwardModel(1, 1, hidden=(4,), seed=0)
-    entries = []
-    for name, arr in model.params:
-        if name == "fwd.b1":
-            entries.append((name, np.array([value])))
-        else:
-            entries.append((name, np.zeros_like(arr)))
-    model.params = ParamSet(entries)
+    model.params = paramset_with(model.params, {"fwd.b1": value}, fill=0.0)
     return model
 
 
@@ -90,7 +84,7 @@ def test_prediction_tracks_normalizer_update_between_calls():
     norm = model.normalizer
     std = _fresh_std(norm)
     x = np.concatenate([(states - norm.mean) / std, np.eye(3)[actions]], axis=1)
-    z, _ = mlp_forward(model.params, model.config, x, "fwd.")
+    z, _ = mlp_forward(model.params, model.config, x)
     assert second.tobytes() == (z * std + norm.mean).tobytes()
     assert not np.array_equal(first, second)
 
@@ -102,9 +96,7 @@ def test_zero_output_layer_predicts_running_mean():
     model = ForwardModel(2, 3, seed=0)
     states = np.random.default_rng(2).uniform(0, 10, size=(40, 2))
     model.update_normalizer(states)
-    for name in list(model.params.entries):
-        if name in ("fwd.w2", "fwd.b2"):
-            model.params.entries[name] = np.zeros_like(model.params[name])
+    model.params = paramset_with(model.params, {"fwd.w2": 0.0, "fwd.b2": 0.0})
     pred = model.predict(np.array([7.0, 3.0]), 1)
     assert np.allclose(pred, model.normalizer.mean)
 
@@ -180,7 +172,7 @@ def fit_step(model: ForwardModel, optimizer: Optimizer, batch) -> float:
 
 def test_fit_step_zero_lr_no_change():
     model = ForwardModel(2, 2, seed=5)
-    before = model.params.copy()
+    before = model.params
     batch = (np.ones((4, 2)), np.zeros(4, dtype=int), np.ones((4, 2)) * 2)
     fit_step(model, Optimizer("adam", 0.0), batch)
     for name, arr in before:
@@ -203,7 +195,7 @@ def test_fit_step_descends_on_fixed_batch():
 def test_fit_step_aborts_on_nan():
     model = ForwardModel(1, 1, seed=0)
     batch = (np.array([[np.nan]]), np.array([0]), np.array([[0.0]]))
-    before = model.params.copy()
+    before = model.params
     with pytest.raises(UpdateRejected):
         fit_step(model, Optimizer("adam", 1e-3), batch)
     assert np.array_equal(before.flat(), model.params.flat())

@@ -25,6 +25,7 @@ from logicrl.harness import (
 )
 from logicrl.plots import heatmap_svg, line_chart_svg, rolling_mean
 from logicrl.training import Trainer, System3Config
+from oracles import paramset_with
 
 
 def tiny_values(tmp_path, **overrides):
@@ -141,22 +142,20 @@ def test_run_train_byte_identical_reruns(tmp_path):
 
 def test_run_train_removes_partial_checkpoints_left_by_a_hard_kill(tmp_path):
     """A `.step_*.partial` staging directory (a save cut short by a hard
-    kill) is gone after the next run into the directory; a complete bundle
-    from an earlier run, which this run does not overwrite, is kept."""
+    kill) is gone after the next run into the directory, and so is a
+    complete bundle from an earlier run that this run does not overwrite:
+    checkpoints/ holds this run's bundles only, as metrics.csv describes."""
     cfg = build_run_config(tiny_values(tmp_path))
     checkpoints = os.path.join(run_dir_for(cfg, 0), "checkpoints")
     partial = os.path.join(checkpoints, ".step_000000090.partial")
-    kept = os.path.join(checkpoints, "step_000000001")
-    for path, text in ((partial, b"half a bundle"), (kept, b"an earlier run's bundle")):
+    stale = os.path.join(checkpoints, "step_000000001")
+    for path, text in ((partial, b"half a bundle"), (stale, b"an earlier run's bundle")):
         os.makedirs(path)
         with open(os.path.join(path, "policy.params"), "wb") as fp:
             fp.write(text)
     train_one_seed(cfg, 0)
     assert sorted(os.listdir(checkpoints)) == [
-        "step_000000001", "step_000000040", "step_000000080",
-        "step_000000120", "step_000000160"]
-    with open(os.path.join(kept, "policy.params"), "rb") as fp:
-        assert fp.read() == b"an earlier run's bundle"
+        "step_000000040", "step_000000080", "step_000000120", "step_000000160"]
 
 
 def test_run_train_parallel_seeds_matches_sequential(tmp_path):
@@ -354,7 +353,7 @@ def test_emit_curves_requires_input(tmp_path):
 def test_export_value_grid_zero_head_and_round_trip(tmp_path):
     trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
                       "gridworld", seed=0)
-    trainer.agent.value_params = trainer.agent.value_params.zeros_like()
+    trainer.agent.value_params = paramset_with(trainer.agent.value_params, fill=0.0)
     ckpt = tmp_path / "ckpt"
     trainer.save_checkpoint(ckpt)
     csv_path = tmp_path / "grid.csv"

@@ -19,11 +19,7 @@ from logicrl.tensor import (
     save_paramset_file,
     softmax,
 )
-from oracles import dense_onehot, fd_gradient, grads_match
-
-
-def zeroed(params: ParamSet) -> ParamSet:
-    return params.zeros_like()
+from oracles import dense_onehot, fd_gradient, grads_match, paramset_with
 
 
 # -- init ---------------------------------------------------------------------
@@ -75,16 +71,16 @@ def test_config_validation():
 
 def test_forward_zero_params_zero_output():
     config = MLPConfig((3, 4, 2))
-    params = zeroed(mlp_init(config, seed=0))
-    out, _ = mlp_forward(params, config, np.array([1.0, -2.0, 0.5]))
-    assert np.array_equal(out, np.zeros(2))
+    params = paramset_with(mlp_init(config, seed=0), fill=0.0)
+    out, _ = mlp_forward(params, config, np.array([[1.0, -2.0, 0.5]]))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_forward_identity_single_layer():
     config = MLPConfig((2, 2))
     params = ParamSet([("w0", np.eye(2)), ("b0", np.zeros(2))])
-    out, _ = mlp_forward(params, config, np.array([0.3, -0.7]))
-    assert np.allclose(out, [0.3, -0.7], atol=0)
+    out, _ = mlp_forward(params, config, np.array([[0.3, -0.7]]))
+    assert np.allclose(out, [[0.3, -0.7]], atol=0)
 
 
 def test_forward_hand_computed_tanh_net():
@@ -99,9 +95,9 @@ def test_forward_hand_computed_tanh_net():
             ("b1", np.array([0.05])),
         ]
     )
-    out, _ = mlp_forward(params, config, np.array([1.0, 0.0]))
+    out, _ = mlp_forward(params, config, np.array([[1.0, 0.0]]))
     expected = 2.0 * math.tanh(0.6) - 1.0 * math.tanh(-1.2) + 0.05
-    assert abs(out[0] - expected) < 1e-15
+    assert abs(out[0, 0] - expected) < 1e-15
 
 
 def test_forward_batch_matches_single():
@@ -109,10 +105,10 @@ def test_forward_batch_matches_single():
     params = mlp_init(config, seed=5)
     batch = np.random.default_rng(1).normal(size=(6, 3))
     out_batch, _ = mlp_forward(params, config, batch)
-    for i, row in enumerate(batch):
-        out_single, _ = mlp_forward(params, config, row)
-        # batched and per-row BLAS paths may differ in the last ulp
-        assert np.allclose(out_batch[i], out_single, rtol=0, atol=1e-12)
+    for i in range(len(batch)):
+        out_single, _ = mlp_forward(params, config, batch[i : i + 1])
+        # batched and one-row BLAS paths may differ in the last ulp
+        assert np.allclose(out_batch[i], out_single[0], rtol=0, atol=1e-12)
 
 
 def test_forward_repeat_calls_bit_identical():
@@ -125,10 +121,13 @@ def test_forward_repeat_calls_bit_identical():
 
 
 def test_forward_rejects_bad_shape():
+    """The net takes (n, d_in) float batches and (n, 1) index columns only;
+    a 1-D input of either kind raises."""
     config = MLPConfig((3, 2))
     params = mlp_init(config, seed=0)
-    with pytest.raises(ValueError):
-        mlp_forward(params, config, np.zeros(4))
+    for x in (np.zeros((1, 4)), np.zeros(3), np.array([1])):
+        with pytest.raises(ValueError):
+            mlp_forward(params, config, x)
 
 
 # -- backward -----------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_forward_rejects_bad_shape():
 def test_backward_zero_grad_is_zero():
     config = MLPConfig((3, 4, 2))
     params = mlp_init(config, seed=1)
-    out, cache = mlp_forward(params, config, np.array([0.1, 0.2, 0.3]))
+    out, cache = mlp_forward(params, config, np.array([[0.1, 0.2, 0.3]]))
     grads, input_grad = mlp_backward(params, config, cache, np.zeros_like(out))
     assert all(np.all(g == 0) for _, g in grads)
     assert np.all(input_grad == 0)
@@ -147,8 +146,8 @@ def test_backward_scalar_net():
     # y = w * x with x = 2: dL/dw = 2 for unit output gradient
     config = MLPConfig((1, 1))
     params = ParamSet([("w0", np.array([[3.0]])), ("b0", np.array([0.0]))])
-    _, cache = mlp_forward(params, config, np.array([2.0]))
-    grads, _ = mlp_backward(params, config, cache, np.array([1.0]))
+    _, cache = mlp_forward(params, config, np.array([[2.0]]))
+    grads, _ = mlp_backward(params, config, cache, np.array([[1.0]]))
     assert grads["w0"][0, 0] == 2.0
     assert grads["b0"][0] == 1.0
 
@@ -157,8 +156,9 @@ def test_backward_rejects_mismatched_cache():
     config = MLPConfig((3, 4, 2))
     params = mlp_init(config, seed=1)
     _, cache = mlp_forward(params, config, np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        mlp_backward(params, config, cache, np.zeros((4, 2)))
+    for output_grad in (np.zeros((4, 2)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            mlp_backward(params, config, cache, output_grad)
 
 
 @pytest.mark.parametrize(
@@ -201,18 +201,18 @@ def test_backward_matches_finite_differences(config, seed):
 def test_backward_input_gradient_matches_fd():
     config = MLPConfig((3, 6, 2))
     params = mlp_init(config, seed=2)
-    x = np.array([0.4, -0.2, 0.9])
-    v = np.array([0.7, -1.3])
+    x = np.array([[0.4, -0.2, 0.9]])
+    v = np.array([[0.7, -1.3]])
     _, cache = mlp_forward(params, config, x)
     _, input_grad = mlp_backward(params, config, cache, v)
     eps = 1e-6
     for i in range(3):
         up, dn = x.copy(), x.copy()
-        up[i] += eps
-        dn[i] -= eps
-        num = (np.dot(mlp_forward(params, config, up)[0], v)
-               - np.dot(mlp_forward(params, config, dn)[0], v)) / (2 * eps)
-        assert abs(input_grad[i] - num) < 1e-6
+        up[0, i] += eps
+        dn[0, i] -= eps
+        num = (np.sum(mlp_forward(params, config, up)[0] * v)
+               - np.sum(mlp_forward(params, config, dn)[0] * v)) / (2 * eps)
+        assert abs(input_grad[0, i] - num) < 1e-6
 
 
 # -- one-hot index input -------------------------------------------------------
@@ -252,9 +252,9 @@ def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
         assert same_bits(a, b)
     grads_i, input_grad_i = mlp_backward(params, GRID_POLICY, cache_i, g_out, hidden)
     grads_d, input_grad_d = mlp_backward(params, GRID_POLICY, cache_d, g_out, hidden)
-    assert grads_i.names() == grads_d.names()
-    for name in grads_d.names():
-        assert same_bits(grads_i[name], grads_d[name])
+    assert grads_i.layout == grads_d.layout
+    for (name, got), (_, want) in zip(grads_i, grads_d):
+        assert same_bits(got, want), name
     assert input_grad_i is None and input_grad_d.shape == (n, 400)
     unvisited = np.setdiff1d(np.arange(400), idx)
     assert np.all(grads_i["w0"][unvisited] == 0.0)
@@ -283,8 +283,8 @@ def test_visited_cell_weight_gradient_bitwise_equals_dense(n_cells):
         _, cache_d = mlp_forward(params, config, dense_onehot(idx, 400))
         grads_i, _ = mlp_backward(params, config, cache_i, g_out)
         grads_d, _ = mlp_backward(params, config, cache_d, g_out)
-        for name in grads_d.names():
-            assert same_bits(grads_i[name], grads_d[name]), name
+        for (name, got), (_, want) in zip(grads_i, grads_d):
+            assert same_bits(got, want), name
         assert not np.any(grads_i["w0"][np.setdiff1d(np.arange(400), cells)])
 
 
@@ -299,19 +299,19 @@ def test_negative_index_gradient_matches_its_forward_alias():
     _, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
     grads_i, _ = mlp_backward(params, GRID_POLICY, cache_i, g_out)
     grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
-    assert all(same_bits(grads_i[name], grads_d[name]) for name in grads_d.names())
+    assert all(same_bits(got, want) for (_, got), (_, want) in zip(grads_i, grads_d))
 
 
 def test_single_index_bitwise_equals_dense_row():
     params = mlp_init(GRID_POLICY, seed=3)
-    out_i, cache_i = mlp_forward(params, GRID_POLICY, np.array([37]))
-    out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot([37], 400)[0])
-    assert out_i.shape == (5,) and same_bits(out_i, out_d)
-    g_out = np.linspace(-1.0, 1.0, 5)
+    out_i, cache_i = mlp_forward(params, GRID_POLICY, np.array([[37]]))
+    out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot([37], 400))
+    assert out_i.shape == (1, 5) and same_bits(out_i, out_d)
+    g_out = np.linspace(-1.0, 1.0, 5)[None, :]
     grads_i, input_grad = mlp_backward(params, GRID_POLICY, cache_i, g_out)
     grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
     assert input_grad is None
-    assert all(same_bits(grads_i[name], grads_d[name]) for name in grads_d.names())
+    assert all(same_bits(got, want) for (_, got), (_, want) in zip(grads_i, grads_d))
 
 
 def test_index_input_rejects_bad_indices_and_shapes():
@@ -377,8 +377,7 @@ def test_sgd_definition():
 
 def test_sgd_rejects_nan_grads():
     params = ParamSet([("w0", np.array([[1.0]])), ("b0", np.array([0.0]))])
-    bad = params.copy()
-    bad.entries["w0"] = np.array([[np.nan]])  # bypass constructor check
+    bad = paramset_with(params, {"w0": np.nan})
     with pytest.raises(UpdateRejected, match="'w0'"):
         Optimizer("sgd", 0.1).step(params, bad)
     assert params["w0"][0, 0] == 1.0
@@ -431,7 +430,7 @@ def test_optimizer_matches_per_entry_reference(kind):
             ref_params = oracles.sgd_step(ref_params, grads, 1e-3)
         else:
             ref_params, ref_state = oracles.adam_step(ref_params, grads, ref_state, 1e-3)
-        assert params.names() == ref_params.names()
+        assert params.layout == ref_params.layout
         for name, arr in ref_params:
             assert params[name].shape == arr.shape
             assert params[name].tobytes() == arr.tobytes()
@@ -441,7 +440,7 @@ def test_optimizer_matches_per_entry_reference(kind):
             continue
         assert state["t"] == ref_state["t"]
         for key in ("m", "v"):
-            want = np.concatenate([ref_state[key][n].ravel() for n in params.names()])
+            want = np.concatenate([ref_state[key][n].ravel() for n, _ in params])
             assert state[key].tobytes() == want.tobytes()
 
 
@@ -452,8 +451,7 @@ def test_rejected_adam_step_leaves_the_state():
     opt.step(params, grads)
     before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
               for k, v in opt.get_state().items()}
-    bad = grads.copy()
-    bad.entries["b0"] = np.array([0.0, np.inf])
+    bad = paramset_with(grads, {"b0": [0.0, np.inf]})
     with pytest.raises(UpdateRejected, match="'b0'"):
         opt.step(params, bad)
     with pytest.raises(ValueError, match="names/shapes"):
@@ -497,7 +495,7 @@ def test_optimizer_state_roundtrip(tmp_path):
 
 
 def assert_bitwise_equal(loaded: ParamSet, params: ParamSet):
-    assert loaded.names() == params.names()
+    assert loaded.layout == params.layout
     for name, arr in params:
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arr.shape
@@ -531,7 +529,7 @@ def test_paramset_archive_is_bitwise_exact(tmp_path):
     state = {"t": 7, "m": m, "v": -m}
     path = tmp_path / "special.params"
     save_paramset_file(path, params, state)
-    loaded, opt = load_paramset_file(path, params.zeros_like())
+    loaded, opt = load_paramset_file(path, paramset_with(params, fill=0.0))
     assert_bitwise_equal(loaded, params)
     assert np.signbit(loaded["zeros"]).tolist() == [True, False, True]
     assert np.signbit(loaded["scalar"]) and loaded["scalar"].shape == ()
@@ -617,3 +615,34 @@ def test_paramset_rejects_nonfinite_and_duplicates(tmp_path):
     write_archive(tmp_path / "inf.params", params=np.array([1.0, 0.0, np.nan]))
     with pytest.raises(ValueError, match="non-finite values in entry 'b'"):
         load_paramset_file(tmp_path / "inf.params", like)
+
+
+@pytest.mark.parametrize(
+    "config", [MLPConfig((3, 5, 6, 4), "tanh", "softmax"), MLPConfig((3, 5, 6, 2), "relu")]
+)
+def test_paramset_is_read_only_views_of_one_vector(config):
+    """Writing into an entry or the vector raises; `with_flat(v)` reads `v`
+    without a copy; a `flat()` taken before an optimizer step is unchanged
+    after it; and mlp_backward's gradient vector equals the per-entry
+    reference bit for bit."""
+    params = mlp_init(config, seed=6)
+    for target in (params["w1"], params["b0"], params.flat()):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1.0
+    v = np.arange(params.n_params(), dtype=np.float64)
+    wrapped = params.with_flat(v)
+    assert wrapped.layout == params.layout
+    assert all(np.shares_memory(view, v) for _, view in wrapped)
+    rng = np.random.default_rng(6)
+    x, g_out = rng.normal(size=(7, 3)), rng.normal(size=(7, config.layer_sizes[-1]))
+    hidden = {1: rng.normal(size=(7, 6))}
+    _, cache = mlp_forward(params, config, x)
+    grads, _ = mlp_backward(params, config, cache, g_out, hidden)
+    want = oracles.per_entry_backward(params, config, cache, g_out, hidden)
+    assert [a.shape for a in want] == [shape for _, shape in grads.layout]
+    assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+    before = params.flat()
+    saved = before.copy()
+    stepped = Optimizer("adam", 1e-2).step(params, grads)
+    assert before.tobytes() == saved.tobytes() and params.flat() is before
+    assert not np.shares_memory(stepped.flat(), before)

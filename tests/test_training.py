@@ -14,7 +14,7 @@ from logicrl.training import (
     TrainingDiverged,
     evaluate_policy,
 )
-from oracles import reference_evaluate_policy
+from oracles import paramset_with, reference_evaluate_policy
 
 TAUTOLOGY = "forall u in unsafe: 0 <= norm2(s - u)"
 KEEPOUT = "forall u in unsafe: 1.5 <= norm2(s - u)"
@@ -162,9 +162,8 @@ def test_constant_reward_triggers_zero_std_guard():
         tr = grid_trainer(TAUTOLOGY, use_env_reward=False, gamma=0.99,
                           rollout_length=6, optimizer="sgd",
                           entropy_coef=entropy_coef, seed=3)
-        head = tr.agent.value_params
-        head.entries["vf.w0"] = np.zeros_like(head["vf.w0"])
-        head.entries["vf.b0"] = np.array([100.0])
+        tr.agent.value_params = paramset_with(
+            tr.agent.value_params, {"vf.w0": 0.0, "vf.b0": 100.0})
         return tr
 
     frozen = make(0.0)
@@ -196,7 +195,7 @@ def test_training_metrics_keys_and_rates():
 
 def test_nan_parameters_abort_with_dump():
     tr = grid_trainer()
-    tr.agent.policy_params.entries["pi.b1"] = np.full(5, np.nan)
+    tr.agent.policy_params = paramset_with(tr.agent.policy_params, {"pi.b1": np.nan})
     with pytest.raises(TrainingDiverged) as exc:
         tr.train_iteration()
     assert "iteration" in exc.value.dump
@@ -235,7 +234,7 @@ def assert_same_learners(a: Trainer, b: Trainer):
     for pa, pb in ((a.agent.policy_params, b.agent.policy_params),
                    (a.agent.value_params, b.agent.value_params),
                    (a.model.params, b.model.params)):
-        assert pa.names() == pb.names()
+        assert pa.layout == pb.layout
         assert pa.flat().tobytes() == pb.flat().tobytes()
     assert list(a.optimizers) == list(b.optimizers) == ["policy", "value", "forward"]
     for key, oa in a.optimizers.items():
