@@ -1,12 +1,19 @@
 """Command-line front end.
 
 Verbs: train, eval, plot, value-grid, check-constraint. Exit codes: 0 on
-success, 2 on configuration errors, 3 on runtime failures.
+success, 2 on configuration errors, 3 on runtime failures. Every verb runs
+with numpy's bundled OpenBLAS on one thread (see _one_blas_thread).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
+import os
 import sys
+
+import numpy as np
 
 from .constraints import BindError, FLSyntaxError
 from .harness import (
@@ -115,6 +122,41 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _bundled_openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles in `numpy.libs`, or None when numpy has no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, and restore the
+    caller's count after. A BLAS product's summation order depends on the
+    thread count, so pinning it makes the CLI's outputs the same whatever
+    OPENBLAS_NUM_THREADS or the core count is."""
+    threads = _bundled_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -125,7 +167,8 @@ def main(argv=None) -> int:
         "check-constraint": _cmd_check,
     }
     try:
-        return handlers[args.verb](args)
+        with _one_blas_thread():
+            return handlers[args.verb](args)
     except (ConfigError, FLSyntaxError, BindError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,11 +4,14 @@ Everything is float64. A ParamSet is one finite, read-only vector plus a
 layout of (name, shape) rows; each entry is a reshaped view of its slice of
 that vector, so the optimizer and the parameter file use the vector itself.
 A net's layer l reads its weight and bias as entries 2l and 2l+1, the order
-mlp_init lays them out in.
+mlp_init lays them out in. Importing the module sets glibc's malloc thresholds
+(see _keep_freed_heap_mapped).
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -18,6 +21,42 @@ import numpy as np
 ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
 OPTIMIZERS = ("sgd", "adam")
+
+# glibc's mallopt parameters (malloc.h) and the values set for them. An update
+# pass frees a few MB of (rows x hidden) activations. On the grid bridge config
+# the faults stopped only with an mmap threshold of at least 1.5 MiB and a trim
+# threshold of at least 5.5 MiB; a larger trim threshold keeps more freed
+# memory resident.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_TRIM_BYTES = 6 << 20
+_HEAP_MMAP_BYTES = 2 << 20
+
+
+def _keep_freed_heap_mapped() -> bool:
+    """Have glibc keep freed heap pages mapped, so the next training iteration
+    reuses them instead of page-faulting them back in; returns whether it did.
+
+    By default glibc returns the freed top of the heap to the kernel past a
+    trim threshold, and serves large arrays from mmaps it unmaps on free.
+    Both thresholds are fixed: fixing either one turns off glibc's dynamic
+    mmap threshold, and with the default 128 kB every larger array would be
+    mmapped and faulted on each use. On another libc, or if mallopt is missing
+    or refuses, nothing is set. No arithmetic changes.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: a trim threshold set on its own is the bad case
+    return bool(mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES)) and \
+        bool(mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES))
+
+
+_keep_freed_heap_mapped()
 
 
 class UpdateRejected(ValueError):

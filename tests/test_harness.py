@@ -1,9 +1,12 @@
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from logicrl import cli
 from logicrl.cli import main
 from logicrl.harness import (
     CONFIG_KEYS,
@@ -195,7 +198,6 @@ def test_diverged_run_preserves_partial_artifacts(tmp_path, monkeypatch):
 
 
 def test_cli_maps_divergence_to_exit_3(tmp_path, monkeypatch, capsys):
-    import logicrl.cli as cli
     from logicrl.training import TrainingDiverged
 
     def fake_run_train(config, parallel=False):
@@ -435,6 +437,46 @@ def test_cli_train_and_plot_and_value_grid(tmp_path, capsys):
     assert os.path.exists(tmp_path / "v.svg")
     code = main(["check-constraint", "configs/grid_keepout.fl", "--env", "gridworld"])
     assert code == 0
+    capsys.readouterr()
+
+
+def test_cli_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """`logicrl train` runs numpy's OpenBLAS on one thread, so a grid run with
+    OPENBLAS_NUM_THREADS=2 writes the same bytes as one with =1. Without the
+    pin the loss columns differ in their last bits within 20k steps."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        proc = subprocess.run([sys.executable, "-m", "logicrl", "train", "--config",
+                               "configs/grid_bridge.cfg", "--seeds", "0", "--steps", "20000",
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        run_dir = out / "grid_bridge" / "seed_0"
+        written.append([(run_dir / name).read_bytes() for name in ("metrics.csv", "train_log.csv")])
+    assert written[0][0].count(b"\n") == 2  # header and the 20k-step evaluation
+    assert written[0] == written[1]
+
+
+def test_cli_restores_the_callers_blas_thread_count(monkeypatch, capsys):
+    """A verb runs on one BLAS thread, and an in-process caller gets its own
+    count back."""
+    threads = cli._bundled_openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    get, set_ = threads
+    seen = []
+    monkeypatch.setattr(cli, "check_constraint", lambda *args: seen.append(get()) or "ok")
+    caller = get()
+    set_(2)
+    try:
+        assert main(["check-constraint", "configs/grid_keepout.fl"]) == 0
+        assert seen == [1] and get() == 2
+    finally:
+        set_(caller)
     capsys.readouterr()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from logicrl import tensor
 from logicrl.tensor import (
     MLPConfig,
     Optimizer,
@@ -646,3 +647,56 @@ def test_paramset_is_read_only_views_of_one_vector(config):
     stepped = Optimizer("adam", 1e-2).step(params, grads)
     assert before.tobytes() == saved.tobytes() and params.flat() is before
     assert not np.shares_memory(stepped.flat(), before)
+
+
+# -- heap setting ---------------------------------------------------------------
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None); records mallopt calls."""
+
+    def __init__(self, result=1, has_mallopt=True):
+        self.calls = []
+        if has_mallopt:
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return result
+            self.mallopt = mallopt
+
+
+def _raises(exc):
+    def call(*args):
+        raise exc
+    return call
+
+
+@pytest.mark.parametrize("case", ["no confstr", "confstr raises", "confstr empty",
+                                  "no libc handle", "no mallopt", "mallopt refuses"])
+def test_heap_setting_does_nothing_and_raises_nothing_off_glibc(case, monkeypatch):
+    """Without glibc, without a mallopt symbol, or when mallopt refuses, the
+    helper sets nothing, raises nothing and says so; a refused mmap threshold
+    leaves the trim threshold alone, since that one set alone is the bad
+    case."""
+    libc = _FakeLibc(result=0 if case == "mallopt refuses" else 1,
+                     has_mallopt=case != "no mallopt")
+    monkeypatch.setattr(tensor.ctypes, "CDLL", _raises(OSError("no handle"))
+                        if case == "no libc handle" else lambda name: libc)
+    if case == "no confstr":
+        monkeypatch.delattr(tensor.os, "confstr")
+    else:
+        monkeypatch.setattr(tensor.os, "confstr", {
+            "confstr raises": _raises(ValueError("unrecognized configuration name")),
+            "confstr empty": lambda name: None,
+        }.get(case, lambda name: "glibc 2.36"))
+    assert tensor._keep_freed_heap_mapped() is False
+    refused = [(tensor._M_MMAP_THRESHOLD, tensor._HEAP_MMAP_BYTES)]
+    assert libc.calls == (refused if case == "mallopt refuses" else [])
+
+
+def test_heap_setting_sets_both_thresholds_on_glibc(monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(tensor.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(tensor.os, "confstr", lambda name: "glibc 2.36")
+    assert tensor._keep_freed_heap_mapped() is True
+    assert libc.calls == [(tensor._M_MMAP_THRESHOLD, tensor._HEAP_MMAP_BYTES),
+                          (tensor._M_TRIM_THRESHOLD, tensor._HEAP_TRIM_BYTES)]

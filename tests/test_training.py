@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from logicrl import constraints as fl
+from logicrl import tensor
 from logicrl.envs import GridWorld, make_env
 from logicrl.training import (
     EvalResult,
@@ -439,3 +442,40 @@ def test_model_warmup_trains_model_only():
     assert not np.array_equal(tr.model.params.flat(), fwd_before)
     tr.train_iteration()
     assert not np.array_equal(tr.agent.policy_params.flat(), pi_before)
+
+
+# Run in a fresh process: glibc raises its own thresholds after freeing a large
+# mmapped block, so an earlier test in this process could hide the faults.
+FAULTS_PER_ITERATION = """
+import dataclasses, resource, sys
+from logicrl.harness import _layout_for, build_run_config, parse_kv_file
+from logicrl.training import Trainer
+
+run = build_run_config(parse_kv_file(sys.argv[1]))
+sys3 = dataclasses.replace(run.sys3, constraint_file=run.constraint)
+tr = Trainer(sys3, run.env, seed=0, layout=_layout_for(run), d=run.d)
+for _ in range(3):
+    tr.train_iteration()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    tr.train_iteration()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not tensor._keep_freed_heap_mapped(),
+                    reason="the heap setting applies on glibc only")
+@pytest.mark.parametrize("config_file", ["configs/grid_bridge.cfg", "configs/cartpole_delayed.cfg"])
+def test_update_pass_does_not_refault_the_heap(config_file):
+    """With a shipped config's shapes, training iterations after a short
+    warm-up fault in almost no memory: the update pass's freed activations
+    stay mapped for the next iteration (tensor's heap setting). With glibc's
+    default thresholds this reads about 1,500 (grid) and 730 (cart-pole)
+    minor faults per iteration."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_ITERATION, config_file],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 50, proc.stdout
