@@ -6,10 +6,10 @@ bounds, combined with and/or/not and bounded quantifiers over named sets.
 """
 import numpy as np
 
-from logicrl import GridWorld, bind, default_registry, parse, to_text
+from logicrl import GridWorld, bind, parse, to_text
 
 env = GridWorld()
-registry = default_registry(env)
+registry = env.registry()
 print(f"grid registry: { {n: len(registry.points(n)) for n in registry.names()} }")
 
 # The running safety property: stay at least 1.5 cells away from every

@@ -32,7 +32,6 @@ from .envs import (
     GridWorld,
     StateSchema,
     Transition,
-    default_registry,
     make_env,
 )
 from .tensor import (

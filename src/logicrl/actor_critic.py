@@ -100,13 +100,12 @@ class ActorCritic:
         return probs, values[:, 0], pcache, vcache
 
     def act_batch(self, states, rng: np.random.Generator):
-        """Sample one action per state; returns actions, log-probs, values."""
-        probs, values, pcache, _ = self.policy_value(states)
+        """Sample one action per state; returns actions and values."""
+        probs, values, _, _ = self.policy_value(states)
         cum = np.cumsum(probs, axis=1)
         u = rng.random((len(probs), 1))
         actions = np.minimum((cum < u).sum(axis=1), self.n_actions - 1)
-        logp = log_softmax(pcache.pre[-1])[np.arange(len(probs)), actions]
-        return actions, logp, values
+        return actions, values
 
     def greedy_batch(self, states) -> np.ndarray:
         probs, _, _, _ = self.policy_value(states)
@@ -126,28 +125,20 @@ class RolloutBuffer:
     """One iteration's worth of experience from B parallel streams.
 
     All arrays are time-major: (T, B) scalars, (T, B, d) states. `rewards`
-    holds the total per-step reward the policy trains on; `env_rewards`
-    keeps the raw environment component for bookkeeping.
+    holds the total per-step reward the policy trains on.
     """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    env_rewards: np.ndarray
     dones: np.ndarray
     values: np.ndarray
-    log_probs: np.ndarray
     next_states: np.ndarray
     bootstrap_values: np.ndarray
 
     @property
     def steps(self) -> int:
         return self.states.shape[0] * self.states.shape[1]
-
-    def gae(self, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Advantages and value targets over every stream, time-major."""
-        return gae_batch(self.rewards, self.values, self.dones, gamma, lam,
-                         self.bootstrap_values)
 
     def flat_states(self) -> np.ndarray:
         T, B, d = self.states.shape

@@ -110,7 +110,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_value_grid(args) -> int:
-    svg = args.svg if args.svg is not None else args.out.rsplit(".", 1)[0] + ".svg"
+    svg = args.svg if args.svg is not None else os.path.splitext(args.out)[0] + ".svg"
     export_value_grid(args.checkpoint, args.out, svg)
     print(args.out)
     print(svg)

@@ -238,6 +238,11 @@ class _Token:
     col: int
 
 
+# ASCII only: str.isdigit also accepts digits such as '²' or '٣', which
+# float() and int() then reject or read as other numbers
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -277,21 +282,21 @@ def _tokenize(source: str) -> list[_Token]:
                 i += 1
                 col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             text = source[i:j]
             tokens.append(_Token("NUMBER", text, line, start_col))

@@ -2,8 +2,10 @@
 
 Two environments: a 20x20 slippery grid world whose target sits behind a
 bridge through a band of unsafe cells, and the classic cart-pole balancing
-task. Both expose reset/step, a state schema with named slices and a
-discrete action spec; a wrapper defers environment reward into d-step sums.
+task. Both expose reset/step, a state schema with named slices, a discrete
+action spec, and what the trainer asks of an environment: its grid `layout`,
+anchor `registry()`, episode `end_label` and `feature_scale`. A wrapper
+defers environment reward into d-step sums.
 """
 from __future__ import annotations
 
@@ -322,6 +324,26 @@ class GridWorld:
         pairs = self.transition_distribution(state, action)
         return np.sum([np.asarray(c) * float(p) for c, p in pairs], axis=0)
 
+    # -- what the trainer asks of an environment ------------------------------
+
+    @property
+    def feature_scale(self) -> tuple[float, ...]:
+        """Per-component divisor of the "scaled" policy features."""
+        return (self.layout.width - 1.0, self.layout.height - 1.0)
+
+    def registry(self) -> ObjectRegistry:
+        """Anchor sets: the unsafe and target cell centers."""
+        registry = ObjectRegistry()
+        for name, cells in (("unsafe", self.layout.unsafe), ("target", self.layout.targets)):
+            cells = sorted(cells)
+            registry.add_set(name, np.array(cells, dtype=np.float64).reshape(len(cells), 2))
+        return registry
+
+    def end_label(self, state) -> str:
+        """Why an episode that ended in `state` ended: target, unsafe or cap."""
+        label = self.layout.label((int(state[0]), int(state[1])))
+        return label if label in ("target", "unsafe") else "cap"
+
     # -- episode interface ----------------------------------------------------
 
     def _place(self, cell: tuple[int, int]) -> None:
@@ -393,6 +415,8 @@ class CartPole:
     """
 
     max_steps = 500
+    layout = None
+    feature_scale = (CART_X_LIMIT, 3.0, POLE_ANGLE_LIMIT, 3.0)
 
     gravity = 9.8
     mass_cart = 1.0
@@ -430,6 +454,18 @@ class CartPole:
         x_acc = temp - pm_l * theta_acc * cos / total
         return float(x_acc), float(theta_acc)
 
+    @staticmethod
+    def _out_of_bounds(x, theta) -> bool:
+        return abs(x) > CART_X_LIMIT or abs(theta) > POLE_ANGLE_LIMIT
+
+    def registry(self) -> ObjectRegistry:
+        """No anchor sets: cart-pole formulas bound state components."""
+        return ObjectRegistry()
+
+    def end_label(self, state) -> str:
+        """Why an episode that ended in `state` ended: bound or cap."""
+        return "bound" if self._out_of_bounds(state[0], state[2]) else "cap"
+
     @property
     def state(self) -> np.ndarray:
         return self._state.copy()
@@ -459,8 +495,7 @@ class CartPole:
             [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc]
         ))
         self._steps += 1
-        out_of_bounds = abs(x) > CART_X_LIMIT or abs(theta) > POLE_ANGLE_LIMIT
-        self._done = out_of_bounds or self._steps >= self.max_steps
+        self._done = self._out_of_bounds(x, theta) or self._steps >= self.max_steps
         return Transition(state, action, 1.0, self._state, self._done)
 
     def get_state(self) -> dict:
@@ -485,7 +520,7 @@ class CartPole:
 
 class DelayedReward:
     """Withholds environment reward, emitting the accumulated sum every d-th
-    step and at episode end. Everything else passes through."""
+    step and at episode end. Every other attribute is the inner env's."""
 
     def __init__(self, env, d: int):
         if d < 1:
@@ -495,21 +530,12 @@ class DelayedReward:
         self._pending = 0.0
         self._phase = 0
 
-    @property
-    def schema(self) -> StateSchema:
-        return self.env.schema
-
-    @property
-    def action_spec(self) -> ActionSpec:
-        return self.env.action_spec
-
-    @property
-    def max_steps(self) -> int:
-        return self.env.max_steps
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.env.state
+    def __getattr__(self, name):
+        # reached only for names the wrapper lacks; `env` itself is refused so
+        # that copy and pickle, which probe before __init__ ran, cannot recurse
+        if name == "env":
+            raise AttributeError(name)
+        return getattr(self.env, name)
 
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         self._pending = 0.0
@@ -536,26 +562,6 @@ class DelayedReward:
         self._pending = snapshot["pending"]
         self._phase = snapshot["phase"]
         self.env.set_state(snapshot["inner"])
-
-
-def unwrap(env):
-    """Peel reward wrappers off an environment."""
-    while isinstance(env, DelayedReward):
-        env = env.env
-    return env
-
-
-def default_registry(env) -> ObjectRegistry:
-    """Anchor sets for an environment: unsafe and target cell centers on the
-    grid, nothing for cart-pole."""
-    base = unwrap(env)
-    registry = ObjectRegistry()
-    if isinstance(base, GridWorld):
-        unsafe = sorted(base.layout.unsafe)
-        targets = sorted(base.layout.targets)
-        registry.add_set("unsafe", np.array(unsafe, dtype=np.float64).reshape(len(unsafe), 2))
-        registry.add_set("target", np.array(targets, dtype=np.float64).reshape(len(targets), 2))
-    return registry
 
 
 def make_env(env_id: str, seed: int = 0, layout: Optional[GridLayout] = None, d: int = 1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constraints as fl
-from .envs import GridLayout, GridWorld, make_env, unwrap, default_registry
+from .envs import GridLayout, make_env
 from .plots import heatmap_svg, line_chart_svg, rolling_mean
 from .training import (
     EvalResult,
@@ -197,12 +197,12 @@ def run_dir_for(config: RunConfig, seed: int) -> str:
     return os.path.join(config.out, config.experiment, f"seed_{seed}")
 
 
-def _layout_for(config: RunConfig):
-    if config.env != "gridworld":
+def _layout_for(env: str, layout: str):
+    """The grid layout a config's `layout` names; None, the env's own
+    default, for "default" and for cart-pole."""
+    if env != "gridworld" or layout == "default":
         return None
-    if config.layout == "default":
-        return GridLayout.default_bridge()
-    return GridLayout.from_file(config.layout)
+    return GridLayout.from_file(layout)
 
 
 def train_one_seed(config: RunConfig, seed: int) -> str:
@@ -228,7 +228,8 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))
 
-    trainer = Trainer(sys3, config.env, seed=seed, layout=_layout_for(config), d=config.d)
+    layout = _layout_for(config.env, config.layout)
+    trainer = Trainer(sys3, config.env, seed=seed, layout=layout, d=config.d)
     next_eval_at = config.eval_every
     metrics_path = os.path.join(run_dir, "metrics.csv")
     train_log_path = os.path.join(run_dir, "train_log.csv")
@@ -400,10 +401,9 @@ def emit_curves(
 def export_value_grid(checkpoint: str, out_csv: str, out_svg: str | None = None) -> np.ndarray:
     """Evaluate the value head at every grid cell; write CSV (+ SVG heatmap)."""
     trainer = Trainer.load_checkpoint(checkpoint)
-    base = unwrap(make_env(trainer.env_id, 0, trainer.layout, 1))
-    if not isinstance(base, GridWorld):
+    if trainer.layout is None:
         raise ConfigError("value-grid export needs a gridworld checkpoint")
-    w, h = base.layout.width, base.layout.height
+    w, h = trainer.layout.width, trainer.layout.height
     cells = np.array([[x, y] for y in range(h) for x in range(w)], dtype=np.float64)
     values = trainer.agent.values_batch(cells).reshape(h, w)
     os.makedirs(os.path.dirname(os.path.abspath(out_csv)), exist_ok=True)
@@ -441,11 +441,8 @@ def check_constraint(path: str, env_id: str, layout: str = "default") -> str:
     if not os.path.exists(path):
         raise ConfigError(f"constraint file not found: {path}")
     formula = fl.load_constraint_file(path)
-    layout_obj = None
-    if env_id == "gridworld":
-        layout_obj = GridLayout.default_bridge() if layout == "default" else GridLayout.from_file(layout)
-    env = make_env(env_id, 0, layout_obj, 1)
-    registry = default_registry(env)
+    env = make_env(env_id, 0, _layout_for(env_id, layout), 1)
+    registry = env.registry()
     fl.bind(formula, registry, env.schema)
     sets = ", ".join(f"{n}[{len(registry.points(n))}]" for n in registry.names()) or "(none)"
     return (

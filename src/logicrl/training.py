@@ -20,21 +20,14 @@ from . import constraints as fl
 from .actor_critic import (
     ActorCritic,
     RolloutBuffer,
+    gae_batch,
     grid_onehot_features,
     identity_features,
     policy_value_loss,
     scaled_features,
 )
 from .dynamics import ForwardModel
-from .envs import (
-    CART_X_LIMIT,
-    POLE_ANGLE_LIMIT,
-    GridLayout,
-    GridWorld,
-    default_registry,
-    make_env,
-    unwrap,
-)
+from .envs import GridLayout, make_env
 from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_file
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
@@ -141,16 +134,6 @@ class EvalResult:
         return self.end_counts.get("target", 0) / self.episodes
 
 
-def _episode_end_label(env, next_state) -> str:
-    base = unwrap(env)
-    if isinstance(base, GridWorld):
-        label = base.layout.label((int(next_state[0]), int(next_state[1])))
-        return label if label in ("target", "unsafe") else "cap"
-    if abs(next_state[0]) > CART_X_LIMIT or abs(next_state[2]) > POLE_ANGLE_LIMIT:
-        return "bound"
-    return "cap"
-
-
 def evaluate_policy(
     agent: ActorCritic,
     env,
@@ -186,7 +169,7 @@ def evaluate_policy(
         ep_return += t.env_reward
         if t.done:
             episode_returns.append(ep_return)
-            label = _episode_end_label(env, t.next_state)
+            label = env.end_label(t.next_state)
             end_counts[label] = end_counts.get(label, 0) + 1
             ep_return = 0.0
             state = env.reset()
@@ -218,21 +201,17 @@ def evaluate_policy(
 
 
 def _build_featurizer(kind: str, env):
-    base = unwrap(env)
+    layout = env.layout
     if kind == "auto":
-        kind = "onehot" if isinstance(base, GridWorld) else "raw"
+        kind = "onehot" if layout is not None else "raw"
     if kind == "raw":
         return identity_features(env.schema.size)
     if kind == "scaled":
-        if isinstance(base, GridWorld):
-            scale = np.array([base.layout.width - 1.0, base.layout.height - 1.0])
-        else:
-            scale = np.array([CART_X_LIMIT, 3.0, POLE_ANGLE_LIMIT, 3.0])
-        return scaled_features(scale)
+        return scaled_features(env.feature_scale)
     if kind == "onehot":
-        if not isinstance(base, GridWorld):
+        if layout is None:
             raise ValueError("onehot features only apply to the grid world")
-        return grid_onehot_features(base.layout.width, base.layout.height)
+        return grid_onehot_features(layout.width, layout.height)
 
 
 class Trainer:
@@ -252,9 +231,6 @@ class Trainer:
         self.env_id = env_id
         self.seed = seed
         self.d = d
-        self.layout = layout if layout is not None else (
-            GridLayout.default_bridge() if env_id == "gridworld" else None
-        )
 
         master = np.random.default_rng(seed)
         env_seeds = [int(s) for s in master.integers(0, 2**62, size=config.batch_size)]
@@ -263,8 +239,9 @@ class Trainer:
         action_seed = int(master.integers(0, 2**62))
         self._eval_seed_base = int(master.integers(0, 2**62))
 
-        self.envs = [make_env(env_id, s, self.layout, d) for s in env_seeds]
-        env0 = self.envs[0]
+        env0 = make_env(env_id, env_seeds[0], layout, d)
+        self.layout = env0.layout  # the env's default when `layout` is None
+        self.envs = [env0] + [make_env(env_id, s, self.layout, d) for s in env_seeds[1:]]
         self.schema = env0.schema
         self.n_actions = env0.action_spec.count
 
@@ -292,7 +269,7 @@ class Trainer:
         self.formula = formula
         if self.formula is None and config.constraint_file:
             self.formula = fl.load_constraint_file(config.constraint_file)
-        self.registry = default_registry(env0)
+        self.registry = env0.registry()
         self.bound = (
             fl.bind(self.formula, self.registry, self.schema)
             if self.formula is not None
@@ -333,10 +310,8 @@ class Trainer:
         states = np.zeros((T, B, d_state))
         actions = np.zeros((T, B), dtype=np.int64)
         rewards = np.zeros((T, B))
-        env_rewards = np.zeros((T, B))
         dones = np.zeros((T, B))
         values = np.zeros((T, B))
-        log_probs = np.zeros((T, B))
         next_states = np.zeros((T, B, d_state))
         rc_hits = 0
         true_hits = 0
@@ -346,13 +321,13 @@ class Trainer:
         ep_returns = self._ep_returns.tolist()
         step_states = np.stack([env.state for env in self.envs])
         for t in range(T):
-            acts, logps, vals = self.agent.act_batch(step_states, self.action_rng)
+            acts, vals = self.agent.act_batch(step_states, self.action_rng)
             # following: the state each env goes on from (next or reset)
             nexts, following = [], []
             for i, (env, action) in enumerate(zip(self.envs, acts.tolist())):
                 tr = env.step(action)
                 nexts.append(tr.next_state)
-                env_rewards[t, i] = tr.env_reward
+                rewards[t, i] = tr.env_reward  # the constraint reward is added below
                 ep_returns[i] += tr.env_reward
                 if tr.done:
                     dones[t, i] = 1.0
@@ -376,14 +351,12 @@ class Trainer:
             states[t] = step_states
             actions[t] = acts
             values[t] = vals
-            log_probs[t] = logps
-            rewards[t] = env_rewards[t] + r_c if cfg.use_env_reward else r_c
+            rewards[t] = rewards[t] + r_c if cfg.use_env_reward else r_c
             step_states = np.array(following)
 
         self._ep_returns = np.array(ep_returns)
         bootstrap = self.agent.values_batch(step_states)
-        buffer = RolloutBuffer(states, actions, rewards, env_rewards, dones,
-                               values, log_probs, next_states, bootstrap)
+        buffer = RolloutBuffer(states, actions, rewards, dones, values, next_states, bootstrap)
         n = buffer.steps
         side = {
             "completed": completed,
@@ -396,7 +369,8 @@ class Trainer:
     def _train_iteration(self) -> dict:
         cfg = self.config
         buffer, side = self._collect_rollout()
-        advantages, returns = buffer.gae(cfg.gamma, cfg.gae_lambda)
+        advantages, returns = gae_batch(buffer.rewards, buffer.values, buffer.dones,
+                                        cfg.gamma, cfg.gae_lambda, buffer.bootstrap_values)
 
         flat_states = buffer.flat_states()
         loss_pv, pi_grads, vf_grads, stats = policy_value_loss(
@@ -511,13 +485,24 @@ class Trainer:
 
     @staticmethod
     def load_checkpoint(directory) -> "Trainer":
-        """Rebuild a trainer that continues bit-identically to the saved one."""
+        """Rebuild a trainer that continues bit-identically to the saved one.
+        A bundle that cannot be read or restored raises ValueError."""
         path = os.path.join(directory, "state.json")
         try:
             with open(path) as fp:
                 state = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
+        try:
+            return Trainer._restore(directory, state)
+        except (KeyError, TypeError, AttributeError) as exc:
+            # an entry missing from state.json, or of the wrong kind
+            raise ValueError(
+                f"unreadable checkpoint at {directory}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    @staticmethod
+    def _restore(directory, state: dict) -> "Trainer":
         if state.get("version") != VERSION_TAG:
             raise ValueError(
                 f"checkpoint version {state.get('version')!r} does not match {VERSION_TAG!r}"

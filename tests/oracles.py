@@ -20,7 +20,7 @@ import numpy as np
 from logicrl import constraints as fl
 from logicrl.envs import StateSchema
 from logicrl.tensor import ParamSet
-from logicrl.training import EvalResult, _episode_end_label
+from logicrl.training import EvalResult
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
@@ -521,7 +521,7 @@ def reference_evaluate_policy(agent, env, bound, eval_steps: int, seed=None,
         ep_return += t.env_reward
         if t.done:
             episode_returns.append(ep_return)
-            label = _episode_end_label(env, t.next_state)
+            label = env.end_label(t.next_state)
             end_counts[label] = end_counts.get(label, 0) + 1
             ep_return = 0.0
             state = env.reset()

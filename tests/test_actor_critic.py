@@ -44,7 +44,7 @@ def test_act_uniform_frequencies():
     agent = zero_policy_agent()
     rng = np.random.default_rng(0)
     states = np.zeros((100_000, 3))
-    actions, _, _ = agent.act_batch(states, rng)
+    actions, _ = agent.act_batch(states, rng)
     freqs = np.bincount(actions, minlength=5) / len(actions)
     assert np.all(np.abs(freqs - 0.2) < 0.01)
 
@@ -52,19 +52,17 @@ def test_act_uniform_frequencies():
 def test_act_near_deterministic():
     agent = biased_logits_agent([10.0, -10.0])
     rng = np.random.default_rng(1)
-    actions, _, _ = agent.act_batch(np.zeros((20_000, 3)), rng)
+    actions, _ = agent.act_batch(np.zeros((20_000, 3)), rng)
     assert (actions == 0).mean() > 0.999
 
 
-def test_act_log_prob_is_log_softmax_of_logits():
+def test_act_values_are_the_value_heads():
     agent = ActorCritic(3, 4, hidden=(6,), seed=2)
     rng = np.random.default_rng(2)
-    state = np.array([0.3, -0.8, 1.1])
-    actions, logps, act_values = agent.act_batch(state[None, :], rng)
-    action, logp, value = int(actions[0]), float(logps[0]), float(act_values[0])
-    probs, values, _, _ = agent.policy_value(state[None, :])
-    assert abs(logp - math.log(probs[0, action])) < 1e-12
-    assert value == values[0]
+    states = np.array([[0.3, -0.8, 1.1], [-1.0, 0.2, 0.0]])
+    _, act_values = agent.act_batch(states, rng)
+    _, values, _, _ = agent.policy_value(states)
+    assert np.array_equal(act_values, values)
 
 
 def test_act_rejects_nonfinite_logits():
@@ -82,8 +80,8 @@ def test_greedy_batch_is_argmax():
 def test_sampling_reproducible_under_seed():
     agent = ActorCritic(3, 4, hidden=(6,), seed=3)
     states = np.random.default_rng(3).normal(size=(50, 3))
-    a1, _, _ = agent.act_batch(states, np.random.default_rng(99))
-    a2, _, _ = agent.act_batch(states, np.random.default_rng(99))
+    a1, _ = agent.act_batch(states, np.random.default_rng(99))
+    a2, _ = agent.act_batch(states, np.random.default_rng(99))
     assert np.array_equal(a1, a2)
 
 
@@ -258,27 +256,22 @@ def test_gae_input_validation():
         gae_column([1.0], [1.0, 2.0], [0.0], 0.9, 0.9)
 
 
-def test_rollout_buffer_gae_and_flattening():
+def test_rollout_buffer_flattening():
     rng = np.random.default_rng(9)
     T, B, d = 7, 3, 2
     buffer = RolloutBuffer(
         states=rng.normal(size=(T, B, d)),
         actions=rng.integers(0, 4, size=(T, B)),
         rewards=rng.normal(size=(T, B)),
-        env_rewards=rng.normal(size=(T, B)),
         dones=(rng.random((T, B)) < 0.2).astype(float),
         values=rng.normal(size=(T, B)),
-        log_probs=rng.normal(size=(T, B)),
         next_states=rng.normal(size=(T, B, d)),
         bootstrap_values=rng.normal(size=B),
     )
     assert buffer.steps == T * B
-    adv, ret = buffer.gae(0.95, 0.9)
-    adv2, ret2 = gae_batch(buffer.rewards, buffer.values, buffer.dones,
-                           0.95, 0.9, buffer.bootstrap_values)
-    assert np.array_equal(adv, adv2) and np.array_equal(ret, ret2)
     assert buffer.flat_states().shape == (T * B, d)
     assert np.array_equal(buffer.flat_states()[B + 1], buffer.states[1, 1])
+    assert np.array_equal(buffer.flat_next_states()[B + 1], buffer.next_states[1, 1])
     assert buffer.flat_actions()[B + 1] == buffer.actions[1, 1]
 
 

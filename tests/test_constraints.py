@@ -93,6 +93,20 @@ def test_parse_errors_carry_position(source):
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize("source, line, col", [
+    ("s[0] <= \u00b2", 1, 9),          # superscript two
+    ("s[\u00b2] <= 1", 1, 3),
+    ("s[\u0663] <= 1", 1, 3),          # Arabic-Indic three, once read as s[3]
+    ("s[0] <= 1\u0663", 1, 10),
+    ("# note\n  1.5 <= \u00b3", 2, 10),
+], ids=["superscript-literal", "superscript-index", "arabic-index", "arabic-suffix",
+        "second-line"])
+def test_only_ascii_digits_make_numbers(source, line, col):
+    with pytest.raises(fl.FLSyntaxError) as exc:
+        fl.parse(source)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_load_constraint_file(tmp_path):
     path = tmp_path / "keepout.fl"
     path.write_text("# keep away\nforall u in unsafe: 1.5 <= norm2(s - u)\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +12,7 @@ from logicrl.envs import (
     EpisodeOver,
     GridLayout,
     GridWorld,
-    default_registry,
     make_env,
-    unwrap,
 )
 from oracles import ReferenceCartPole, ReferenceGridStepper
 
@@ -560,25 +560,77 @@ def test_delayed_validation_and_snapshot():
     assert r1 == r2
 
 
-# -- registry and factory ---------------------------------------------------------
+# -- what the trainer asks of an environment ------------------------------------------
 
 
 def test_default_registry_grid():
-    env = GridWorld()
-    reg = default_registry(env)
-    assert set(reg.names()) == {"unsafe", "target"}
+    reg = GridWorld().registry()
+    assert reg.names() == ["unsafe", "target"]
     assert reg.points("unsafe").shape == (36, 2)
-    assert reg.points("target").shape == (1, 2)
+    assert reg.points("target").tolist() == [[19.0, 19.0]]
 
 
 def test_default_registry_cartpole_empty():
-    assert len(default_registry(CartPole())) == 0
+    assert len(CartPole().registry()) == 0
 
 
 def test_default_registry_unwraps():
-    env = DelayedReward(GridWorld(), 4)
-    assert len(default_registry(env)) == 2
-    assert isinstance(unwrap(env), GridWorld)
+    """The delayed-reward wrapper answers with its inner env's registry,
+    layout, end label and feature scale."""
+    inner = GridWorld()
+    env = DelayedReward(inner, 4)
+    assert len(env.registry()) == 2
+    assert env.layout is inner.layout
+    assert env.feature_scale == (19.0, 19.0)
+    assert env.end_label([19, 19]) == "target"
+    assert env.schema is inner.schema and env.max_steps == inner.max_steps
+    assert DelayedReward(CartPole(), 2).layout is None
+
+
+def test_delayed_reward_copies_and_pickles():
+    """copy and pickle probe a bare instance before its state is restored;
+    the pass-through must not recurse looking for `env`."""
+    env = DelayedReward(GridWorld(seed=3), 4)
+    env.step(1)
+    for clone in (copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        assert clone.get_state() == env.get_state()
+        assert np.array_equal(clone.state, env.state)
+    with pytest.raises(AttributeError):
+        DelayedReward.__new__(DelayedReward).layout
+
+
+@pytest.mark.parametrize("cell, label", [
+    ((19, 19), "target"),   # the target corner
+    ((0, 9), "unsafe"),     # the band, left of the bridge
+    ((9, 9), "cap"),        # on the bridge
+    ((0, 0), "cap"),        # the start cell
+    ((5, 5), "cap"),
+])
+def test_grid_end_label(cell, label):
+    assert GridWorld().end_label(np.array(cell, dtype=np.float64)) == label
+
+
+@pytest.mark.parametrize("state, label", [
+    ((2.41, 0.0, 0.0, 0.0), "bound"),
+    ((-2.41, 0.0, 0.0, 0.0), "bound"),
+    ((0.0, 0.0, 0.21, 0.0), "bound"),
+    ((0.0, 0.0, -0.21, 0.0), "bound"),
+    ((2.4, 5.0, 0.2095, -5.0), "cap"),   # on the limits is inside
+    ((0.0, 0.0, 0.0, 0.0), "cap"),
+])
+def test_cartpole_end_label(state, label):
+    assert CartPole().end_label(np.array(state)) == label
+
+
+def test_cartpole_end_label_agrees_with_step():
+    """An episode that a step ends early is labelled "bound" from its
+    last state; the same check decides both."""
+    env = CartPole(seed=4)
+    t = env.step(1)
+    while not t.done:
+        t = env.step(1)
+    assert env._steps < env.max_steps
+    assert env.end_label(t.next_state) == "bound"
 
 
 def test_make_env():

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -379,6 +380,20 @@ def test_export_value_grid_exact_round_trip(tmp_path):
     assert np.array_equal(read_value_grid(csv_path), values)  # repr is exact
 
 
+def test_cli_value_grid_default_svg_sits_beside_the_csv(tmp_path, monkeypatch, capsys):
+    """Without --svg the heatmap goes to the --out path with its extension
+    swapped for .svg; a dot in a directory name is not an extension."""
+    trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+                      "gridworld", seed=0)
+    trainer.save_checkpoint(tmp_path / "ckpt")
+    monkeypatch.chdir(tmp_path)
+    for out, svg in (("out.d/values", "out.d/values.svg"), ("grid.csv", "grid.svg")):
+        assert main(["value-grid", "ckpt", "--out", out]) == 0
+        assert capsys.readouterr().out.split() == [out, svg]
+        assert (tmp_path / out).is_file() and (tmp_path / svg).is_file()
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_export_value_grid_rejects_cartpole(tmp_path):
     trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
                       "cartpole", seed=0)
@@ -527,6 +542,21 @@ def test_cli_eval_of_damaged_checkpoint_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "policy.params" in err and "Traceback" not in err
+
+
+def test_cli_eval_of_tampered_state_exits_2(tmp_path, capsys):
+    """A state.json with a key removed is an unreadable checkpoint (exit 2),
+    not a traceback."""
+    ckpt = tmp_path / "ckpt"
+    Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+            "gridworld", seed=0).save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    del state["eval_count"]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    assert main(["eval", str(ckpt), "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "eval_count" in err and "Traceback" not in err
 
 
 def test_cli_eval_of_checkpoint_with_foreign_net_exits_2(tmp_path, capsys):

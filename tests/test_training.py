@@ -57,20 +57,51 @@ def test_config_defaults_and_validation():
     assert roundtrip == cfg
 
 
+# -- policy features -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("env_id, scale", [
+    ("gridworld", (19.0, 19.0)),
+    ("cartpole", (2.4, 3.0, 0.2095, 3.0)),
+])
+def test_scaled_features_divide_by_the_env_scale(env_id, scale):
+    tr = Trainer(tiny_config(policy_features="scaled"), env_id, seed=0)
+    assert tr.agent.policy_config.layer_sizes[0] == len(scale)
+    states = np.array([scale, np.multiply(scale, -0.5)])
+    assert np.array_equal(tr.agent.featurize(states), [[1.0] * len(scale), [-0.5] * len(scale)])
+
+
+def test_policy_features_follow_the_env():
+    """"auto" is one-hot cell indices on the grid and the raw state on
+    cart-pole; "onehot" has no meaning on cart-pole."""
+    grid = Trainer(tiny_config(), "gridworld", seed=0)
+    assert grid.agent.policy_config.layer_sizes[0] == 400
+    assert grid.agent.featurize(np.array([[3.0, 2.0]])).tolist() == [[43]]
+    cart = Trainer(tiny_config(), "cartpole", seed=0)
+    assert cart.agent.policy_config.layer_sizes[0] == 4
+    with pytest.raises(ValueError, match="onehot"):
+        Trainer(tiny_config(policy_features="onehot"), "cartpole", seed=0)
+
+
 # -- reward composition ----------------------------------------------------------
 
 
 def test_compose_reward_cases():
     """The rollout trains on env reward plus constraint reward, or on the
-    constraint reward alone (d = 5 cart-pole: env rewards are 0 or sums)."""
+    constraint reward alone (d = 5 cart-pole: env rewards are 0 or sums).
+    A formula-free run of the same seed takes the same actions, so its
+    rewards are the env rewards alone."""
+    env_rewards = Trainer(tiny_config(), "cartpole", seed=1, d=5)._collect_rollout()[0].rewards
+    assert env_rewards.max() > 1.0
     for use_env in (True, False):
         for text, r_c in (("-100 <= s[0]", 0.5), ("s[0] > 100", 0.0)):
             cfg = tiny_config(use_env_reward=use_env, constraint_reward_weight=0.5)
             tr = Trainer(cfg, "cartpole", seed=1, d=5, formula=fl.parse(text))
             buffer, _ = tr._collect_rollout()
-            assert buffer.env_rewards.max() > 1.0
-            expected = buffer.env_rewards + r_c if use_env else np.full((8, 4), r_c)
+            expected = env_rewards + r_c if use_env else np.full((8, 4), r_c)
             assert np.array_equal(buffer.rewards, expected)
+            if use_env:  # the delayed env reward, read back
+                assert (buffer.rewards - r_c).max() > 1.0
 
 
 def test_constraint_reward_tautology_and_unsat():
@@ -102,7 +133,7 @@ def test_constraint_reward_near_band_with_perfect_model():
     for env in tr.envs:
         env.set_state({**env.get_state(), "pos": [5, 8]})
     up_down = np.array([2, 3])
-    tr.agent.act_batch = lambda states, rng: (up_down, np.zeros(2), np.zeros(2))
+    tr.agent.act_batch = lambda states, rng: (up_down, np.zeros(2))
     buffer, _ = tr._collect_rollout()
     assert buffer.rewards[0].tolist() == [0.0, 1.0]   # up, toward the band; down, away
 
@@ -300,6 +331,23 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
         Trainer.load_checkpoint(tmp_path / "ckpt")
 
 
+def test_load_checkpoint_rejects_tampered_state(tmp_path):
+    """A state.json missing any top-level key, or whose config holds an
+    unknown key, is refused with ValueError, never a KeyError or TypeError."""
+    ckpt = tmp_path / "ckpt"
+    grid_trainer(KEEPOUT, seed=3).save_checkpoint(ckpt)
+    good = json.loads((ckpt / "state.json").read_text())
+    tampered = [({k: v for k, v in good.items() if k != key}, key) for key in good]
+    tampered.append(({**good, "config": {**good["config"], "bogus": 1}}, "bogus config key"))
+    for state, what in tampered:
+        (ckpt / "state.json").write_text(json.dumps(state))
+        message = "version" if what == "version" else "unreadable checkpoint at"
+        with pytest.raises(ValueError, match=message):
+            Trainer.load_checkpoint(ckpt)
+    (ckpt / "state.json").write_text(json.dumps(good))
+    assert Trainer.load_checkpoint(ckpt).steps == good["steps"]
+
+
 def test_load_checkpoint_refuses_old_text_format(tmp_path):
     """A bundle of the text format (paramset-v1 files, optimizer moments as
     JSON lists in state.json) is refused by its version, before any .params
@@ -453,7 +501,7 @@ from logicrl.training import Trainer
 
 run = build_run_config(parse_kv_file(sys.argv[1]))
 sys3 = dataclasses.replace(run.sys3, constraint_file=run.constraint)
-tr = Trainer(sys3, run.env, seed=0, layout=_layout_for(run), d=run.d)
+tr = Trainer(sys3, run.env, seed=0, layout=_layout_for(run.env, run.layout), d=run.d)
 for _ in range(3):
     tr.train_iteration()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
