@@ -25,16 +25,6 @@ class NonFiniteLogits(ValueError):
     """Policy produced NaN/Inf logits; carries the offending state batch."""
 
 
-def identity_features(dim: int) -> tuple[int, Callable]:
-    return dim, lambda states: states
-
-
-def scaled_features(scale) -> tuple[int, Callable]:
-    """Divide each component by a fixed positive scale."""
-    scale = np.asarray(scale, dtype=np.float64)
-    return len(scale), lambda states: states / scale
-
-
 def grid_onehot_features(width: int, height: int) -> tuple[int, Callable]:
     """One-hot cell indicator for integer (x, y) grid states, given as an
     (n, 1) int64 column of cell indices y * width + x: mlp_forward reads an

@@ -27,6 +27,7 @@ that evaluates states, one at a time or as a batch of rows.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -183,16 +184,12 @@ class ObjectRegistry:
 
 
 def _norm_rows(diff: np.ndarray, p: float) -> np.ndarray:
-    """p-norm along the last axis, for p >= 1 or inf."""
+    """p-norm along the last axis, for p in {1, 2, inf}."""
     if p == 2.0:
         # no np.abs copy: (-x) * (-x) == x * x bit for bit
         return np.sqrt(np.sum(diff * diff, axis=-1))
     a = np.abs(diff)
-    if p == math.inf:
-        return a.max(axis=-1)
-    if p == 1.0:
-        return a.sum(axis=-1)
-    return np.sum(a**p, axis=-1) ** (1.0 / p)
+    return a.max(axis=-1) if p == math.inf else a.sum(axis=-1)
 
 
 # Below 8 terms np.sum adds sequentially, so a running sum over the
@@ -238,83 +235,35 @@ class _Token:
     col: int
 
 
-# ASCII only: str.isdigit also accepts digits such as '²' or '٣', which
-# float() and int() then reject or read as other numbers
-_DIGITS = frozenset("0123456789")
+# One named group per token kind, tried in order; every character is matched
+# by some group. Digits are ASCII only: str.isdigit also accepts digits such
+# as '²' or '٣', which float() and int() then reject or read as other numbers.
+_TOKEN_RE = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
+  | (?P<NUMBER>[0-9]+ (?:\.[0-9]+)? (?:[eE][+-]?[0-9]+)?)
+  | (?P<IDENT>\w+)          # must start where str.isalpha() or "_" holds
+  | (?P<CMP>[<>]=?)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
+  | (?P<COMMA>,) | (?P<COLON>:) | (?P<MINUS>-) | (?P<DOT>\.)
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    simple = {
-        "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
-        ",": "COMMA", ":": "COLON", "-": "MINUS", ".": "DOT",
-    }
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "<>":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(_Token("CMP", ch + "=", line, start_col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("CMP", ch, line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            text = source[i:j]
-            tokens.append(_Token("NUMBER", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text.upper() if text in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise FLSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+            raise FLSyntaxError(f"unexpected character {text[0]!r}", line, col)
+        elif kind != "SKIP":
+            if kind == "IDENT" and text in _KEYWORDS:
+                kind = text.upper()
+            tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -631,6 +580,8 @@ class BoundFormula:
                     f"component s[{expr.index}] out of range for schema of size {self.schema.size}"
                 )
         elif isinstance(expr, NormDistance):
+            if expr.p not in _NORM_NAMES.values():
+                raise BindError(f"norm order {expr.p} is not one of 1, 2, inf")
             ld = self._vector_dim(expr.left, var_dims)
             rd = self._vector_dim(expr.right, var_dims)
             # -1 marks a variable over an empty (vacuous) set: width unknown
@@ -774,7 +725,7 @@ class BoundFormula:
         right, right_fn = self._compile_vector(expr.right, scope)
         if left_fn is None and right_fn is None:
             return _norm_rows(left - right, p), None
-        if (left_fn is None) != (right_fn is None) and p in (1.0, 2.0, math.inf):
+        if (left_fn is None) != (right_fn is None):
             ref, const = (expr.left, right) if right_fn is None else (expr.right, left)
             cols = self._state_columns(ref)
             if len(cols) <= _PLANE_NORM_MAX_WIDTH:

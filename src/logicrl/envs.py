@@ -4,7 +4,7 @@ Two environments: a 20x20 slippery grid world whose target sits behind a
 bridge through a band of unsafe cells, and the classic cart-pole balancing
 task. Both expose reset/step, a state schema with named slices, a discrete
 action spec, and what the trainer asks of an environment: its grid `layout`,
-anchor `registry()`, episode `end_label` and `feature_scale`. A wrapper
+anchor `registry()` and episode `end_label`. A wrapper
 defers environment reward into d-step sums.
 """
 from __future__ import annotations
@@ -326,11 +326,6 @@ class GridWorld:
 
     # -- what the trainer asks of an environment ------------------------------
 
-    @property
-    def feature_scale(self) -> tuple[float, ...]:
-        """Per-component divisor of the "scaled" policy features."""
-        return (self.layout.width - 1.0, self.layout.height - 1.0)
-
     def registry(self) -> ObjectRegistry:
         """Anchor sets: the unsafe and target cell centers."""
         registry = ObjectRegistry()
@@ -416,7 +411,6 @@ class CartPole:
 
     max_steps = 500
     layout = None
-    feature_scale = (CART_X_LIMIT, 3.0, POLE_ANGLE_LIMIT, 3.0)
 
     gravity = 9.8
     mass_cart = 1.0

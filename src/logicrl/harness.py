@@ -67,8 +67,6 @@ class RunConfig:
             raise ConfigError("eval_every and eval_horizon must be >= 1")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-        if self.env == "cartpole" and self.sys3.policy_features == "onehot":
-            raise ConfigError("policy_features onehot only applies to the gridworld env")
 
 
 def _parse_bool(text: str) -> bool:
@@ -113,8 +111,6 @@ CONFIG_KEYS = (
     ("value_coef", "sys3", "value_coef", float),
     ("hidden", "sys3", "hidden", _parse_ints),
     ("optimizer", "sys3", "optimizer", str),
-    ("policy_features", "sys3", "policy_features", str),
-    ("model_warmup_iters", "sys3", "model_warmup_iters", int),
 )
 _KEY_ROWS = {row[0]: row for row in CONFIG_KEYS}
 
@@ -212,9 +208,6 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     multiple of eval_every, snapped to the iteration boundary; the actual
     step count is what lands in metrics.csv.
     """
-    sys3 = config.sys3
-    if config.constraint != "none":
-        sys3 = replace(sys3, constraint_file=config.constraint)
     run_dir = run_dir_for(config, seed)
     checkpoints = os.path.join(run_dir, "checkpoints")
     os.makedirs(checkpoints, exist_ok=True)
@@ -229,7 +222,9 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
         fp.write(snapshot_text(config, seed))
 
     layout = _layout_for(config.env, config.layout)
-    trainer = Trainer(sys3, config.env, seed=seed, layout=layout, d=config.d)
+    formula = fl.load_constraint_file(config.constraint) if config.constraint != "none" else None
+    trainer = Trainer(config.sys3, config.env, seed=seed, layout=layout, d=config.d,
+                      formula=formula)
     next_eval_at = config.eval_every
     metrics_path = os.path.join(run_dir, "metrics.csv")
     train_log_path = os.path.join(run_dir, "train_log.csv")
@@ -238,7 +233,7 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
         metrics_fp.write(METRICS_HEADER + "\n")
         log_fp.write(TRAIN_LOG_HEADER + "\n")
         try:
-            while trainer.steps < sys3.total_steps:
+            while trainer.steps < config.sys3.total_steps:
                 last = trainer.train_iteration()
                 # every value is a Python int or float, so repr is its text
                 log_fp.write(",".join(repr(last[k]) for k in TRAIN_LOG_KEYS) + "\n")
@@ -415,18 +410,6 @@ def export_value_grid(checkpoint: str, out_csv: str, out_svg: str | None = None)
         with open(out_svg, "w") as fp:
             fp.write(heatmap_svg(values, title="state values V(s)"))
     return values
-
-
-def read_value_grid(path) -> np.ndarray:
-    """Parse a value-grid CSV back into an (h, w) array."""
-    rows = []
-    with open(path) as fp:
-        fp.readline()
-        for line in fp:
-            parts = line.strip().split(",")
-            if parts and parts[0] != "":
-                rows.append([float(v) for v in parts[1:]])
-    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

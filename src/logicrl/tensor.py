@@ -25,10 +25,12 @@ OPTIMIZERS = ("sgd", "adam")
 # glibc's mallopt parameters (malloc.h) and the values set for them. An update
 # pass frees a few MB of (rows x hidden) activations. On the grid bridge config
 # the faults stopped only with an mmap threshold of at least 1.5 MiB and a trim
-# threshold of at least 5.5 MiB; a larger trim threshold keeps more freed
-# memory resident.
+# threshold of at least 5.5 MiB; at 6 MiB some heap layouts (they move with
+# the length of sys.path entries) still gave back and re-faulted about 5.6 MB
+# once in the first dozen iterations, which 8 MiB did not. A larger trim
+# threshold keeps more freed memory resident.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_TRIM_BYTES = 6 << 20
+_HEAP_TRIM_BYTES = 8 << 20
 _HEAP_MMAP_BYTES = 2 << 20
 
 

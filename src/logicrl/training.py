@@ -22,9 +22,7 @@ from .actor_critic import (
     RolloutBuffer,
     gae_batch,
     grid_onehot_features,
-    identity_features,
     policy_value_loss,
-    scaled_features,
 )
 from .dynamics import ForwardModel
 from .envs import GridLayout, make_env
@@ -32,9 +30,7 @@ from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_fil
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.3.0"
-
-POLICY_FEATURES = ("auto", "raw", "scaled", "onehot")
+VERSION_TAG = "logicrl-0.4.0"
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
@@ -71,15 +67,12 @@ class System3Config:
     rollout_length: int = 100
     batch_size: int = 20
     total_steps: int = 1_000_000
-    constraint_file: Optional[str] = None
     constraint_reward_weight: float = 1.0
     use_env_reward: bool = True
     entropy_coef: float = 0.01
     value_coef: float = 0.5
     hidden: tuple[int, ...] = (64, 64)
     optimizer: str = "adam"
-    policy_features: str = "auto"
-    model_warmup_iters: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -101,8 +94,6 @@ class System3Config:
             raise ValueError(f"hidden must list at least one layer size >= 1, got {self.hidden}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r} (one of {OPTIMIZERS})")
-        if self.policy_features not in POLICY_FEATURES:
-            raise ValueError(f"unknown policy_features {self.policy_features!r}")
 
     @property
     def steps_per_iteration(self) -> int:
@@ -200,20 +191,6 @@ def evaluate_policy(
     )
 
 
-def _build_featurizer(kind: str, env):
-    layout = env.layout
-    if kind == "auto":
-        kind = "onehot" if layout is not None else "raw"
-    if kind == "raw":
-        return identity_features(env.schema.size)
-    if kind == "scaled":
-        return scaled_features(env.feature_scale)
-    if kind == "onehot":
-        if layout is None:
-            raise ValueError("onehot features only apply to the grid world")
-        return grid_onehot_features(layout.width, layout.height)
-
-
 class Trainer:
     """Owns the environments, the two learners and one optimizer per
     parameter set (`optimizers`, keyed policy/value/forward)."""
@@ -245,7 +222,11 @@ class Trainer:
         self.schema = env0.schema
         self.n_actions = env0.action_spec.count
 
-        feat_dim, featurize = _build_featurizer(config.policy_features, env0)
+        # the grid policy reads a one-hot cell index, cart-pole's the raw state
+        if self.layout is not None:
+            feat_dim, featurize = grid_onehot_features(self.layout.width, self.layout.height)
+        else:
+            feat_dim, featurize = self.schema.size, None
         self.agent = ActorCritic(
             feat_dim,
             self.n_actions,
@@ -267,8 +248,6 @@ class Trainer:
         self.action_rng = np.random.default_rng(action_seed)
 
         self.formula = formula
-        if self.formula is None and config.constraint_file:
-            self.formula = fl.load_constraint_file(config.constraint_file)
         self.registry = env0.registry()
         self.bound = (
             fl.bind(self.formula, self.registry, self.schema)
@@ -388,14 +367,12 @@ class Trainer:
                 {"iteration": self.iteration, "loss_pv": loss_pv, "loss_f": loss_f},
             )
 
-        warmup = self.iteration < cfg.model_warmup_iters
-        if not warmup:
-            self.agent.policy_params = self.optimizers["policy"].step(
-                self.agent.policy_params, pi_grads.scaled(cfg.lam)
-            )
-            self.agent.value_params = self.optimizers["value"].step(
-                self.agent.value_params, vf_grads.scaled(cfg.lam)
-            )
+        self.agent.policy_params = self.optimizers["policy"].step(
+            self.agent.policy_params, pi_grads.scaled(cfg.lam)
+        )
+        self.agent.value_params = self.optimizers["value"].step(
+            self.agent.value_params, vf_grads.scaled(cfg.lam)
+        )
         self.model.params = self.optimizers["forward"].step(
             self.model.params, fwd_grads.scaled(cfg.beta)
         )
@@ -508,6 +485,12 @@ class Trainer:
                 f"checkpoint version {state.get('version')!r} does not match {VERSION_TAG!r}"
             )
         config = System3Config.from_dict(state["config"])
+        for key in ("ep_returns", "env_snapshots"):
+            if len(state[key]) != config.batch_size:
+                raise ValueError(
+                    f"unreadable checkpoint at {directory}: {len(state[key])} {key} "
+                    f"for batch_size {config.batch_size}"
+                )
         layout = GridLayout.from_text(state["layout"]) if state["layout"] else None
         formula = fl.parse(state["formula"]) if state["formula"] else None
         trainer = Trainer(

@@ -3,8 +3,10 @@
 
 The two training-based fixtures are session-scoped and shared: the grid
 bridge experiments back criteria 5, 6 and 8; the cart-pole experiments back
-criterion 7. Those four tests are marked `slow` (the fixtures take
-minutes), so `pytest -m "not slow"` runs everything else. Baseline runs
+criterion 7. They train each experiment's seeds in parallel worker
+processes, which write the same bytes as a sequential run. Those four tests
+are marked `slow` (the fixtures take minutes), so `pytest -m "not slow"`
+runs everything else. Baseline runs
 train without any formula, so their safety is scored afterwards by
 re-evaluating every saved checkpoint under the same formula and derived
 evaluation seed the training loop used.
@@ -101,7 +103,7 @@ def grid_runs(tmp_path_factory):
         ("bridge_lb0", TAUTOLOGY),
     ):
         config = build_run_config(grid_run_values(out, experiment, constraint))
-        dirs[experiment] = run_train(config)
+        dirs[experiment] = run_train(config, parallel=True)
     return out, dirs
 
 
@@ -118,7 +120,7 @@ def cartpole_runs(tmp_path_factory):
             config = build_run_config(
                 cartpole_run_values(out, experiment, constraint, d, use_env)
             )
-            dirs[experiment] = run_train(config)
+            dirs[experiment] = run_train(config, parallel=True)
     return out, dirs
 
 

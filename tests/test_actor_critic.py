@@ -10,7 +10,6 @@ from logicrl.actor_critic import (
     gae_batch,
     grid_onehot_features,
     policy_value_loss,
-    scaled_features,
     standardize_advantages,
 )
 from logicrl.envs import GridWorld
@@ -142,12 +141,6 @@ def test_index_and_dense_onehot_give_the_same_loss_bits():
     for got, want in ((pi_i, pi_d), (vf_i, vf_d)):
         assert got.layout == want.layout
         assert got.flat().tobytes() == want.flat().tobytes()
-
-
-def test_scaled_features():
-    dim, feats = scaled_features([2.0, 4.0])
-    assert dim == 2
-    assert np.allclose(feats(np.array([[1.0, 2.0]])), [[0.5, 0.5]])
 
 
 # -- GAE -----------------------------------------------------------------------------

@@ -107,6 +107,17 @@ def test_only_ascii_digits_make_numbers(source, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+def test_end_of_input_after_a_comment_sits_past_the_last_character():
+    """The end-of-input position is one past the last character, also when
+    the input ends in a comment."""
+    with pytest.raises(fl.FLSyntaxError) as exc:
+        fl.parse("1 <= # no right side")
+    assert (exc.value.line, exc.value.col) == (1, 21)
+    with pytest.raises(fl.FLSyntaxError) as exc:
+        fl.parse("1 <=\n  # no right side\n")
+    assert (exc.value.line, exc.value.col) == (3, 1)
+
+
 def test_load_constraint_file(tmp_path):
     path = tmp_path / "keepout.fl"
     path.write_text("# keep away\nforall u in unsafe: 1.5 <= norm2(s - u)\n")
@@ -233,21 +244,20 @@ def test_norm_distance_identity_and_errors():
     for p in (1.0, 2.0, math.inf):
         assert norm_distance(x, x, p) == 0.0
         assert formula_distance_is(x, x, p, 0.0)
-    assert fl._norm_rows((x - x)[None, :], 3.0)[0] == 0.0
     with pytest.raises(fl.BindError):
         fl.bind(fl.parse("norm2(s - [1, 2, 3]) <= 1"), fl.ObjectRegistry(), GRID_SCHEMA)
     with pytest.raises(fl.FLSyntaxError):
         fl.parse("norm3(s - [0, 0]) <= 1")
 
 
-def test_norm_distance_general_p_matches_numpy():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a, b = rng.normal(size=(2, 4))
-        p = float(rng.uniform(1, 5))
-        got = fl._norm_rows((a - b)[None, :], p)[0]
-        assert np.isclose(got, np.linalg.norm(a - b, ord=p))
-        assert np.isclose(got, norm_distance(a, b, p))
+@pytest.mark.parametrize("p", [3.0, 0.5, 0.0, math.nan])
+def test_bind_rejects_norm_orders_the_grammar_cannot_write(p):
+    """The grammar writes p in {1, 2, inf} only; a hand-built NormDistance
+    with another order is refused at bind time, not evaluated."""
+    norm = fl.NormDistance(p, fl.StateRef(None), fl.PointLiteral((0.0, 0.0)))
+    with pytest.raises(fl.BindError, match="norm order"):
+        fl.bind(fl.Atom(fl.Comparison(norm, "<=", fl.Literal(1.0))),
+                fl.ObjectRegistry(), GRID_SCHEMA)
 
 
 # -- rendering ----------------------------------------------------------------

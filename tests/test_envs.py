@@ -576,12 +576,11 @@ def test_default_registry_cartpole_empty():
 
 def test_default_registry_unwraps():
     """The delayed-reward wrapper answers with its inner env's registry,
-    layout, end label and feature scale."""
+    layout and end label."""
     inner = GridWorld()
     env = DelayedReward(inner, 4)
     assert len(env.registry()) == 2
     assert env.layout is inner.layout
-    assert env.feature_scale == (19.0, 19.0)
     assert env.end_label([19, 19]) == "target"
     assert env.schema is inner.schema and env.max_steps == inner.max_steps
     assert DelayedReward(CartPole(), 2).layout is None

@@ -20,7 +20,6 @@ from logicrl.harness import (
     export_value_grid,
     parse_kv_file,
     read_metrics_csv,
-    read_value_grid,
     run_eval,
     run_dir_for,
     run_train,
@@ -364,7 +363,7 @@ def test_export_value_grid_zero_head_and_round_trip(tmp_path):
     values = export_value_grid(str(ckpt), str(csv_path), str(svg_path))
     assert values.shape == (20, 20)
     assert np.all(values == 0.0)
-    assert np.array_equal(read_value_grid(csv_path), values)
+    assert np.array_equal(np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1:], values)
     with open(svg_path) as fp:
         assert fp.read().startswith("<svg")
 
@@ -377,7 +376,8 @@ def test_export_value_grid_exact_round_trip(tmp_path):
     trainer.save_checkpoint(ckpt)
     csv_path = tmp_path / "grid.csv"
     values = export_value_grid(str(ckpt), str(csv_path))
-    assert np.array_equal(read_value_grid(csv_path), values)  # repr is exact
+    # repr is exact
+    assert np.array_equal(np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1:], values)
 
 
 def test_cli_value_grid_default_svg_sits_beside_the_csv(tmp_path, monkeypatch, capsys):
@@ -511,11 +511,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags, named", [
     (["--optimizer", "rmsprop"], "optimizer"),
-    (["--policy-features", "bogus"], "policy_features"),
+    (["--beta", "2"], "beta"),
     (["--hidden", ","], "hidden"),
     (["--lr", "nan"], "learning_rate"),
     (["--eval-every", "x"], "eval_every"),
-    (["--env", "cartpole", "--policy-features", "onehot"], "onehot"),
+    (["--batch-size", "0"], "batch_size"),
     (["--lambda", "nan"], "lam"),
     (["--entropy-coef", "nan"], "entropy_coef"),
     (["--value-coef", "inf"], "value_coef"),
@@ -527,6 +527,32 @@ def test_cli_rejects_bad_values_before_writing(tmp_path, capsys, flags, named):
     assert main(["train", "--seeds", "0", "--steps", "40", "--out", str(out), *flags]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--policy-features", "bogus"],
+    ["--env", "cartpole", "--policy-features", "onehot"],
+    ["--model-warmup-iters", "1"],
+])
+def test_cli_rejects_removed_option_flags(tmp_path, capsys, flags):
+    """The policy input follows the env and there is no model warm-up, so
+    their flags are unknown: argparse exits 2 before any run directory."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--seeds", "0", "--steps", "40", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["policy_features", "model_warmup_iters"])
+def test_config_file_with_removed_option_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seeds = 0\nsteps = 40\n{key} = 0\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_eval_of_damaged_checkpoint_exits_2(tmp_path, capsys):
@@ -557,6 +583,22 @@ def test_cli_eval_of_tampered_state_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "eval_count" in err and "Traceback" not in err
+
+
+def test_cli_eval_of_checkpoint_with_too_few_envs_exits_2(tmp_path, capsys):
+    """A bundle whose ep_returns and env_snapshots were both cut to one entry
+    (batch size 2) is refused before any environment resumes from it."""
+    ckpt = tmp_path / "ckpt"
+    Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+            "gridworld", seed=0).save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    state["ep_returns"] = state["ep_returns"][:1]
+    state["env_snapshots"] = state["env_snapshots"][:1]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    assert main(["eval", str(ckpt), "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "Traceback" not in err
 
 
 def test_cli_eval_of_checkpoint_with_foreign_net_exits_2(tmp_path, capsys):

@@ -60,27 +60,14 @@ def test_config_defaults_and_validation():
 # -- policy features -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("env_id, scale", [
-    ("gridworld", (19.0, 19.0)),
-    ("cartpole", (2.4, 3.0, 0.2095, 3.0)),
-])
-def test_scaled_features_divide_by_the_env_scale(env_id, scale):
-    tr = Trainer(tiny_config(policy_features="scaled"), env_id, seed=0)
-    assert tr.agent.policy_config.layer_sizes[0] == len(scale)
-    states = np.array([scale, np.multiply(scale, -0.5)])
-    assert np.array_equal(tr.agent.featurize(states), [[1.0] * len(scale), [-0.5] * len(scale)])
-
-
 def test_policy_features_follow_the_env():
-    """"auto" is one-hot cell indices on the grid and the raw state on
-    cart-pole; "onehot" has no meaning on cart-pole."""
+    """The grid policy reads one-hot cell indices, the cart-pole policy the
+    raw state."""
     grid = Trainer(tiny_config(), "gridworld", seed=0)
     assert grid.agent.policy_config.layer_sizes[0] == 400
     assert grid.agent.featurize(np.array([[3.0, 2.0]])).tolist() == [[43]]
     cart = Trainer(tiny_config(), "cartpole", seed=0)
     assert cart.agent.policy_config.layer_sizes[0] == 4
-    with pytest.raises(ValueError, match="onehot"):
-        Trainer(tiny_config(policy_features="onehot"), "cartpole", seed=0)
 
 
 # -- reward composition ----------------------------------------------------------
@@ -348,6 +335,20 @@ def test_load_checkpoint_rejects_tampered_state(tmp_path):
     assert Trainer.load_checkpoint(ckpt).steps == good["steps"]
 
 
+@pytest.mark.parametrize("key", ["ep_returns", "env_snapshots"])
+@pytest.mark.parametrize("length", [1, 5])
+def test_load_checkpoint_rejects_lists_not_one_per_env(tmp_path, key, length):
+    """ep_returns and env_snapshots hold one entry per environment; a bundle
+    with fewer or more than batch_size (4) is refused, not half restored."""
+    ckpt = tmp_path / "ckpt"
+    grid_trainer(KEEPOUT, seed=3).save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    state[key] = (state[key] * 2)[:length]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    with pytest.raises(ValueError, match=f"unreadable checkpoint at .*{length} {key}"):
+        Trainer.load_checkpoint(ckpt)
+
+
 def test_load_checkpoint_refuses_old_text_format(tmp_path):
     """A bundle of the text format (paramset-v1 files, optimizer moments as
     JSON lists in state.json) is refused by its version, before any .params
@@ -481,27 +482,17 @@ def test_evaluate_mean_return_counts_env_reward_only():
         assert all(r in (-1.0, 0.0, 1.0) for r in result.episode_returns)
 
 
-def test_model_warmup_trains_model_only():
-    tr = grid_trainer(KEEPOUT, model_warmup_iters=1, seed=9)
-    pi_before = tr.agent.policy_params.flat()
-    fwd_before = tr.model.params.flat()
-    tr.train_iteration()
-    assert np.array_equal(tr.agent.policy_params.flat(), pi_before)
-    assert not np.array_equal(tr.model.params.flat(), fwd_before)
-    tr.train_iteration()
-    assert not np.array_equal(tr.agent.policy_params.flat(), pi_before)
-
-
 # Run in a fresh process: glibc raises its own thresholds after freeing a large
 # mmapped block, so an earlier test in this process could hide the faults.
 FAULTS_PER_ITERATION = """
-import dataclasses, resource, sys
+import resource, sys
+from logicrl.constraints import load_constraint_file
 from logicrl.harness import _layout_for, build_run_config, parse_kv_file
 from logicrl.training import Trainer
 
 run = build_run_config(parse_kv_file(sys.argv[1]))
-sys3 = dataclasses.replace(run.sys3, constraint_file=run.constraint)
-tr = Trainer(sys3, run.env, seed=0, layout=_layout_for(run.env, run.layout), d=run.d)
+tr = Trainer(run.sys3, run.env, seed=0, layout=_layout_for(run.env, run.layout), d=run.d,
+             formula=load_constraint_file(run.constraint))
 for _ in range(3):
     tr.train_iteration()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
