@@ -491,10 +491,6 @@ def to_text(formula: Formula) -> str:
 _CMP_FN = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal, ">": np.greater}
 
 
-def _flip(op: str) -> str:
-    return {"<=": ">=", "<": ">", ">=": "<=", ">": "<"}[op]
-
-
 def _lifted(fn, depth: int, width: Optional[int] = None):
     """`fn` with one unit axis inserted per quantifier, after the row axis
     (and before the trailing vector axis of width `width`, if any)."""
@@ -516,29 +512,6 @@ def _flatten(f: Formula) -> list:
     for c in f.children:
         out.extend(_flatten(c) if type(c) is type(f) else [c])
     return out
-
-
-def _term_vs_literal(cmp: Comparison):
-    """(term, op, literal value) with the literal moved to the right, as
-    c <op> t is t <flipped op> c; None when neither side is a literal."""
-    if isinstance(cmp.rhs, Literal):
-        return cmp.lhs, cmp.op, cmp.rhs.value
-    if isinstance(cmp.lhs, Literal):
-        return cmp.rhs, _flip(cmp.op), cmp.lhs.value
-    return None
-
-
-def _box_bound(f: Formula):
-    """(column, sign, literal, strict) for an `s[i] <op> literal` atom, as
-    the upper bound sign * s[i] <op> sign * literal with <op> in {<=, <}:
-    s[i] >= c is -s[i] <= -c, exactly, since negation does not round.
-    None for any other formula."""
-    parts = _term_vs_literal(f.cmp) if isinstance(f, Atom) else None
-    if parts is None or not isinstance(parts[0], Component):
-        return None
-    term, op, value = parts
-    sign = 1.0 if op in ("<=", "<") else -1.0
-    return term.index, sign, sign * value, op in ("<", ">")
 
 
 class BoundFormula:
@@ -627,47 +600,11 @@ class BoundFormula:
         points = self.registry.points(f.set_name)
         if len(points) == 0:  # vacuous: true, and the body is never scored
             return _constant(np.ones((1,) * (len(scope) + 1), dtype=bool))
-        inner = scope + ((f.var, points),)
-        reduced = self._compile_reduced(f.body, inner)
-        if reduced is not None:
-            return reduced
-        body = self._compile(f.body, inner)
+        body = self._compile(f.body, scope + ((f.var, points),))
         return lambda s: body(s).all(axis=-1)
 
-    def _compile_reduced(self, body: Formula, scope: tuple):
-        """A `forall` whose body is `term <op> literal` (literal on either
-        side, or the atom under one `not`, as `exists` parses) as one
-        comparison of the term reduced over the anchor axis: comparing with
-        a constant is monotone, so `forall u: t(u) >= c` is `min t >= c`
-        and `forall u: not t(u) >= c` is `not max t >= c`. Exact, since
-        evaluate_batch admits only finite states and anchors are finite.
-        None when the body has another form or the term does not read the
-        state."""
-        negated = isinstance(body, Not)
-        atom = body.child if negated else body
-        parts = _term_vs_literal(atom.cmp) if isinstance(atom, Atom) else None
-        if parts is None:
-            return None
-        expr, op, c = parts
-        _, term = self._compile_scalar(expr, scope)
-        if term is None:
-            return None
-        cmp = _CMP_FN[op]
-        # min for a lower bound under forall; max under exists (`negated`)
-        reduce = (np.minimum if (op in (">=", ">")) != negated else np.maximum).reduce
-        if negated:
-            return lambda s: ~cmp(reduce(term(s), axis=-1), c)
-        return lambda s: cmp(reduce(term(s), axis=-1), c)
-
     def _compile_connective(self, f: Formula, scope: tuple):
-        children = _flatten(f)
-        parts = []
-        if isinstance(f, And):
-            bounds = [_box_bound(c) for c in children]
-            if sum(b is not None for b in bounds) > 1:
-                parts.append(self._compile_box([b for b in bounds if b], len(scope)))
-                children = [c for c, b in zip(children, bounds) if b is None]
-        parts += [self._compile(c, scope) for c in children]
+        parts = [self._compile(c, scope) for c in _flatten(f)]
         if len(parts) == 1:
             return parts[0]
         combine = np.logical_and if isinstance(f, And) else np.logical_or
@@ -680,22 +617,6 @@ class BoundFormula:
             return acc
 
         return connective
-
-    @staticmethod
-    def _compile_box(bounds: list, depth: int):
-        """Every `s[i] <op> literal` atom of one conjunction as one vectorized
-        comparison per strictness against (columns, literals) arrays."""
-        tests = []
-        for strict, cmp in ((False, np.less_equal), (True, np.less)):
-            picked = [b[:3] for b in bounds if b[3] == strict]
-            if picked:
-                cols, signs, lits = (np.array(v) for v in zip(*picked))
-                tests.append(lambda s, cols=cols, signs=signs, lits=lits, cmp=cmp:
-                             cmp(s[:, cols] * signs, lits).all(axis=1))
-        if len(tests) == 1:
-            return _lifted(tests[0], depth)
-        loose, strict = tests
-        return _lifted(lambda s: loose(s) & strict(s), depth)
 
     def _compile_atom(self, cmp: Comparison, scope: tuple):
         op = _CMP_FN[cmp.op]
@@ -730,10 +651,8 @@ class BoundFormula:
             cols = self._state_columns(ref)
             if len(cols) <= _PLANE_NORM_MAX_WIDTH:
                 return None, _plane_norm(cols, const, p, depth)
-        if right_fn is None:
-            return None, lambda s: _norm_rows(left_fn(s) - right, p)
-        if left_fn is None:
-            return None, lambda s: _norm_rows(left - right_fn(s), p)
+        left_fn = left_fn or (lambda s: left)
+        right_fn = right_fn or (lambda s: right)
         return None, lambda s: _norm_rows(left_fn(s) - right_fn(s), p)
 
     def _compile_vector(self, ref: VectorExpr, scope: tuple):

@@ -34,10 +34,9 @@ class EpisodeOver(RuntimeError):
 
 @dataclass(frozen=True)
 class StateSchema:
-    """Names, units and named index slices of the flat state vector."""
+    """Names and named index slices of the flat state vector."""
 
     names: tuple[str, ...]
-    units: tuple[str, ...]
     slices: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -70,12 +69,16 @@ class Transition:
 # Grid layout
 
 
+_MAP_LABELS = {".": "safe", "U": "unsafe", "T": "target", "S": "initial"}
+_MAP_CHARS = {label: ch for ch, label in _MAP_LABELS.items()}
+
+
 class GridLayout:
     """Cell labels of the grid: safe/unsafe/target plus one initial cell.
 
-    Map text is height lines of width characters, top row first:
-    '.' safe, 'U' unsafe, 'T' target, 'S' initial. Coordinates are (x, y)
-    with (0, 0) at the bottom-left.
+    Map text is height lines of width characters, top row first, one
+    _MAP_LABELS character per cell. Coordinates are (x, y) with (0, 0) at
+    the bottom-left.
     """
 
     def __init__(self, width: int, height: int, unsafe, targets, start):
@@ -133,21 +136,10 @@ class GridLayout:
         return "safe"
 
     def to_text(self) -> str:
-        lines = []
-        for y in range(self.height - 1, -1, -1):
-            row = []
-            for x in range(self.width):
-                c = (x, y)
-                if c in self.unsafe:
-                    row.append("U")
-                elif c in self.targets:
-                    row.append("T")
-                elif c == self.start:
-                    row.append("S")
-                else:
-                    row.append(".")
-            lines.append("".join(row))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            "".join(_MAP_CHARS[self.label((x, y))] for x in range(self.width)) + "\n"
+            for y in range(self.height - 1, -1, -1)
+        )
 
     @staticmethod
     def from_text(text: str) -> "GridLayout":
@@ -158,23 +150,17 @@ class GridLayout:
         height = len(rows)
         if any(len(r) != width for r in rows):
             raise ValueError("map rows have inconsistent widths")
-        unsafe, targets, start = [], [], None
+        cells = {label: [] for label in _MAP_LABELS.values()}
         for i, row in enumerate(rows):
-            y = height - 1 - i
             for x, ch in enumerate(row):
-                if ch == "U":
-                    unsafe.append((x, y))
-                elif ch == "T":
-                    targets.append((x, y))
-                elif ch == "S":
-                    if start is not None:
-                        raise ValueError("map has more than one initial cell")
-                    start = (x, y)
-                elif ch != ".":
+                if ch not in _MAP_LABELS:
                     raise ValueError(f"unknown map character {ch!r} at row {i}, column {x}")
-        if start is None:
+                if ch == "S" and cells["initial"]:
+                    raise ValueError("map has more than one initial cell")
+                cells[_MAP_LABELS[ch]].append((x, height - 1 - i))
+        if not cells["initial"]:
             raise ValueError("map has no initial cell 'S'")
-        return GridLayout(width, height, unsafe, targets, start)
+        return GridLayout(width, height, cells["unsafe"], cells["target"], cells["initial"][0])
 
     @staticmethod
     def from_file(path) -> "GridLayout":
@@ -297,9 +283,7 @@ class GridWorld:
 
     def __init__(self, layout: Optional[GridLayout] = None, seed: int = 0):
         self.layout = layout or GridLayout.default_bridge()
-        self.schema = StateSchema(
-            names=("x", "y"), units=("cells", "cells"), slices={"pos": (0, 1)}
-        )
+        self.schema = StateSchema(names=("x", "y"), slices={"pos": (0, 1)})
         self.action_spec = ActionSpec(5, GRID_ACTIONS)
         self._table = _transition_table(self.layout)
         self.rng = np.random.default_rng(seed)
@@ -420,11 +404,7 @@ class CartPole:
     dt = 0.02
 
     def __init__(self, seed: int = 0):
-        self.schema = StateSchema(
-            names=("x", "x_dot", "theta", "theta_dot"),
-            units=("m", "m/s", "rad", "rad/s"),
-            slices={},
-        )
+        self.schema = StateSchema(names=("x", "x_dot", "theta", "theta_dot"))
         self.action_spec = ActionSpec(2, ("push_left", "push_right"))
         self.rng = np.random.default_rng(seed)
         self._state = np.zeros(4)

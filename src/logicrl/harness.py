@@ -210,14 +210,11 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     """
     run_dir = run_dir_for(config, seed)
     checkpoints = os.path.join(run_dir, "checkpoints")
-    os.makedirs(checkpoints, exist_ok=True)
     # a fresh run starts from no bundle, so checkpoints/ and metrics.csv
-    # describe the same run: complete step_* bundles of an earlier run go, as
-    # do staging directories of saves cut short by a hard kill (see
-    # Trainer.save_checkpoint)
-    for name in os.listdir(checkpoints):
-        if name.startswith("step_") or (name.startswith(".step_") and name.endswith(".partial")):
-            shutil.rmtree(os.path.join(checkpoints, name))
+    # describe the same run: whatever an earlier run left there goes,
+    # staging directories of saves cut short by a hard kill included
+    shutil.rmtree(checkpoints, ignore_errors=True)
+    os.makedirs(checkpoints)
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))
 

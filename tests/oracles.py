@@ -310,7 +310,7 @@ def random_formula(rng: np.random.Generator, max_atoms: int = 6):
 # Random quantified formulas over 3-D states
 
 # 3-D states whose `pos` slice picks components 2 and 0, in that order
-QUANTIFIED_SCHEMA = StateSchema(("a", "b", "c"), ("", "", ""), {"pos": (2, 0)})
+QUANTIFIED_SCHEMA = StateSchema(("a", "b", "c"), {"pos": (2, 0)})
 QUANTIFIED_SETS = ("few", "one", "many", "empty")
 
 

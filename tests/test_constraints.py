@@ -341,10 +341,10 @@ def test_quantified_formulas_match_oracle():
         "s[0] <= 2.4 and 1 < s[1] or -0.2095 > s[2] and s[3] >= 0",
     ],
 )
-def test_packed_bounds_match_oracle_at_the_bounds(source):
-    """`s[i] <op> literal` atoms of one conjunction, with the literal on
-    either side, strict and not, on states exactly at each bound and one
-    ulp either side of it."""
+def test_component_bounds_match_oracle_at_the_bounds(source):
+    """Conjunctions and disjunctions of `s[i] <op> literal` atoms, with the
+    literal on either side, strict and not, on states exactly at each bound
+    and one ulp either side of it."""
     edges = {0: 2.4, 1: 1.0, 2: 0.2095, 3: 0.0}
     values = []
     for i, edge in edges.items():
@@ -358,7 +358,8 @@ def test_packed_bounds_match_oracle_at_the_bounds(source):
     assert 0 < mine.sum() < len(grid)
 
 
-def test_packed_bounds_strictness():
+def test_component_bounds_strictness():
+    """`<=` admits a state on its bound and `<` does not."""
     reg = fl.ObjectRegistry()
     loose = fl.bind(fl.parse("-2.4 <= s[0] and s[0] <= 2.4"), reg, CARTPOLE_SCHEMA)
     strict = fl.bind(fl.parse("-2.4 < s[0] and s[0] < 2.4"), reg, CARTPOLE_SCHEMA)
@@ -368,9 +369,9 @@ def test_packed_bounds_strictness():
 
 
 @pytest.mark.parametrize("width", range(1, 9))
-def test_reduced_quantifiers_match_oracle_at_the_boundary(width, monkeypatch):
-    """`forall`/`exists` over a bare `c <op> norm(s.pos - u)` body (literal
-    on either side, state on either side of the norm, every operator, p in
+def test_quantified_norm_bounds_match_oracle_at_the_boundary(width, monkeypatch):
+    """`forall`/`exists` over a `c <op> norm(s.pos - u)` body (literal on
+    either side, state on either side of the norm, every operator, p in
     {1, 2, inf}) on states exactly at distance c from an anchor and one ulp
     either side. Slices of up to 7 components take the plane-wise norm;
     8 components take _norm_rows."""
@@ -378,7 +379,7 @@ def test_reduced_quantifiers_match_oracle_at_the_boundary(width, monkeypatch):
     norm_rows = fl._norm_rows
     monkeypatch.setattr(fl, "_norm_rows", lambda diff, p: calls.append(p) or norm_rows(diff, p))
     # `pos` reads the last `width` components in reverse; s[0] is unread
-    schema = StateSchema(tuple(f"x{i}" for i in range(width + 1)), ("",) * (width + 1),
+    schema = StateSchema(tuple(f"x{i}" for i in range(width + 1)),
                          {"pos": tuple(range(width, 0, -1))})
     anchors = np.array([np.zeros(width), np.full(width, 4.0), np.resize([-3.0, 2.0], width)])
     reg = registry_with(pts=anchors)

@@ -497,7 +497,7 @@ class _ScriptedEnv:
         self.done_at = done_at
         self.i = 0
         from logicrl.envs import ActionSpec, StateSchema
-        self.schema = StateSchema(("x",), ("u",), {})
+        self.schema = StateSchema(("x",), {})
         self.action_spec = ActionSpec(1, ("noop",))
 
     @property

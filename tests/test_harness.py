@@ -161,6 +161,20 @@ def test_run_train_removes_partial_checkpoints_left_by_a_hard_kill(tmp_path):
         "step_000000040", "step_000000080", "step_000000120", "step_000000160"]
 
 
+def test_cli_train_into_checkpoints_with_a_stray_file_exits_0(tmp_path, capsys):
+    """A plain file in checkpoints/ whose name looks like a bundle's does
+    not stop a fresh run; it goes with the rest of the earlier contents."""
+    checkpoints = tmp_path / "run" / "seed_0" / "checkpoints"
+    checkpoints.mkdir(parents=True)
+    (checkpoints / "step_notes.txt").write_text("not a bundle\n")
+    code = main(["train", "--env", "gridworld", "--seeds", "0", "--steps", "40",
+                 "--eval-every", "20", "--rollout-length", "10", "--batch-size", "2",
+                 "--eval-horizon", "10", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(os.listdir(checkpoints)) == ["step_000000020", "step_000000040"]
+    capsys.readouterr()
+
+
 def test_run_train_parallel_seeds_matches_sequential(tmp_path):
     seq = build_run_config(tiny_values(tmp_path, seeds="0,1", out=str(tmp_path / "seq")))
     par = build_run_config(tiny_values(tmp_path, seeds="0,1", out=str(tmp_path / "par")))

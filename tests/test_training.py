@@ -493,12 +493,12 @@ from logicrl.training import Trainer
 run = build_run_config(parse_kv_file(sys.argv[1]))
 tr = Trainer(run.sys3, run.env, seed=0, layout=_layout_for(run.env, run.layout), d=run.d,
              formula=load_constraint_file(run.constraint))
-for _ in range(3):
-    tr.train_iteration()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
     tr.train_iteration()
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    tr.train_iteration()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
 """
 
 
@@ -506,11 +506,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
                     reason="the heap setting applies on glibc only")
 @pytest.mark.parametrize("config_file", ["configs/grid_bridge.cfg", "configs/cartpole_delayed.cfg"])
 def test_update_pass_does_not_refault_the_heap(config_file):
-    """With a shipped config's shapes, training iterations after a short
-    warm-up fault in almost no memory: the update pass's freed activations
-    stay mapped for the next iteration (tensor's heap setting). With glibc's
-    default thresholds this reads about 1,500 (grid) and 730 (cart-pole)
-    minor faults per iteration."""
+    """With a shipped config's shapes, the 30 training iterations after a
+    10-iteration warm-up (while the heap is still growing) fault in almost
+    no memory: the update pass's freed activations stay mapped for the next
+    iteration (tensor's heap setting). With glibc's default thresholds this
+    reads about 1,500 (grid) and 730 (cart-pole) minor faults per iteration."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
