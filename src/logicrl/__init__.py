@@ -7,7 +7,6 @@ back to a synchronous actor-critic as an extra reward channel.
 
 from .actor_critic import (
     ActorCritic,
-    RolloutBuffer,
     gae_batch,
     policy_value_loss,
     standardize_advantages,

@@ -4,7 +4,6 @@ policy/value/entropy loss with hand-derived gradients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,42 +103,6 @@ class ActorCritic:
     def values_batch(self, states) -> np.ndarray:
         _, values, _, _ = self.policy_value(states)
         return values
-
-
-# ---------------------------------------------------------------------------
-# Rollout storage
-
-
-@dataclass
-class RolloutBuffer:
-    """One iteration's worth of experience from B parallel streams.
-
-    All arrays are time-major: (T, B) scalars, (T, B, d) states. `rewards`
-    holds the total per-step reward the policy trains on.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    values: np.ndarray
-    next_states: np.ndarray
-    bootstrap_values: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] * self.states.shape[1]
-
-    def flat_states(self) -> np.ndarray:
-        T, B, d = self.states.shape
-        return self.states.reshape(T * B, d)
-
-    def flat_next_states(self) -> np.ndarray:
-        T, B, d = self.next_states.shape
-        return self.next_states.reshape(T * B, d)
-
-    def flat_actions(self) -> np.ndarray:
-        return self.actions.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,10 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     # describe the same run: whatever an earlier run left there goes,
     # staging directories of saves cut short by a hard kill included
     shutil.rmtree(checkpoints, ignore_errors=True)
-    os.makedirs(checkpoints)
+    try:
+        os.makedirs(checkpoints)
+    except OSError as exc:  # e.g. a plain file where a directory must go
+        raise ConfigError(f"cannot create {checkpoints}: {exc.strerror}") from exc
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))
 

@@ -3,7 +3,8 @@ reward for predicted-safe steps, and take one joint gradient step on the
 weighted policy objective plus the weighted dynamics loss.
 
 Evaluation is separate and greedy: it scores the constraint on the *true*
-next states (reality, not the model) and never updates parameters.
+next states (reality, not the model) and never updates parameters. Both walk
+the environments with the one stepping loop, `run_steps`.
 """
 from __future__ import annotations
 
@@ -11,19 +12,14 @@ import json
 import math
 import os
 import shutil
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import constraints as fl
-from .actor_critic import (
-    ActorCritic,
-    RolloutBuffer,
-    gae_batch,
-    grid_onehot_features,
-    policy_value_loss,
-)
+from .actor_critic import ActorCritic, gae_batch, grid_onehot_features, policy_value_loss
 from .dynamics import ForwardModel
 from .envs import GridLayout, make_env
 from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_file
@@ -125,6 +121,71 @@ class EvalResult:
         return self.end_counts.get("target", 0) / self.episodes
 
 
+@dataclass
+class StepRecord:
+    """What `run_steps` saw: (steps, B) arrays of the states acted in,
+    actions, env rewards, dones (1.0 where an episode ended), chooser values
+    and next states; the returns of the episodes that ended, in order, with
+    each one's end label; and each env's state and running return after the
+    last step."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    dones: np.ndarray
+    values: np.ndarray
+    next_states: np.ndarray
+    completed: list
+    end_labels: list
+    last_states: np.ndarray
+    ep_returns: list
+
+
+def run_steps(envs, states, ep_returns, steps: int, choose) -> StepRecord:
+    """Step the B `envs` `steps` times from their (B, d) `states`, taking
+    the actions of `choose(states) -> (actions, values)`, and reset each env
+    whose episode ends. `ep_returns` are the env-reward returns of the B
+    episodes under way; an episode that goes on past the last step carries
+    its return in the record's `ep_returns`."""
+    returns = [float(x) for x in ep_returns]
+    # per step, the (B, d) states and (B,) values; per env step, the rest
+    seen, values, acted, rewards, dones, nexts = [], [], [], [], [], []
+    completed, end_labels = [], []
+    for _ in range(steps):
+        actions, vals = choose(states)
+        seen.append(states)
+        values.append(vals)
+        following = []  # the state each env goes on from: next or reset
+        for i, (env, action) in enumerate(zip(envs, actions.tolist())):
+            tr = env.step(action)
+            acted.append(action)
+            rewards.append(tr.env_reward)
+            dones.append(tr.done)
+            nexts.append(tr.next_state)
+            returns[i] += tr.env_reward
+            if tr.done:
+                completed.append(returns[i])
+                end_labels.append(env.end_label(tr.next_state))
+                returns[i] = 0.0
+                following.append(env.reset())
+            else:
+                following.append(tr.next_state)
+        states = np.array(following)
+    shape = (steps, len(envs))
+    return StepRecord(
+        states=np.concatenate(seen).reshape(*shape, -1),
+        actions=np.array(acted, dtype=np.int64).reshape(shape),
+        rewards=np.array(rewards, dtype=np.float64).reshape(shape),
+        dones=np.array(dones, dtype=np.float64).reshape(shape),
+        values=np.concatenate(values).reshape(shape),
+        next_states=np.array(nexts).reshape(*shape, -1),
+        completed=completed,
+        end_labels=end_labels,
+        last_states=states,
+        ep_returns=returns,
+    )
+
+
 def evaluate_policy(
     agent: ActorCritic,
     env,
@@ -138,55 +199,31 @@ def evaluate_policy(
     The constraint is checked on the true next state of every step; the mean
     return counts environment reward only. When `model` is given, the
     model-vs-reality constraint disagreement rate is reported as well.
-    Actions and model predictions are made step by step; the formula is
-    scored once over the whole stream after the loop (parameters are frozen
-    and each row's satisfaction depends on that row alone).
+    The model predicts each step's (state, action) on its own; the formula
+    is scored once over the whole stream (parameters are frozen and each
+    row's satisfaction depends on that row alone).
     """
     if eval_steps < 1:
         raise ValueError("eval_steps must be >= 1")
-    state = env.reset(seed)
-    true_next = np.empty((eval_steps, len(state)))
-    predicted = np.empty_like(true_next)
-    ep_return = 0.0
-    episode_returns: list[float] = []
-    end_counts: dict[str, int] = {}
-    for i in range(eval_steps):
-        action = int(agent.greedy_batch(state[None, :])[0])
-        t = env.step(action)
-        if bound is not None:
-            true_next[i] = t.next_state
-            if model is not None:
-                predicted[i] = model.predict(t.state, action)
-        ep_return += t.env_reward
-        if t.done:
-            episode_returns.append(ep_return)
-            label = env.end_label(t.next_state)
-            end_counts[label] = end_counts.get(label, 0) + 1
-            ep_return = 0.0
-            state = env.reset()
-        else:
-            state = t.next_state
-    satisfied = 0
-    disagreements = 0
+    no_value = np.zeros(1)
+    r = run_steps([env], env.reset(seed)[None, :], [0.0], eval_steps,
+                  lambda s: (agent.greedy_batch(s), no_value))
+    satisfied = disagreements = 0
     if bound is not None:
-        true_ok = bound.evaluate_batch(true_next)
+        true_ok = bound.evaluate_batch(r.next_states[:, 0])
         satisfied = int(true_ok.sum())
         if model is not None:
-            pred_ok = bound.evaluate_batch(predicted)
+            predicted = [model.predict(s, a) for s, a in zip(r.states[:, 0], r.actions[:, 0])]
+            pred_ok = bound.evaluate_batch(np.array(predicted))
             disagreements = int((pred_ok != true_ok).sum())
-    if episode_returns:
-        mean_return = float(np.mean(episode_returns))
-    else:
-        mean_return = ep_return
-    rate = satisfied / eval_steps if bound is not None else 1.0
     return EvalResult(
-        mean_return=mean_return,
-        satisfaction_rate=rate,
+        mean_return=float(np.mean(r.completed)) if r.completed else r.ep_returns[0],
+        satisfaction_rate=satisfied / eval_steps if bound is not None else 1.0,
         violation_count=eval_steps - satisfied if bound is not None else 0,
         steps=eval_steps,
-        episodes=len(episode_returns),
-        episode_returns=episode_returns,
-        end_counts=end_counts,
+        episodes=len(r.completed),
+        episode_returns=r.completed,
+        end_counts=dict(Counter(r.end_labels)),
         disagreement_rate=disagreements / eval_steps if model is not None else 0.0,
     )
 
@@ -279,86 +316,46 @@ class Trainer:
                 {"iteration": self.iteration, "steps": self.steps, "cause": str(exc)},
             ) from exc
 
-    def _collect_rollout(self) -> tuple[RolloutBuffer, dict]:
-        """Step every environment rollout_length times, scoring the constraint
-        on the model's prediction for each (state, action) as it happens."""
+    def _collect_rollout(self) -> tuple[StepRecord, np.ndarray, dict]:
+        """Step every environment rollout_length times, then score the
+        constraint on the model's prediction for each (state, action) and on
+        the true next state. Returns the step record, the (T, B) rewards the
+        policy trains on, and the iteration's constraint rates."""
         cfg = self.config
-        T, B = cfg.rollout_length, cfg.batch_size
-        d_state = self.schema.size
-
-        states = np.zeros((T, B, d_state))
-        actions = np.zeros((T, B), dtype=np.int64)
-        rewards = np.zeros((T, B))
-        dones = np.zeros((T, B))
-        values = np.zeros((T, B))
-        next_states = np.zeros((T, B, d_state))
-        rc_hits = 0
-        true_hits = 0
-        disagreements = 0
-        completed: list[float] = []
-
-        ep_returns = self._ep_returns.tolist()
-        step_states = np.stack([env.state for env in self.envs])
-        for t in range(T):
-            acts, vals = self.agent.act_batch(step_states, self.action_rng)
-            # following: the state each env goes on from (next or reset)
-            nexts, following = [], []
-            for i, (env, action) in enumerate(zip(self.envs, acts.tolist())):
-                tr = env.step(action)
-                nexts.append(tr.next_state)
-                rewards[t, i] = tr.env_reward  # the constraint reward is added below
-                ep_returns[i] += tr.env_reward
-                if tr.done:
-                    dones[t, i] = 1.0
-                    completed.append(ep_returns[i])
-                    ep_returns[i] = 0.0
-                    following.append(env.reset())
-                else:
-                    following.append(tr.next_state)
-            next_states[t] = nexts
-            step_next = next_states[t]
-            if self.bound is not None:
-                predicted = self.model.predict_batch(step_states, acts)
-                pred_ok = self.bound.evaluate_batch(predicted)
-                true_ok = self.bound.evaluate_batch(step_next)
-                r_c = np.where(pred_ok, cfg.constraint_reward_weight, 0.0)
-                rc_hits += int(pred_ok.sum())
-                true_hits += int(true_ok.sum())
-                disagreements += int((pred_ok != true_ok).sum())
-            else:
-                r_c = np.zeros(B)
-            states[t] = step_states
-            actions[t] = acts
-            values[t] = vals
-            rewards[t] = rewards[t] + r_c if cfg.use_env_reward else r_c
-            step_states = np.array(following)
-
-        self._ep_returns = np.array(ep_returns)
-        bootstrap = self.agent.values_batch(step_states)
-        buffer = RolloutBuffer(states, actions, rewards, dones, values, next_states, bootstrap)
-        n = buffer.steps
-        side = {
-            "completed": completed,
-            "rc_rate": rc_hits / n if self.bound is not None else 0.0,
-            "true_rate": true_hits / n if self.bound is not None else 0.0,
-            "disagreement": disagreements / n if self.bound is not None else 0.0,
+        r = run_steps(self.envs, np.stack([env.state for env in self.envs]), self._ep_returns,
+                      cfg.rollout_length, lambda s: self.agent.act_batch(s, self.action_rng))
+        self._ep_returns = np.array(r.ep_returns)
+        if self.bound is None:
+            pred_ok = true_ok = np.zeros(r.dones.shape, dtype=bool)
+        else:
+            predicted = map(self.model.predict_batch, r.states, r.actions)
+            pred_ok = np.array([self.bound.evaluate_batch(p) for p in predicted])
+            true_ok = np.array(list(map(self.bound.evaluate_batch, r.next_states)))
+        r_c = np.where(pred_ok, cfg.constraint_reward_weight, 0.0)
+        rewards = r.rewards + r_c if cfg.use_env_reward else r_c
+        n = pred_ok.size
+        rates = {
+            "rc_rate": int(pred_ok.sum()) / n,
+            "true_satisfaction_rate": int(true_ok.sum()) / n,
+            "disagreement_rate": int((pred_ok != true_ok).sum()) / n,
         }
-        return buffer, side
+        return r, rewards, rates
 
     def _train_iteration(self) -> dict:
         cfg = self.config
-        buffer, side = self._collect_rollout()
-        advantages, returns = gae_batch(buffer.rewards, buffer.values, buffer.dones,
-                                        cfg.gamma, cfg.gae_lambda, buffer.bootstrap_values)
+        r, rewards, rates = self._collect_rollout()
+        advantages, returns = gae_batch(rewards, r.values, r.dones, cfg.gamma, cfg.gae_lambda,
+                                        self.agent.values_batch(r.last_states))
 
-        flat_states = buffer.flat_states()
+        flat_states = r.states.reshape(-1, self.schema.size)
+        flat_actions = r.actions.reshape(-1)
         loss_pv, pi_grads, vf_grads, stats = policy_value_loss(
-            self.agent, flat_states, buffer.flat_actions(),
+            self.agent, flat_states, flat_actions,
             advantages.reshape(-1), returns.reshape(-1),
         )
         self.model.update_normalizer(flat_states)
         loss_f, fwd_grads = self.model.loss_and_grads(
-            (flat_states, buffer.flat_actions(), buffer.flat_next_states())
+            (flat_states, flat_actions, r.next_states.reshape(flat_states.shape))
         )
 
         if not (np.isfinite(loss_pv) and np.isfinite(loss_f)):
@@ -378,24 +375,21 @@ class Trainer:
         )
 
         self.iteration += 1
-        self.steps += buffer.steps
-        if side["completed"]:
-            self._last_mean_ep_return = float(np.mean(side["completed"]))
-        metrics = {
+        self.steps += flat_actions.size
+        if r.completed:
+            self._last_mean_ep_return = float(np.mean(r.completed))
+        return {
             "iteration": self.iteration,
             "steps": self.steps,
             "mean_env_return": self._last_mean_ep_return,
-            "episodes_completed": len(side["completed"]),
-            "rc_rate": side["rc_rate"],
-            "true_satisfaction_rate": side["true_rate"],
-            "disagreement_rate": side["disagreement"],
+            "episodes_completed": len(r.completed),
+            **rates,
             "forward_loss": loss_f,
             "policy_loss": stats["policy_loss"],
             "value_loss": stats["value_loss"],
             "entropy": stats["entropy"],
             "combined_loss": cfg.lam * loss_pv + cfg.beta * loss_f,
         }
-        return metrics
 
     # -- evaluation --------------------------------------------------------------
 

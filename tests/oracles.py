@@ -5,7 +5,8 @@ differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
 GAE recursion, dense one-hot inputs, ParamSets with chosen entries, a
 per-entry backward pass, per-entry SGD and Adam updates, reference
-environment steppers, and the step-by-step evaluation loop. They
+environment steppers, and the step-by-step training rollout and evaluation
+loops. They
 intentionally avoid the library code paths they are used to check
 (numpy.linalg.norm instead of the DSL's norm code, operator dispatch instead
 of the DSL's comparison table).
@@ -538,3 +539,66 @@ def reference_evaluate_policy(agent, env, bound, eval_steps: int, seed=None,
         end_counts=end_counts,
         disagreement_rate=disagreements / eval_steps if model is not None else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Training rollout, scored step by step
+
+
+def reference_collect_rollout(trainer) -> dict:
+    """The per-step training rollout: at each step the model predicts the
+    next states of the B (state, action) rows, and the formula scores that
+    prediction and the true next states, before the next step is taken.
+    Steps `trainer`'s envs and keeps its running returns, as a rollout
+    does; returns the (T, B) arrays, the training rewards, the completed
+    returns and the three constraint rates."""
+    cfg = trainer.config
+    T, B = cfg.rollout_length, cfg.batch_size
+    d_state = trainer.schema.size
+    states = np.zeros((T, B, d_state))
+    actions = np.zeros((T, B), dtype=np.int64)
+    rewards = np.zeros((T, B))
+    dones = np.zeros((T, B))
+    values = np.zeros((T, B))
+    next_states = np.zeros((T, B, d_state))
+    rc_hits = true_hits = disagreements = 0
+    completed: list[float] = []
+    ep_returns = trainer._ep_returns.tolist()
+    step_states = np.stack([env.state for env in trainer.envs])
+    for t in range(T):
+        acts, vals = trainer.agent.act_batch(step_states, trainer.action_rng)
+        following = []
+        for i, (env, action) in enumerate(zip(trainer.envs, acts.tolist())):
+            tr = env.step(action)
+            next_states[t, i] = tr.next_state
+            rewards[t, i] = tr.env_reward
+            ep_returns[i] += tr.env_reward
+            if tr.done:
+                dones[t, i] = 1.0
+                completed.append(ep_returns[i])
+                ep_returns[i] = 0.0
+                following.append(env.reset())
+            else:
+                following.append(tr.next_state)
+        if trainer.bound is not None:
+            pred_ok = trainer.bound.evaluate_batch(trainer.model.predict_batch(step_states, acts))
+            true_ok = trainer.bound.evaluate_batch(next_states[t])
+            r_c = np.where(pred_ok, cfg.constraint_reward_weight, 0.0)
+            rc_hits += int(pred_ok.sum())
+            true_hits += int(true_ok.sum())
+            disagreements += int((pred_ok != true_ok).sum())
+        else:
+            r_c = np.zeros(B)
+        states[t] = step_states
+        actions[t] = acts
+        values[t] = vals
+        rewards[t] = rewards[t] + r_c if cfg.use_env_reward else r_c
+        step_states = np.array(following)
+    trainer._ep_returns = np.array(ep_returns)
+    n = T * B
+    return {
+        "states": states, "actions": actions, "rewards": rewards, "dones": dones,
+        "values": values, "next_states": next_states, "completed": completed,
+        "rc_rate": rc_hits / n, "true_satisfaction_rate": true_hits / n,
+        "disagreement_rate": disagreements / n,
+    }

@@ -6,7 +6,6 @@ import pytest
 from logicrl.actor_critic import (
     ActorCritic,
     NonFiniteLogits,
-    RolloutBuffer,
     gae_batch,
     grid_onehot_features,
     policy_value_loss,
@@ -247,25 +246,6 @@ def test_gae_input_validation():
         gae_column([], [], [], 0.9, 0.9)
     with pytest.raises(ValueError):
         gae_column([1.0], [1.0, 2.0], [0.0], 0.9, 0.9)
-
-
-def test_rollout_buffer_flattening():
-    rng = np.random.default_rng(9)
-    T, B, d = 7, 3, 2
-    buffer = RolloutBuffer(
-        states=rng.normal(size=(T, B, d)),
-        actions=rng.integers(0, 4, size=(T, B)),
-        rewards=rng.normal(size=(T, B)),
-        dones=(rng.random((T, B)) < 0.2).astype(float),
-        values=rng.normal(size=(T, B)),
-        next_states=rng.normal(size=(T, B, d)),
-        bootstrap_values=rng.normal(size=B),
-    )
-    assert buffer.steps == T * B
-    assert buffer.flat_states().shape == (T * B, d)
-    assert np.array_equal(buffer.flat_states()[B + 1], buffer.states[1, 1])
-    assert np.array_equal(buffer.flat_next_states()[B + 1], buffer.next_states[1, 1])
-    assert buffer.flat_actions()[B + 1] == buffer.actions[1, 1]
 
 
 # -- advantage standardization ----------------------------------------------------

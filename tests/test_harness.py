@@ -175,6 +175,23 @@ def test_cli_train_into_checkpoints_with_a_stray_file_exits_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("blocker", ["run/seed_0/checkpoints", "run/seed_0"])
+def test_cli_train_where_a_run_directory_is_a_file_exits_2(tmp_path, capsys, blocker):
+    """A plain file where the run needs a directory is a one-line config
+    error, not a traceback, and the run writes nothing."""
+    path = tmp_path / blocker
+    path.parent.mkdir(parents=True)
+    path.write_text("not a directory\n")
+    code = main(["train", "--env", "gridworld", "--seeds", "0", "--steps", "40",
+                 "--eval-every", "20", "--rollout-length", "10", "--batch-size", "2",
+                 "--eval-horizon", "10", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create ") and err.count("\n") == 1
+    assert path.read_text() == "not a directory\n"
+    assert sorted(os.listdir(path.parent)) == [path.name]
+
+
 def test_run_train_parallel_seeds_matches_sequential(tmp_path):
     seq = build_run_config(tiny_values(tmp_path, seeds="0,1", out=str(tmp_path / "seq")))
     par = build_run_config(tiny_values(tmp_path, seeds="0,1", out=str(tmp_path / "par")))

@@ -16,8 +16,9 @@ from logicrl.training import (
     Trainer,
     TrainingDiverged,
     evaluate_policy,
+    run_steps,
 )
-from oracles import paramset_with, reference_evaluate_policy
+from oracles import paramset_with, reference_collect_rollout, reference_evaluate_policy
 
 TAUTOLOGY = "forall u in unsafe: 0 <= norm2(s - u)"
 KEEPOUT = "forall u in unsafe: 1.5 <= norm2(s - u)"
@@ -78,17 +79,18 @@ def test_compose_reward_cases():
     constraint reward alone (d = 5 cart-pole: env rewards are 0 or sums).
     A formula-free run of the same seed takes the same actions, so its
     rewards are the env rewards alone."""
-    env_rewards = Trainer(tiny_config(), "cartpole", seed=1, d=5)._collect_rollout()[0].rewards
+    record, env_rewards, _ = Trainer(tiny_config(), "cartpole", seed=1, d=5)._collect_rollout()
+    assert np.array_equal(env_rewards, record.rewards)
     assert env_rewards.max() > 1.0
     for use_env in (True, False):
         for text, r_c in (("-100 <= s[0]", 0.5), ("s[0] > 100", 0.0)):
             cfg = tiny_config(use_env_reward=use_env, constraint_reward_weight=0.5)
             tr = Trainer(cfg, "cartpole", seed=1, d=5, formula=fl.parse(text))
-            buffer, _ = tr._collect_rollout()
+            _, rewards, _ = tr._collect_rollout()
             expected = env_rewards + r_c if use_env else np.full((8, 4), r_c)
-            assert np.array_equal(buffer.rewards, expected)
+            assert np.array_equal(rewards, expected)
             if use_env:  # the delayed env reward, read back
-                assert (buffer.rewards - r_c).max() > 1.0
+                assert (rewards - r_c).max() > 1.0
 
 
 def test_constraint_reward_tautology_and_unsat():
@@ -96,9 +98,9 @@ def test_constraint_reward_tautology_and_unsat():
     weight at every step, an unsatisfiable formula never does."""
     for text, r_c in ((TAUTOLOGY, 0.7), (UNSAT, 0.0)):
         tr = grid_trainer(text, use_env_reward=False, constraint_reward_weight=0.7)
-        buffer, side = tr._collect_rollout()
-        assert np.array_equal(buffer.rewards, np.full((8, 4), r_c))
-        assert side["rc_rate"] == (1.0 if r_c else 0.0)
+        _, rewards, rates = tr._collect_rollout()
+        assert np.array_equal(rewards, np.full((8, 4), r_c))
+        assert rates["rc_rate"] == (1.0 if r_c else 0.0)
 
 
 class _ExactMeanModel:
@@ -121,8 +123,71 @@ def test_constraint_reward_near_band_with_perfect_model():
         env.set_state({**env.get_state(), "pos": [5, 8]})
     up_down = np.array([2, 3])
     tr.agent.act_batch = lambda states, rng: (up_down, np.zeros(2))
-    buffer, _ = tr._collect_rollout()
-    assert buffer.rewards[0].tolist() == [0.0, 1.0]   # up, toward the band; down, away
+    _, rewards, _ = tr._collect_rollout()
+    assert rewards[0].tolist() == [0.0, 1.0]   # up, toward the band; down, away
+
+
+# -- the stepping loop ------------------------------------------------------------
+
+
+def _rollout_case(name: str) -> Trainer:
+    if name == "cartpole_theta_d5":
+        cfg = tiny_config(rollout_length=30, use_env_reward=False)  # as the shipped config
+        return Trainer(cfg, "cartpole", seed=3, d=5,
+                       formula=fl.load_constraint_file(CARTPOLE_THETA))
+    return grid_trainer(KEEPOUT if name == "grid_keepout" else None, seed=3, rollout_length=30)
+
+
+@pytest.mark.parametrize("name", ["grid_keepout", "cartpole_theta_d5", "formula_free"])
+def test_collect_rollout_matches_per_step_reference(name):
+    """Predicting and scoring after the shared stepping loop gives the
+    rollout, training rewards and rates of the loop that scores each step as
+    it happens, over three rollouts in a row (episodes carry across)."""
+    got_tr, want_tr = _rollout_case(name), _rollout_case(name)
+    for tr in (got_tr, want_tr):
+        tr.train_iteration()  # a fitted normalizer
+        # a scrambled model, so that the predictions pass and fail the formula
+        rng = np.random.default_rng(0)
+        tr.model.params = tr.model.params.with_flat(rng.normal(size=tr.model.params.n_params()))
+    completed = 0
+    for _ in range(3):
+        r, rewards, rates = got_tr._collect_rollout()
+        want = reference_collect_rollout(want_tr)
+        for key in ("states", "actions", "dones", "values", "next_states"):
+            assert np.array_equal(getattr(r, key), want[key]), key
+        assert np.array_equal(rewards, want["rewards"])
+        assert rates == {key: want[key] for key in rates}
+        assert r.completed == want["completed"]
+        assert np.array_equal(got_tr._ep_returns, want_tr._ep_returns)
+        completed += len(r.completed)
+        if name != "formula_free":
+            assert 0.0 < rates["rc_rate"] < 1.0 and rates["disagreement_rate"] > 0.0
+    assert completed > 0
+
+
+def test_run_steps_continues_across_calls():
+    """Two calls of T steps, the second going on from the first's last
+    states and running returns, record what one call of 2T steps does:
+    this is how episodes carry across training iterations."""
+    def start():
+        tr = Trainer(tiny_config(), "cartpole", seed=5, d=5)
+        states = np.stack([env.state for env in tr.envs])
+        return tr.envs, states, lambda s: tr.agent.act_batch(s, tr.action_rng)
+
+    envs, states, choose = start()
+    whole = run_steps(envs, states, np.zeros(4), 40, choose)
+    envs, states, choose = start()
+    first = run_steps(envs, states, np.zeros(4), 20, choose)
+    second = run_steps(envs, first.last_states, first.ep_returns, 20, choose)
+    for key in ("states", "actions", "rewards", "dones", "values", "next_states"):
+        joined = np.concatenate([getattr(first, key), getattr(second, key)])
+        assert np.array_equal(getattr(whole, key), joined), key
+    assert whole.completed == first.completed + second.completed
+    assert whole.end_labels == first.end_labels + second.end_labels
+    assert np.array_equal(whole.last_states, second.last_states)
+    assert whole.ep_returns == second.ep_returns
+    # an episode ended in each half, and one ran across the boundary
+    assert first.completed and second.completed and any(first.ep_returns)
 
 
 # -- iteration mechanics -----------------------------------------------------------
