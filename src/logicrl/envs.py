@@ -212,28 +212,50 @@ def _outcome(layout: GridLayout, cell) -> tuple[tuple[int, int], float, bool]:
     return cell, 0.0, False
 
 
+def _edge_rep(v: int, size: int) -> int:
+    """The coordinate that stands for `v` along an axis of `size` cells: an
+    edge coordinate stands for itself, every interior one for 1."""
+    return v if v in (0, size - 1) else 1
+
+
 def _build_table(layout: GridLayout) -> dict:
     """Sampling table of a layout: for each non-terminal cell, one entry per
     action holding the float cumulative probabilities of its next cells
-    (last pinned to 1.0) and each next cell's outcome."""
-    table = {}
-    for x in range(layout.width):
-        for y in range(layout.height):
-            if layout.label((x, y)) in ("unsafe", "target"):
-                continue  # terminal cells are never stepped from
+    (last pinned to 1.0) and each next cell's outcome.
+
+    A (cell, action) distribution depends only on which grid edges the cell
+    touches, and shifting it keeps its cell order. So each (edge shape,
+    action) is computed once, on the shape's representative cell, as one
+    shared cum tuple plus next-cell offsets that every cell of the shape
+    shifts by its own position."""
+    w, h = layout.width, layout.height
+    shapes = {}
+    for rx in sorted({_edge_rep(x, w) for x in range(w)}):
+        for ry in sorted({_edge_rep(y, h) for y in range(h)}):
             entries = []
             for label in GRID_ACTIONS:
-                dist = _distribution(layout, (x, y), label)
+                dist = _distribution(layout, (rx, ry), label)
                 cum = np.cumsum([float(p) for _, p in dist])
                 cum[-1] = 1.0
-                outcomes = tuple(_outcome(layout, c) for c, _ in dist)
-                entries.append((tuple(cum.tolist()), outcomes))
-            table[(x, y)] = tuple(entries)
+                offsets = tuple((cx - rx, cy - ry) for (cx, cy), _ in dist)
+                entries.append((tuple(cum.tolist()), offsets))
+            shapes[rx, ry] = entries
+    outcomes = {(x, y): _outcome(layout, (x, y)) for x in range(w) for y in range(h)}
+    table = {}
+    for x in range(w):
+        for y in range(h):
+            if outcomes[x, y][2]:
+                continue  # terminal cells are never stepped from
+            table[x, y] = tuple(
+                (cum, tuple(outcomes[x + ox, y + oy] for ox, oy in offsets))
+                for cum, offsets in shapes[_edge_rep(x, w), _edge_rep(y, h)]
+            )
     return table
 
 
 # One table per distinct layout value, shared by every GridWorld of that
-# layout: building one costs tens of milliseconds of Fraction arithmetic.
+# layout: building one takes milliseconds, and a trainer makes one env per
+# batch slot plus one per evaluation.
 # Keyed by value, not identity, because checkpoints rebuild their layout
 # from text. Entries are tuples and nothing writes to a table once built.
 _TABLES: dict[tuple, dict] = {}

@@ -8,7 +8,6 @@ run exactly (criterion: metrics.csv is byte-identical on re-runs).
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -63,6 +62,13 @@ class RunConfig:
             raise ConfigError(f"unknown env {self.env!r} (gridworld or cartpole)")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            # two runs of one seed would share (and clobber) one run directory
+            raise ConfigError(f"duplicate seeds: {','.join(map(str, repeated))}")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ConfigError(f"seeds must be >= 0, got {','.join(map(str, negative))}")
         if self.eval_every < 1 or self.eval_horizon < 1:
             raise ConfigError("eval_every and eval_horizon must be >= 1")
         if self.d < 1:
@@ -238,6 +244,8 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
                 # every value is a Python int or float, so repr is its text
                 log_fp.write(",".join(repr(last[k]) for k in TRAIN_LOG_KEYS) + "\n")
                 if trainer.steps >= next_eval_at:
+                    # a kill after the bundle must not leave the log behind it
+                    log_fp.flush()
                     ckpt = os.path.join(checkpoints, f"step_{trainer.steps:09d}")
                     trainer.save_checkpoint(ckpt)
                     try:
@@ -265,6 +273,8 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
 def run_train(config: RunConfig, parallel: bool = False) -> list[str]:
     """Train every seed; sequential by default, one process per seed if asked."""
     if parallel and len(config.seeds) > 1:
+        import multiprocessing  # only here: a sequential run skips its import cost
+
         with multiprocessing.Pool(min(len(config.seeds), os.cpu_count() or 1)) as pool:
             return pool.starmap(train_one_seed, [(config, s) for s in config.seeds])
     return [train_one_seed(config, seed) for seed in config.seeds]
@@ -288,6 +298,8 @@ def run_eval(
     """
     if eval_horizon < 1:
         raise ConfigError("eval_horizon must be >= 1")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     trainer = Trainer.load_checkpoint(checkpoint)
     if constraint == "none":
         trainer.bound = None

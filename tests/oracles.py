@@ -5,8 +5,8 @@ differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
 GAE recursion, dense one-hot inputs, ParamSets with chosen entries, a
 per-entry backward pass, per-entry SGD and Adam updates, reference
-environment steppers, and the step-by-step training rollout and evaluation
-loops. They
+environment steppers, a cell-by-cell grid transition table, and the
+step-by-step training rollout and evaluation loops. They
 intentionally avoid the library code paths they are used to check
 (numpy.linalg.norm instead of the DSL's norm code, operator dispatch instead
 of the DSL's comparison table).
@@ -19,6 +19,7 @@ import operator
 import numpy as np
 
 from logicrl import constraints as fl
+from logicrl import envs
 from logicrl.envs import StateSchema
 from logicrl.tensor import ParamSet
 from logicrl.training import EvalResult
@@ -439,6 +440,46 @@ class ReferenceGridStepper:
         reward = {"target": 1.0, "unsafe": -1.0}.get(label, 0.0)
         done = label in ("target", "unsafe") or self.steps >= self.env.max_steps
         return nxt, reward, done
+
+
+def reference_build_table(layout) -> dict:
+    """A grid layout's sampling table built cell by cell: one exact
+    `_distribution` per (non-terminal cell, action), its float cumulative
+    sums (last pinned to 1.0) and each next cell's `_outcome`, with no
+    sharing between cells of the same edge shape."""
+    table = {}
+    for x in range(layout.width):
+        for y in range(layout.height):
+            if layout.label((x, y)) in ("unsafe", "target"):
+                continue
+            entries = []
+            for label in envs.GRID_ACTIONS:
+                dist = envs._distribution(layout, (x, y), label)
+                cum = np.cumsum([float(p) for _, p in dist])
+                cum[-1] = 1.0
+                outcomes = tuple(envs._outcome(layout, c) for c, _ in dist)
+                entries.append((tuple(cum.tolist()), outcomes))
+            table[(x, y)] = tuple(entries)
+    return table
+
+
+def random_grid_layout(rng: np.random.Generator):
+    """A random valid GridLayout of 1-7 cells a side: random unsafe and
+    target cells and a start, redrawn until the layout validates."""
+    while True:
+        width, height = (int(v) for v in rng.integers(1, 8, size=2))
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        if len(cells) < 2:
+            continue
+        order = rng.permutation(len(cells))
+        start, *rest = (cells[i] for i in order)
+        n_targets = int(rng.integers(1, min(3, len(rest)) + 1))
+        n_unsafe = int(rng.integers(0, len(rest) - n_targets + 1))
+        try:
+            return envs.GridLayout(width, height, rest[n_targets:n_targets + n_unsafe],
+                                   rest[:n_targets], start)
+        except ValueError:
+            continue
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ from logicrl.envs import (
     GridWorld,
     make_env,
 )
-from oracles import ReferenceCartPole, ReferenceGridStepper
+from oracles import (
+    ReferenceCartPole,
+    ReferenceGridStepper,
+    random_grid_layout,
+    reference_build_table,
+)
 
 # exact acceleration values for one step from the zero state with +10 N,
 # worked out by hand from the standard frictionless cart-pole equations:
@@ -198,6 +203,47 @@ def test_table_built_once_per_layout(monkeypatch):
     assert len(builds) == 1
     pairs = GridWorld(layout).transition_distribution(np.array([5.0, 5.0]), 2)
     assert all(isinstance(p, Fraction) for _, p in pairs)
+
+
+@pytest.mark.parametrize("make_layout", [
+    GridLayout.default_bridge,
+    lambda: GridLayout.from_file("configs/grid_bridge.map"),
+    lambda: GridLayout.from_text("US.T.\n"),  # 1 row: every cell touches both y edges
+    lambda: GridLayout.from_text("U\nT\n.\nS\n.\n"),  # 1 column
+    lambda: GridLayout.from_text(".T\nS.\n"),  # 2x2: every cell is a corner
+    lambda: GridLayout.from_text("ST\n"),
+], ids=["bridge", "bridge_map", "5x1", "1x5", "2x2", "2x1"])
+def test_table_equals_cell_by_cell_reference(make_layout):
+    """The per-edge-shape table is the cell-by-cell one, bit for bit and in
+    the same key order."""
+    layout = make_layout()
+    table = envs._build_table(layout)
+    reference = reference_build_table(layout)
+    assert table == reference
+    assert list(table) == list(reference)
+
+
+def test_table_equals_reference_on_random_layouts():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        layout = random_grid_layout(rng)
+        assert envs._build_table(layout) == reference_build_table(layout), layout.to_text()
+
+
+def test_table_computes_each_edge_shape_once(monkeypatch):
+    """9 edge shapes x 5 actions on the 20x20 bridge, not one distribution
+    per (non-terminal cell, action)."""
+    calls = []
+    distribution = envs._distribution
+
+    def counting(layout, cell, label):
+        calls.append(cell)
+        return distribution(layout, cell, label)
+
+    monkeypatch.setattr(envs, "_distribution", counting)
+    envs._build_table(GridLayout.default_bridge())
+    assert len(calls) == 45
+    assert len(set(calls)) == 9
 
 
 # -- grid episodes --------------------------------------------------------------

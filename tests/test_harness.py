@@ -12,6 +12,7 @@ from logicrl.cli import main
 from logicrl.harness import (
     CONFIG_KEYS,
     METRICS_HEADER,
+    TRAIN_LOG_HEADER,
     ConfigError,
     RunConfig,
     build_run_config,
@@ -46,6 +47,14 @@ def tiny_values(tmp_path, **overrides):
     }
     values.update(overrides)
     return values
+
+
+def _src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, for child
+    processes that import logicrl."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 # -- config parsing ---------------------------------------------------------------
@@ -86,6 +95,23 @@ def test_build_run_config_errors():
         build_run_config({"env": "pong"})
     with pytest.raises(ConfigError):
         build_run_config({"beta": "7"})
+
+
+@pytest.mark.parametrize("seeds, flags, message", [
+    ("0,0", [], "duplicate seeds: 0"),
+    ("0,0", ["--parallel-seeds"], "duplicate seeds: 0"),
+    ("2,0,1,0,2", [], "duplicate seeds: 0,2"),
+    ("0,-1", [], "seeds must be >= 0, got -1"),
+])
+def test_cli_rejects_repeated_or_negative_seeds_before_writing(tmp_path, capsys, seeds,
+                                                                flags, message):
+    """Two runs of one seed would share one run directory, and a negative
+    seed cannot seed a generator: exit 2, one line naming the seeds,
+    nothing written."""
+    out = tmp_path / "out"
+    assert main(["train", "--seeds", seeds, "--steps", "40", "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_snapshot_round_trips(tmp_path):
@@ -141,6 +167,51 @@ def test_run_train_byte_identical_reruns(tmp_path):
     with open(os.path.join(run_dir, "metrics.csv"), "rb") as fp:
         second = fp.read()
     assert first == second
+
+
+_DIE_IN_EVALUATION = """
+import os, sys
+from logicrl import harness, training
+k, out = int(sys.argv[1]), sys.argv[2]
+evaluate, calls = training.Trainer.evaluate, []
+
+def evaluate_then_die(self, *args):
+    calls.append(None)
+    if len(calls) == k:
+        os._exit(0)  # a hard kill: no unwinding, no file closed or flushed
+    return evaluate(self, *args)
+
+training.Trainer.evaluate = evaluate_then_die
+harness.train_one_seed(harness.build_run_config({
+    "env": "gridworld", "seeds": "0", "steps": "160", "rollout_length": "10",
+    "batch_size": "2", "eval_every": "40", "eval_horizon": "50", "out": out}), 0)
+"""
+
+
+def test_train_log_holds_every_iteration_up_to_the_last_bundle_after_a_kill(tmp_path):
+    """A process killed during the 3rd evaluation (after the step-120
+    bundle was written) leaves train_log.csv with the header and the six
+    iterations up to step 120, not an empty file."""
+    out = tmp_path / "runs"
+    proc = subprocess.run([sys.executable, "-c", _DIE_IN_EVALUATION, "3", str(out)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run_dir = out / "run" / "seed_0"
+    assert sorted(os.listdir(run_dir / "checkpoints"))[-1] == "step_000000120"
+    lines = (run_dir / "train_log.csv").read_text().splitlines()
+    assert lines[0] == TRAIN_LOG_HEADER
+    assert [row.split(",")[:2] for row in lines[1:]] == [
+        [str(i), str(20 * i)] for i in range(1, 7)]
+
+
+def test_importing_the_harness_does_not_import_multiprocessing():
+    """Only a parallel run needs multiprocessing, so start-up skips it."""
+    code = ("import sys, logicrl.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_run_train_removes_partial_checkpoints_left_by_a_hard_kill(tmp_path):
@@ -490,12 +561,10 @@ def test_cli_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     """`logicrl train` runs numpy's OpenBLAS on one thread, so a grid run with
     OPENBLAS_NUM_THREADS=2 writes the same bytes as one with =1. Without the
     pin the loss columns differ in their last bits within 20k steps."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        env = {**_src_env(), "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-m", "logicrl", "train", "--config",
                                "configs/grid_bridge.cfg", "--seeds", "0", "--steps", "20000",
                                "--out", str(out)],
@@ -614,6 +683,16 @@ def test_cli_eval_of_tampered_state_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "eval_count" in err and "Traceback" not in err
+
+
+def test_cli_eval_with_a_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+            "gridworld", seed=0).save_checkpoint(ckpt)
+    assert main(["eval", str(ckpt), "--eval-horizon", "10", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+        run_eval(str(ckpt), eval_horizon=10, seed=-5)
 
 
 def test_cli_eval_of_checkpoint_with_too_few_envs_exits_2(tmp_path, capsys):
