@@ -27,21 +27,21 @@ class NonFiniteLogits(ValueError):
 def grid_onehot_features(width: int, height: int) -> tuple[int, Callable]:
     """One-hot cell indicator for integer (x, y) grid states, given as an
     (n, 1) int64 column of cell indices y * width + x: mlp_forward reads an
-    integer input as the position of each row's one 1. A state off the grid
-    raises ValueError rather than alias another cell."""
+    integer input as the position of each row's one 1. A state off the grid,
+    or not finite, raises ValueError rather than alias another cell."""
 
-    limits = np.array([width, height], dtype=np.uint64)
+    limits = np.array([width, height], dtype=np.float64)
+    cell_of_xy = np.array([[1], [width]], dtype=np.int64)
 
     def featurize(states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(states)
-        xy = states.astype(np.int64)
-        # a negative coordinate reads as a huge unsigned one, so one
-        # comparison per coordinate checks both ends
-        off = xy.view(np.uint64) >= limits
-        if off.any():
-            bad = states[off.any(axis=1).argmax()].tolist()
+        # compared before the int cast, which would warn on NaN or inf:
+        # both comparisons are false for NaN
+        on = (states >= 0) & (states < limits)
+        if np.count_nonzero(on) != on.size:
+            bad = states[(~on).any(axis=1).argmax()].tolist()
             raise ValueError(f"grid state {bad} lies off the {width}x{height} grid")
-        return xy[:, 1:2] * width + xy[:, 0:1]
+        return states.astype(np.int64) @ cell_of_xy
 
     return width * height, featurize
 
@@ -80,7 +80,7 @@ class ActorCritic:
             x = x.reshape(1, -1)
         probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x))
         logits = pcache.pre[-1]
-        if not np.isfinite(logits).all():
+        if np.count_nonzero(np.isfinite(logits)) != logits.size:
             raise NonFiniteLogits(
                 f"non-finite logits for states {np.asarray(states)!r}"
             )
@@ -91,14 +91,14 @@ class ActorCritic:
     def act_batch(self, states, rng: np.random.Generator):
         """Sample one action per state; returns actions and values."""
         probs, values, _, _ = self.policy_value(states)
-        cum = np.cumsum(probs, axis=1)
+        cum = np.add.accumulate(probs, axis=1)
         u = rng.random((len(probs), 1))
         actions = np.minimum((cum < u).sum(axis=1), self.n_actions - 1)
         return actions, values
 
     def greedy_batch(self, states) -> np.ndarray:
         probs, _, _, _ = self.policy_value(states)
-        return np.argmax(probs, axis=1)
+        return probs.argmax(axis=1)
 
     def values_batch(self, states) -> np.ndarray:
         _, values, _, _ = self.policy_value(states)

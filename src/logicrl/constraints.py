@@ -682,7 +682,7 @@ class BoundFormula:
             raise ValueError(
                 f"expected states of shape (n, {self.schema.size}), got {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ValueError("non-finite state components")
         return self._fn(arr)
 

@@ -57,11 +57,11 @@ class RunningNorm:
         std.flags.writeable = False
         self.std = std
 
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+    def normalize(self, x: np.ndarray, out=None) -> np.ndarray:
+        return np.divide(np.subtract(x, self.mean, out=out), self.std, out=out)
 
-    def denormalize(self, z: np.ndarray) -> np.ndarray:
-        return z * self.std + self.mean
+    def denormalize(self, z: np.ndarray, out=None) -> np.ndarray:
+        return np.add(np.multiply(z, self.std, out=out), self.mean, out=out)
 
     def get_state(self) -> dict:
         return {
@@ -96,8 +96,18 @@ class ForwardModel:
 
     # -- inputs ---------------------------------------------------------------
 
-    def _net_input(self, normalized: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return np.concatenate([normalized, self._action_rows[actions]], axis=1)
+    def _net_input(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The (n, state_dim + n_actions) net input, built in one buffer:
+        the normalized states, then each action's one-hot row."""
+        n, d = len(states), self.state_dim
+        if states.ndim != 2 or states.shape[1] != d:
+            raise ValueError(f"expected states of shape (n, {d}), got {states.shape}")
+        if len(actions) != n:
+            raise ValueError(f"expected {n} actions, one per state, got {len(actions)}")
+        x = np.empty((n, d + self.n_actions))
+        self.normalizer.normalize(states, out=x[:, :d])
+        x[:, d:] = self._action_rows[actions]
+        return x
 
     def update_normalizer(self, states: np.ndarray) -> None:
         self.normalizer.update(states)
@@ -107,13 +117,14 @@ class ForwardModel:
     def predict_batch(self, states, actions) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.asarray(actions, dtype=np.int64).ravel()
-        if not np.isfinite(states).all():
+        if np.count_nonzero(np.isfinite(states)) != states.size:
             raise ValueError("non-finite state components")
-        if (actions < 0).any() or (actions >= self.n_actions).any():
+        # a negative action reads as a huge unsigned one, so one comparison
+        # checks both ends
+        if np.count_nonzero(actions.view(np.uint64) >= self.n_actions):
             raise ValueError("action index out of range")
-        x = self._net_input(self.normalizer.normalize(states), actions)
-        z, _ = mlp_forward(self.params, self.config, x)
-        return self.normalizer.denormalize(z)
+        z, _ = mlp_forward(self.params, self.config, self._net_input(states, actions))
+        return self.normalizer.denormalize(z, out=z)
 
     def predict(self, state, action: int) -> np.ndarray:
         return self.predict_batch(np.asarray(state)[None, :], [action])[0]
@@ -131,7 +142,7 @@ class ForwardModel:
             raise ValueError("empty batch")
         if not (len(states) == len(actions) == len(nexts)):
             raise ValueError("batch arrays disagree on length")
-        x = self._net_input(self.normalizer.normalize(states), actions)
+        x = self._net_input(states, actions)
         targets = self.normalizer.normalize(nexts)
         z, cache = mlp_forward(self.params, self.config, x)
         err = z - targets

@@ -197,9 +197,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax of empty input")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # in place on the fresh shifted array: same ufuncs, so the same bits
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -208,9 +210,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(pre)
+def _relu(pre: np.ndarray) -> np.ndarray:
     return np.maximum(pre, 0.0)
 
 
@@ -238,16 +238,21 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
                 "mlp_forward input: an integer input holds one one-hot index per row, "
                 f"as an (n, 1) column; got shape {x.shape}"
             )
-        pre = weights[0][x[:, 0]] + weights[1]
+        pre = weights[0][x[:, 0]]
     else:
         x = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
-        pre = x @ weights[0] + weights[1]
+        pre = x @ weights[0]
+    # each bias is added in place on the fresh gather or product: the same
+    # additions as `+`, without a second temporary
+    pre += weights[1]
+    activate = np.tanh if config.activation == "tanh" else _relu
     pre_list: list[np.ndarray] = [pre]
     post_list: list[np.ndarray] = []
-    for layer in range(1, config.n_layers):
-        post = _activate(pre, config.activation)
+    for i in range(2, 2 * config.n_layers, 2):
+        post = activate(pre)
         post_list.append(post)
-        pre = post @ weights[2 * layer] + weights[2 * layer + 1]
+        pre = post @ weights[i]
+        pre += weights[i + 1]
         pre_list.append(pre)
     h = softmax(pre) if config.output_activation == "softmax" else pre
     post_list.append(h)

@@ -199,8 +199,8 @@ def evaluate_policy(
     The constraint is checked on the true next state of every step; the mean
     return counts environment reward only. When `model` is given, the
     model-vs-reality constraint disagreement rate is reported as well.
-    The model predicts each step's (state, action) on its own; the formula
-    is scored once over the whole stream (parameters are frozen and each
+    The model predicts each step's (state, action) as a one-row batch; the
+    formula is scored once over the whole stream (parameters are frozen and each
     row's satisfaction depends on that row alone).
     """
     if eval_steps < 1:
@@ -213,8 +213,8 @@ def evaluate_policy(
         true_ok = bound.evaluate_batch(r.next_states[:, 0])
         satisfied = int(true_ok.sum())
         if model is not None:
-            predicted = [model.predict(s, a) for s, a in zip(r.states[:, 0], r.actions[:, 0])]
-            pred_ok = bound.evaluate_batch(np.array(predicted))
+            predicted = map(model.predict_batch, r.states, r.actions)
+            pred_ok = bound.evaluate_batch(np.concatenate(list(predicted)))
             disagreements = int((pred_ok != true_ok).sum())
     return EvalResult(
         mean_return=float(np.mean(r.completed)) if r.completed else r.ep_returns[0],

@@ -3,8 +3,9 @@
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
-GAE recursion, dense one-hot inputs, ParamSets with chosen entries, a
-per-entry backward pass, per-entry SGD and Adam updates, reference
+GAE recursion, dense one-hot inputs, the out-of-place forward pass and the
+inference formulas built on it, ParamSets with chosen entries, a per-entry
+backward pass, per-entry SGD and Adam updates, reference
 environment steppers, a cell-by-cell grid transition table, and the
 step-by-step training rollout and evaluation loops. They
 intentionally avoid the library code paths they are used to check
@@ -21,7 +22,7 @@ import numpy as np
 from logicrl import constraints as fl
 from logicrl import envs
 from logicrl.envs import StateSchema
-from logicrl.tensor import ParamSet
+from logicrl.tensor import MLPCache, ParamSet, _as_batch
 from logicrl.training import EvalResult
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -124,6 +125,105 @@ def dense_grid_onehot_features(width: int, height: int):
         return dense_onehot(idx, width * height)
 
     return width * height, featurize
+
+
+# ---------------------------------------------------------------------------
+# The out-of-place forward pass and the inference formulas that call it: the
+# reference for the in-place forward, the count_nonzero checks and the
+# one-buffer model input, which must give the same bits
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax; accepts a vector or a matrix of rows."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.size == 0:
+        raise ValueError("softmax of empty input")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_activate(pre: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "tanh":
+        return np.tanh(pre)
+    return np.maximum(pre, 0.0)
+
+
+def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
+    """Run the net on a batch of row vectors.
+
+    An integer input is a column of one-hot indices: row i stands for the
+    unit vector with a 1 at x[i, 0], and layer 0 is the row gather
+    `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
+
+    Returns the (n, d_out) output and the activation cache needed for
+    mlp_backward.
+    """
+    weights = params.views
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        if x.ndim != 2 or x.shape[1] != 1:
+            raise ValueError(
+                "mlp_forward input: an integer input holds one one-hot index per row, "
+                f"as an (n, 1) column; got shape {x.shape}"
+            )
+        pre = weights[0][x[:, 0]] + weights[1]
+    else:
+        x = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
+        pre = x @ weights[0] + weights[1]
+    pre_list: list[np.ndarray] = [pre]
+    post_list: list[np.ndarray] = []
+    for layer in range(1, config.n_layers):
+        post = _reference_activate(pre, config.activation)
+        post_list.append(post)
+        pre = post @ weights[2 * layer] + weights[2 * layer + 1]
+        pre_list.append(pre)
+    h = reference_softmax(pre) if config.output_activation == "softmax" else pre
+    post_list.append(h)
+    return h, MLPCache(x, pre_list, post_list)
+
+
+def reference_grid_cells(states: np.ndarray, width: int) -> np.ndarray:
+    """The (n, 1) int64 cell index column y * width + x of on-grid states."""
+    xy = np.atleast_2d(states).astype(np.int64)
+    return xy[:, 1:2] * width + xy[:, 0:1]
+
+
+def reference_probs(agent, states, grid_width=None) -> np.ndarray:
+    """The policy's action probabilities; a grid policy (`grid_width` set)
+    reads cell indices, any other the raw states."""
+    x = np.asarray(states, dtype=np.float64)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
+    if grid_width is not None:
+        x = reference_grid_cells(x, grid_width)
+    probs, pcache = reference_mlp_forward(agent.policy_params, agent.policy_config, x)
+    assert np.isfinite(pcache.pre[-1]).all()
+    return probs
+
+
+def reference_act_batch(agent, states, rng: np.random.Generator, grid_width=None):
+    """Sampled actions: the first action whose cumulative probability
+    reaches a uniform draw."""
+    probs = reference_probs(agent, states, grid_width)
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random((len(probs), 1))
+    return np.minimum((cum < u).sum(axis=1), agent.n_actions - 1)
+
+
+def reference_greedy_batch(agent, states, grid_width=None) -> np.ndarray:
+    return np.argmax(reference_probs(agent, states, grid_width), axis=1)
+
+
+def reference_predict_batch(model, states, actions) -> np.ndarray:
+    """The model's next-state prediction from a concatenated input,
+    normalized and denormalized out of place."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.asarray(actions, dtype=np.int64).ravel()
+    norm = model.normalizer
+    x = np.concatenate([(states - norm.mean) / norm.std, np.eye(model.n_actions)[actions]], axis=1)
+    z, _ = reference_mlp_forward(model.params, model.config, x)
+    return z * norm.std + norm.mean
 
 
 # ---------------------------------------------------------------------------

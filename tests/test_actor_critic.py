@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,15 +102,21 @@ def test_grid_onehot_features():
 
 
 def test_grid_onehot_features_rejects_off_grid_states():
-    """A state off the grid is a ValueError naming it, never another cell:
-    (20, 0), (-1, 0) and (0, -1) would read as cells 20, -1 and -20."""
+    """A state off the grid, or not finite, is a ValueError naming it, never
+    another cell: (20, 0), (-1, 0) and (0, -1) would read as cells 20, -1
+    and -20. A NaN or inf coordinate is rejected before the int cast, with
+    no RuntimeWarning."""
     _, feats = grid_onehot_features(20, 20)
     assert feats(np.array([[0.0, 0.0], [19.0, 19.0]]))[:, 0].tolist() == [0, 399]
-    for state in ([20.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 20.0]):
-        with pytest.raises(ValueError, match=rf"grid state \[{state[0]}, {state[1]}\] lies off"):
-            feats(np.array([[3.0, 4.0], state]))
-        with pytest.raises(ValueError, match="off the 20x20 grid"):
-            feats(np.array(state))
+    states = ([20.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 20.0],
+              [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf])
+    for state in states:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"grid state \[{state[0]}, {state[1]}\] lies off"):
+                feats(np.array([[3.0, 4.0], state]))
+            with pytest.raises(ValueError, match="off the 20x20 grid"):
+                feats(np.array(state))
 
 
 def bridge_states(n: int, seed: int) -> np.ndarray:

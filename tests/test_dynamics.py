@@ -115,6 +115,27 @@ def test_predict_rejects_bad_inputs():
         model.predict(np.array([1.0, 1.0]), 5)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_predict_and_loss_reject_states_of_the_wrong_width(width):
+    """A one-column batch would be broadcast over both state components,
+    and a three-column one fail inside numpy: both name the expected shape."""
+    model = ForwardModel(2, 5, seed=0)
+    states = np.arange(2.0 * width).reshape(2, width)
+    with pytest.raises(ValueError, match=rf"expected states of shape \(n, 2\), got \(2, {width}\)"):
+        model.predict_batch(states, [1, 2])
+    with pytest.raises(ValueError, match=r"expected states of shape \(n, 2\)"):
+        model.loss_and_grads((states, [1, 2], np.zeros((2, 2))))
+
+
+def test_predict_rejects_an_action_count_other_than_the_row_count():
+    """One action must not spread over every row, nor two over one."""
+    model = ForwardModel(2, 5, seed=0)
+    with pytest.raises(ValueError, match="expected 2 actions, one per state, got 1"):
+        model.predict_batch(np.zeros((2, 2)), [3])
+    with pytest.raises(ValueError, match="expected 1 actions, one per state, got 2"):
+        model.predict_batch(np.zeros((1, 2)), [3, 4])
+
+
 # -- loss ---------------------------------------------------------------------------
 
 

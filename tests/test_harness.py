@@ -334,10 +334,15 @@ def test_cli_maps_nan_prediction_in_evaluation_to_exit_3(tmp_path, monkeypatch, 
     and `logicrl eval` of the checkpoint it left exits 2."""
     from logicrl.dynamics import ForwardModel
 
-    def nan_predict(self, state, action):
-        return np.full(self.state_dim, np.nan)
+    predict_batch = ForwardModel.predict_batch
 
-    monkeypatch.setattr(ForwardModel, "predict", nan_predict)
+    def nan_predict(self, states, actions):
+        # the evaluation predicts one row at a time; the rollout's two rows
+        # per step stay real
+        z = predict_batch(self, states, actions)
+        return np.full_like(z, np.nan) if len(z) == 1 else z
+
+    monkeypatch.setattr(ForwardModel, "predict_batch", nan_predict)
     code = main(["train", "--env", "gridworld", "--constraint", "configs/grid_keepout.fl",
                  "--seeds", "0", "--steps", "40", "--eval-every", "20",
                  "--rollout-length", "10", "--batch-size", "2", "--out", str(tmp_path)])
