@@ -19,7 +19,7 @@ print("formula:  ", to_text(formula))
 
 bound = bind(formula, registry, env.schema)
 for state in ([0.0, 0.0], [5.0, 8.0], [5.0, 9.0], [9.0, 9.0], [9.0, 12.0]):
-    print(f"  phi({state}) = {bound.evaluate(state)}")
+    print(f"  phi({state}) = {bound.evaluate_batch([state])[0]}")
 
 # Component bounds work the same way; this is the cart-pole style box.
 box = parse("(-2.4 <= s[0] and s[0] <= 2.4) and (-0.2095 <= s[2] and s[2] <= 0.2095)")
@@ -31,7 +31,7 @@ near_target = parse("exists t in target: norm2(s - t) <= 3")
 bound_near = bind(near_target, registry, env.schema)
 print("\nnear the target?")
 for state in ([19.0, 19.0], [17.0, 17.0], [0.0, 0.0]):
-    print(f"  {state} -> {bound_near.evaluate(state)}")
+    print(f"  {state} -> {bound_near.evaluate_batch([state])[0]}")
 
 # Batch evaluation scores many states in one call.
 states = np.random.default_rng(0).uniform(0, 19, size=(100_000, 2))

@@ -29,9 +29,9 @@ outcomes = {"target": 0, "unsafe": 0, "cap": 0}
 for _ in range(200):
     env.reset()
     while True:
-        t = env.step(int(rng.integers(5)))
-        if t.done:
-            label = env.layout.label((int(t.next_state[0]), int(t.next_state[1])))
+        next_state, _, done = env.step(int(rng.integers(5)))
+        if done:
+            label = env.layout.label((int(next_state[0]), int(next_state[1])))
             outcomes[label if label in outcomes else "cap"] += 1
             break
 print(f"\n200 random-walk episodes end as: {outcomes}")

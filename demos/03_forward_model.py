@@ -14,11 +14,11 @@ rng = np.random.default_rng(3)
 states, actions, nexts = [], [], []
 for _ in range(4000):
     a = int(rng.integers(5))
-    t = env.step(a)
-    states.append(t.state)
+    states.append(env.state)
     actions.append(a)
-    nexts.append(t.next_state)
-    if t.done:
+    next_state, _, done = env.step(a)
+    nexts.append(next_state)
+    if done:
         env.reset()
 states, actions, nexts = np.array(states), np.array(actions), np.array(nexts)
 
@@ -36,6 +36,6 @@ for step in range(2001):
 labels = ("left", "right", "up", "down", "stay")
 print("\npredictions from (8, 5) against the analytic conditional mean:")
 for a in range(5):
-    pred = model.predict(np.array([8.0, 5.0]), a)
+    pred = model.predict_batch([[8.0, 5.0]], [a])[0]
     mean = env.transition_mean([8, 5], a)
     print(f"  {labels[a]:>5}: predicted {np.round(pred, 2)}  analytic mean {np.round(mean, 2)}")

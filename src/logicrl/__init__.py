@@ -30,7 +30,6 @@ from .envs import (
     GridLayout,
     GridWorld,
     StateSchema,
-    Transition,
     make_env,
 )
 from .tensor import (

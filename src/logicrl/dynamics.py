@@ -104,6 +104,10 @@ class ForwardModel:
             raise ValueError(f"expected states of shape (n, {d}), got {states.shape}")
         if len(actions) != n:
             raise ValueError(f"expected {n} actions, one per state, got {len(actions)}")
+        # a negative action reads as a huge unsigned one, so one comparison
+        # checks both ends
+        if np.count_nonzero(actions.view(np.uint64) >= self.n_actions):
+            raise ValueError("action index out of range")
         x = np.empty((n, d + self.n_actions))
         self.normalizer.normalize(states, out=x[:, :d])
         x[:, d:] = self._action_rows[actions]
@@ -119,10 +123,6 @@ class ForwardModel:
         actions = np.asarray(actions, dtype=np.int64).ravel()
         if np.count_nonzero(np.isfinite(states)) != states.size:
             raise ValueError("non-finite state components")
-        # a negative action reads as a huge unsigned one, so one comparison
-        # checks both ends
-        if np.count_nonzero(actions.view(np.uint64) >= self.n_actions):
-            raise ValueError("action index out of range")
         z, _ = mlp_forward(self.params, self.config, self._net_input(states, actions))
         return self.normalizer.denormalize(z, out=z)
 
@@ -140,9 +140,9 @@ class ForwardModel:
         nexts = np.atleast_2d(np.asarray(s2, dtype=np.float64))
         if len(states) == 0:
             raise ValueError("empty batch")
-        if not (len(states) == len(actions) == len(nexts)):
-            raise ValueError("batch arrays disagree on length")
         x = self._net_input(states, actions)
+        if nexts.shape != states.shape:
+            raise ValueError(f"expected next states of shape {states.shape}, got {nexts.shape}")
         targets = self.normalizer.normalize(nexts)
         z, cache = mlp_forward(self.params, self.config, x)
         err = z - targets

@@ -2,10 +2,10 @@
 
 Two environments: a 20x20 slippery grid world whose target sits behind a
 bridge through a band of unsafe cells, and the classic cart-pole balancing
-task. Both expose reset/step, a state schema with named slices, a discrete
-action spec, and what the trainer asks of an environment: its grid `layout`,
-anchor `registry()` and episode `end_label`. A wrapper
-defers environment reward into d-step sums.
+task. Both expose reset and a step that returns (next_state, reward, done),
+a state schema with named slices, a discrete action spec, and what the
+trainer asks of an environment: its grid `layout`, anchor `registry()` and
+episode `end_label`. A wrapper defers environment reward into d-step sums.
 """
 from __future__ import annotations
 
@@ -52,17 +52,6 @@ class ActionSpec:
     def __post_init__(self):
         if self.count < 1 or len(self.labels) != self.count:
             raise ValueError("action count must be >= 1 and match labels")
-
-
-@dataclass
-class Transition:
-    """One environment step."""
-
-    state: np.ndarray
-    action: int
-    env_reward: float
-    next_state: np.ndarray
-    done: bool
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +258,14 @@ def _transition_table(layout: GridLayout) -> dict:
     return table
 
 
+def restore_rng(state: dict) -> np.random.Generator:
+    """A generator that continues a saved `bit_generator.state`. A constant
+    seed means no OS entropy is drawn; a malformed state raises as the setter does."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """`arr`, made read-only: an env hands it out without copying it."""
     arr.flags.writeable = False
@@ -364,9 +361,9 @@ class GridWorld:
         self._done = False
         return self.state
 
-    def step(self, action: int) -> Transition:
-        """One table lookup and one uniform draw. The transition holds the
-        shared read-only state arrays of its two cells: no new array."""
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        """One table lookup and one uniform draw. Returns (next_state, reward,
+        done) with the new cell's shared read-only state array: no new array."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
         if not 0 <= action < self.action_spec.count:
@@ -377,13 +374,12 @@ class GridWorld:
         while cum[i] <= u:  # first entry above u: searchsorted(side="right")
             i += 1
         nxt, reward, done = outcomes[i]
-        state = self._state
         self._place(nxt)
         self._steps += 1
         if self._steps >= self.max_steps:
             done = True
         self._done = done
-        return Transition(state, action, reward, self._state, done)
+        return self._state, reward, done
 
     # -- snapshot -------------------------------------------------------------
 
@@ -399,8 +395,7 @@ class GridWorld:
         self._place(tuple(snapshot["pos"]))
         self._steps = snapshot["steps"]
         self._done = snapshot["done"]
-        self.rng = np.random.default_rng()
-        self.rng.bit_generator.state = snapshot["rng"]
+        self.rng = restore_rng(snapshot["rng"])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +469,9 @@ class CartPole:
         self._done = False
         return self.state
 
-    def step(self, action: int) -> Transition:
-        """One Euler step in Python floats. The transition shares the
-        env's read-only state arrays: one new array per step."""
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        """One Euler step in Python floats. Returns (next_state, reward, done)
+        with the env's new read-only state array: one new array per step."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
         if action not in (0, 1):
@@ -486,13 +481,12 @@ class CartPole:
         x_acc, theta_acc = self.accelerations(floats, force)
         dt = self.dt
         x, theta = x + dt * x_dot, theta + dt * theta_dot
-        state = self._state
         self._state = _frozen(np.array(
             [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc]
         ))
         self._steps += 1
         self._done = self._out_of_bounds(x, theta) or self._steps >= self.max_steps
-        return Transition(state, action, 1.0, self._state, self._done)
+        return self._state, 1.0, self._done
 
     def get_state(self) -> dict:
         return {
@@ -506,8 +500,7 @@ class CartPole:
         self._state = _frozen(np.array(snapshot["state"], dtype=np.float64))
         self._steps = snapshot["steps"]
         self._done = snapshot["done"]
-        self.rng = np.random.default_rng()
-        self.rng.bit_generator.state = snapshot["rng"]
+        self.rng = restore_rng(snapshot["rng"])
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +531,17 @@ class DelayedReward:
         self._phase = 0
         return self.env.reset(seed)
 
-    def step(self, action: int) -> Transition:
-        t = self.env.step(action)
-        self._pending += t.env_reward
+    def step(self, action: int) -> tuple[np.ndarray, float, bool]:
+        next_state, reward, done = self.env.step(action)
+        self._pending += reward
         self._phase += 1
-        if self._phase % self.d == 0 or t.done:
+        if self._phase % self.d == 0 or done:
             emitted, self._pending = self._pending, 0.0
         else:
             emitted = 0.0
-        if t.done:
+        if done:
             self._phase = 0
-        t.env_reward = emitted  # the inner env made t for this call alone
-        return t
+        return next_state, emitted, done
 
     def get_state(self) -> dict:
         return {"pending": self._pending, "phase": self._phase, "inner": self.env.get_state()}

@@ -21,7 +21,7 @@ import numpy as np
 from . import constraints as fl
 from .actor_critic import ActorCritic, gae_batch, grid_onehot_features, policy_value_loss
 from .dynamics import ForwardModel
-from .envs import GridLayout, make_env
+from .envs import GridLayout, make_env, restore_rng
 from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_file
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
@@ -148,33 +148,33 @@ def run_steps(envs, states, ep_returns, steps: int, choose) -> StepRecord:
     episodes under way; an episode that goes on past the last step carries
     its return in the record's `ep_returns`."""
     returns = [float(x) for x in ep_returns]
-    # per step, the (B, d) states and (B,) values; per env step, the rest
-    seen, values, acted, rewards, dones, nexts = [], [], [], [], [], []
+    # per step, the (B, d) states, (B,) actions and values; per env step, the rest
+    seen, acted, values, rewards, dones, nexts = [], [], [], [], [], []
     completed, end_labels = [], []
     for _ in range(steps):
         actions, vals = choose(states)
         seen.append(states)
+        acted.append(actions)
         values.append(vals)
         following = []  # the state each env goes on from: next or reset
         for i, (env, action) in enumerate(zip(envs, actions.tolist())):
-            tr = env.step(action)
-            acted.append(action)
-            rewards.append(tr.env_reward)
-            dones.append(tr.done)
-            nexts.append(tr.next_state)
-            returns[i] += tr.env_reward
-            if tr.done:
+            next_state, reward, done = env.step(action)
+            rewards.append(reward)
+            dones.append(done)
+            nexts.append(next_state)
+            returns[i] += reward
+            if done:
                 completed.append(returns[i])
-                end_labels.append(env.end_label(tr.next_state))
+                end_labels.append(env.end_label(next_state))
                 returns[i] = 0.0
                 following.append(env.reset())
             else:
-                following.append(tr.next_state)
+                following.append(next_state)
         states = np.array(following)
     shape = (steps, len(envs))
     return StepRecord(
         states=np.concatenate(seen).reshape(*shape, -1),
-        actions=np.array(acted, dtype=np.int64).reshape(shape),
+        actions=np.array(acted, dtype=np.int64),
         rewards=np.array(rewards, dtype=np.float64).reshape(shape),
         dones=np.array(dones, dtype=np.float64).reshape(shape),
         values=np.concatenate(values).reshape(shape),
@@ -511,8 +511,7 @@ class Trainer:
         trainer._eval_seed_base = state["eval_seed_base"]
         trainer._ep_returns = np.asarray(state["ep_returns"], dtype=np.float64)
         trainer._last_mean_ep_return = state["last_mean_ep_return"]
-        trainer.action_rng = np.random.default_rng()
-        trainer.action_rng.bit_generator.state = state["action_rng"]
+        trainer.action_rng = restore_rng(state["action_rng"])
         for env, snap in zip(trainer.envs, state["env_snapshots"]):
             env.set_state(snap)
         trainer.model.normalizer.set_state(state["normalizer"])

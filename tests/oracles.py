@@ -653,22 +653,22 @@ def reference_evaluate_policy(agent, env, bound, eval_steps: int, seed=None,
     end_counts: dict[str, int] = {}
     for _ in range(eval_steps):
         action = int(agent.greedy_batch(state[None, :])[0])
-        t = env.step(action)
+        next_state, reward, done = env.step(action)
         if bound is not None:
-            true_ok = bound.evaluate(t.next_state)
+            true_ok = bound.evaluate(next_state)
             satisfied += bool(true_ok)
             if model is not None:
-                pred_ok = bound.evaluate(model.predict(t.state, action))
+                pred_ok = bound.evaluate(model.predict(state, action))
                 disagreements += pred_ok != true_ok
-        ep_return += t.env_reward
-        if t.done:
+        ep_return += reward
+        if done:
             episode_returns.append(ep_return)
-            label = env.end_label(t.next_state)
+            label = env.end_label(next_state)
             end_counts[label] = end_counts.get(label, 0) + 1
             ep_return = 0.0
             state = env.reset()
         else:
-            state = t.next_state
+            state = next_state
     mean_return = float(np.mean(episode_returns)) if episode_returns else ep_return
     return EvalResult(
         mean_return=mean_return,
@@ -710,17 +710,17 @@ def reference_collect_rollout(trainer) -> dict:
         acts, vals = trainer.agent.act_batch(step_states, trainer.action_rng)
         following = []
         for i, (env, action) in enumerate(zip(trainer.envs, acts.tolist())):
-            tr = env.step(action)
-            next_states[t, i] = tr.next_state
-            rewards[t, i] = tr.env_reward
-            ep_returns[i] += tr.env_reward
-            if tr.done:
+            next_state, reward, done = env.step(action)
+            next_states[t, i] = next_state
+            rewards[t, i] = reward
+            ep_returns[i] += reward
+            if done:
                 dones[t, i] = 1.0
                 completed.append(ep_returns[i])
                 ep_returns[i] = 0.0
                 following.append(env.reset())
             else:
-                following.append(tr.next_state)
+                following.append(next_state)
         if trainer.bound is not None:
             pred_ok = trainer.bound.evaluate_batch(trainer.model.predict_batch(step_states, acts))
             true_ok = trainer.bound.evaluate_batch(next_states[t])

@@ -263,8 +263,8 @@ def test_criterion_3_grid_dynamics():
         env._place(cell)
         env._steps = 0
         env._done = False
-        t = env.step(action)
-        key = tuple(int(v) for v in t.next_state)
+        next_state, _, _ = env.step(action)
+        key = tuple(int(v) for v in next_state)
         counts[key] = counts.get(key, 0) + 1
     worst = 0.0
     for support_cell, probability in expected.items():

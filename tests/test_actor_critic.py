@@ -125,8 +125,8 @@ def bridge_states(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     states = [env.reset()]
     while len(states) < n:
-        t = env.step(int(rng.integers(5)))
-        states.append(env.reset() if t.done else t.next_state)
+        next_state, _, done = env.step(int(rng.integers(5)))
+        states.append(env.reset() if done else next_state)
     return np.array(states)
 
 

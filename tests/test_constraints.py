@@ -25,6 +25,11 @@ def registry_with(**sets) -> fl.ObjectRegistry:
     return reg
 
 
+def holds(bound: fl.BoundFormula, state) -> bool:
+    """Whether `bound` holds at one state, scored as a one-row batch."""
+    return bool(bound.evaluate_batch(np.array([state], dtype=float))[0])
+
+
 # -- parsing ------------------------------------------------------------------
 
 
@@ -139,7 +144,7 @@ def test_bind_empty_set_is_vacuous_true():
     reg = fl.ObjectRegistry()
     reg.add_set("hazards", np.zeros((0, 0)))
     bound = fl.bind(f, reg, GRID_SCHEMA)
-    assert bound.evaluate([3.0, 4.0]) is True
+    assert holds(bound, [3.0, 4.0])
 
 
 def test_bind_component_out_of_range():
@@ -165,8 +170,8 @@ def test_bind_unknown_slice_and_unknown_var():
 def test_bind_named_slice():
     f = fl.parse("norm2(s.pos - [1,2]) <= 3")
     bound = fl.bind(f, fl.ObjectRegistry(), GRID_SCHEMA)
-    assert bound.evaluate([1.0, 2.0]) is True
-    assert bound.evaluate([10.0, 2.0]) is False
+    assert holds(bound, [1.0, 2.0])
+    assert not holds(bound, [10.0, 2.0])
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -174,7 +179,7 @@ def test_bind_named_slice():
 
 def test_evaluate_distance_bound_false_case():
     bound = fl.bind(fl.parse("2 <= norm2(s - [5,6])"), fl.ObjectRegistry(), GRID_SCHEMA)
-    assert bound.evaluate([5.0, 5.0]) is False  # distance is 1
+    assert not holds(bound, [5.0, 5.0])  # distance is 1
 
 
 def test_evaluate_tautology_nonnegative_norm():
@@ -190,8 +195,8 @@ def test_evaluate_forall_l1_two_anchors():
     f = fl.parse("forall u in unsafe: 1 <= norm1(s - u)")
     reg = registry_with(unsafe=[[3, 3], [4, 3]])
     bound = fl.bind(f, reg, GRID_SCHEMA)
-    assert bound.evaluate([3.0, 4.0]) is True   # distance to (3,3) is exactly 1
-    assert bound.evaluate([3.0, 3.0]) is False  # on an anchor
+    assert holds(bound, [3.0, 4.0])  # distance to (3,3) is exactly 1
+    assert not holds(bound, [3.0, 3.0])  # on an anchor
 
 
 def test_evaluate_rejects_nonfinite_state():
@@ -204,18 +209,18 @@ def test_evaluate_rejects_nonfinite_state():
 
 def test_evaluate_strict_versus_nonstrict():
     reg = fl.ObjectRegistry()
-    assert fl.bind(fl.parse("1 <= s[0]"), reg, GRID_SCHEMA).evaluate([1.0, 0.0]) is True
-    assert fl.bind(fl.parse("1 < s[0]"), reg, GRID_SCHEMA).evaluate([1.0, 0.0]) is False
-    assert fl.bind(fl.parse("1 >= s[0]"), reg, GRID_SCHEMA).evaluate([1.0, 0.0]) is True
-    assert fl.bind(fl.parse("1 > s[0]"), reg, GRID_SCHEMA).evaluate([1.0, 0.0]) is False
+    assert holds(fl.bind(fl.parse("1 <= s[0]"), reg, GRID_SCHEMA), [1.0, 0.0])
+    assert not holds(fl.bind(fl.parse("1 < s[0]"), reg, GRID_SCHEMA), [1.0, 0.0])
+    assert holds(fl.bind(fl.parse("1 >= s[0]"), reg, GRID_SCHEMA), [1.0, 0.0])
+    assert not holds(fl.bind(fl.parse("1 > s[0]"), reg, GRID_SCHEMA), [1.0, 0.0])
 
 
 def test_exists_semantics():
     f = fl.parse("exists u in pts: norm2(s - u) <= 1")
     reg = registry_with(pts=[[0, 0], [10, 10]])
     bound = fl.bind(f, reg, GRID_SCHEMA)
-    assert bound.evaluate([0.5, 0.0]) is True
-    assert bound.evaluate([5.0, 5.0]) is False
+    assert holds(bound, [0.5, 0.0])
+    assert not holds(bound, [5.0, 5.0])
 
 
 # -- norms --------------------------------------------------------------------
@@ -230,7 +235,7 @@ def formula_distance_is(state, anchor, p: float, distance: float) -> bool:
     norm = f"{_NORM_KEYWORDS[p]}(s - {list(map(float, anchor))})"
     at_most = fl.bind(fl.parse(f"{norm} <= {distance!r}"), fl.ObjectRegistry(), GRID_SCHEMA)
     below = fl.bind(fl.parse(f"{norm} < {distance!r}"), fl.ObjectRegistry(), GRID_SCHEMA)
-    return at_most.evaluate(state) and not below.evaluate(state)
+    return holds(at_most, state) and not holds(below, state)
 
 
 def test_norm_distance_hand_values():
@@ -437,9 +442,9 @@ def test_safety_atom_monotone_in_distance():
         direction /= np.linalg.norm(direction)
         r = rng.uniform(0, 6)
         s = u + r * direction
-        if bound.evaluate(s):
+        if holds(bound, s):
             farther = u + (r + rng.uniform(0, 5)) * direction
-            assert bound.evaluate(farther)
+            assert holds(bound, farther)
 
 
 def test_parser_total_on_generated_and_mutated_text():

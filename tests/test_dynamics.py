@@ -97,14 +97,14 @@ def test_zero_output_layer_predicts_running_mean():
     states = np.random.default_rng(2).uniform(0, 10, size=(40, 2))
     model.update_normalizer(states)
     model.params = paramset_with(model.params, {"fwd.w2": 0.0, "fwd.b2": 0.0})
-    pred = model.predict(np.array([7.0, 3.0]), 1)
+    pred = model.predict_batch([[7.0, 3.0]], [1])
     assert np.allclose(pred, model.normalizer.mean)
 
 
 def test_prediction_depends_on_action():
     model = ForwardModel(2, 2, seed=3)
-    s = np.array([1.0, 2.0])
-    assert not np.allclose(model.predict(s, 0), model.predict(s, 1))
+    pred = model.predict_batch([[1.0, 2.0], [1.0, 2.0]], [0, 1])
+    assert not np.allclose(pred[0], pred[1])
 
 
 def test_predict_rejects_bad_inputs():
@@ -158,6 +158,25 @@ def test_loss_rejects_empty_batch():
     model = ForwardModel(2, 2, seed=0)
     with pytest.raises(ValueError):
         model.loss_and_grads((np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros((0, 2))))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_loss_rejects_next_states_of_the_wrong_width(width):
+    """One next-state column would be broadcast over both components and
+    trained on as if it were whole."""
+    model = ForwardModel(2, 5)
+    message = rf"expected next states of shape \(2, 2\), got \(2, {width}\)"
+    with pytest.raises(ValueError, match=message):
+        model.loss_and_grads((np.zeros((2, 2)), [0, 1], np.zeros((2, width))))
+
+
+@pytest.mark.parametrize("action", [-1, 5])
+def test_loss_rejects_actions_out_of_range(action):
+    """-1 would train on the last one-hot row, and 5 fail inside numpy: both
+    raise the message `predict_batch` gives."""
+    model = ForwardModel(2, 5)
+    with pytest.raises(ValueError, match="action index out of range"):
+        model.loss_and_grads((np.zeros((2, 2)), [0, action], np.zeros((2, 2))))
 
 
 def test_loss_gradients_match_finite_differences():
@@ -246,11 +265,11 @@ def test_grid_dynamics_convergence_to_conditional_mean():
     S, A, S2 = [], [], []
     for _ in range(4000):
         a = int(rng.integers(5))
-        t = env.step(a)
-        S.append(t.state)
+        S.append(env.state)
         A.append(a)
-        S2.append(t.next_state)
-        if t.done:
+        next_state, _, done = env.step(a)
+        S2.append(next_state)
+        if done:
             env.reset()
     S, A, S2 = np.array(S), np.array(A), np.array(S2)
     model = ForwardModel(2, 5, seed=2)
@@ -262,13 +281,12 @@ def test_grid_dynamics_convergence_to_conditional_mean():
         fit_step(model, optimizer, (S[idx], A[idx], S2[idx]))
 
     moves = {0: (-1, 0), 1: (1, 0), 2: (0, 1), 3: (0, -1), 4: (0, 0)}
+    rows = [(np.array([x, y], dtype=float), a)
+            for x in range(3, 17) for y in range(3, 6) for a in range(5)]
+    preds = model.predict_batch(np.array([s for s, _ in rows]), [a for _, a in rows])
     mode_errors, mean_errors = [], []
-    for x in range(3, 17):
-        for y in range(3, 6):
-            for a in range(5):
-                s = np.array([x, y], dtype=float)
-                pred = model.predict(s, a)
-                mode_errors.append(np.linalg.norm(pred - (s + np.array(moves[a]))))
-                mean_errors.append(np.abs(pred - env.transition_mean(s, a)).max())
+    for (s, a), pred in zip(rows, preds):
+        mode_errors.append(np.linalg.norm(pred - (s + np.array(moves[a]))))
+        mean_errors.append(np.abs(pred - env.transition_mean(s, a)).max())
     assert np.mean(mode_errors) < 1.0
     assert np.mean(mean_errors) <= 0.15

@@ -147,8 +147,8 @@ def test_intended_cell_frequency():
         env._place((5, 5))
         env._steps = 0
         env._done = False
-        t = env.step(2)
-        hits += tuple(int(v) for v in t.next_state) == (5, 6)
+        next_state, _, _ = env.step(2)
+        hits += tuple(int(v) for v in next_state) == (5, 6)
     assert abs(hits / 10_000 - 0.88) < 0.01
 
 
@@ -165,11 +165,11 @@ def test_grid_step_matches_reference_stepper(layout_text):
     resets = 0
     for _ in range(5000):
         action = int(rng.integers(5))
-        t = env.step(action)
-        next_state, reward, done = ref.step(action)
-        assert np.array_equal(t.next_state, next_state)
-        assert (t.env_reward, t.done) == (reward, done)
-        if t.done:
+        next_state, reward, done = env.step(action)
+        want_state, want_reward, want_done = ref.step(action)
+        assert np.array_equal(next_state, want_state)
+        assert (reward, done) == (want_reward, want_done)
+        if done:
             env.reset()
             ref.reset()
             resets += 1
@@ -261,10 +261,11 @@ def test_grid_seeded_determinism():
     rng = np.random.default_rng(0)
     for _ in range(300):
         action = int(rng.integers(5))
-        ta, tb = env_a.step(action), env_b.step(action)
-        assert np.array_equal(ta.next_state, tb.next_state)
-        assert ta.env_reward == tb.env_reward and ta.done == tb.done
-        if ta.done:
+        next_a, reward_a, done_a = env_a.step(action)
+        next_b, reward_b, done_b = env_b.step(action)
+        assert np.array_equal(next_a, next_b)
+        assert reward_a == reward_b and done_a == done_b
+        if done_a:
             env_a.reset()
             env_b.reset()
 
@@ -273,16 +274,16 @@ def test_grid_reward_rule_over_episodes():
     env = GridWorld(seed=5)
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        t = env.step(int(rng.integers(5)))
-        label = env.layout.label((int(t.next_state[0]), int(t.next_state[1])))
+        next_state, reward, done = env.step(int(rng.integers(5)))
+        label = env.layout.label((int(next_state[0]), int(next_state[1])))
         if label == "target":
-            assert t.env_reward == 1.0 and t.done
+            assert reward == 1.0 and done
         elif label == "unsafe":
-            assert t.env_reward == -1.0 and t.done
+            assert reward == -1.0 and done
         else:
-            assert t.env_reward == 0.0
-        assert 0 <= t.next_state[0] <= 19 and 0 <= t.next_state[1] <= 19
-        if t.done:
+            assert reward == 0.0
+        assert 0 <= next_state[0] <= 19 and 0 <= next_state[1] <= 19
+        if done:
             env.reset()
 
 
@@ -290,7 +291,7 @@ def test_grid_step_after_done_rejected():
     env = GridWorld(seed=2)
     rng = np.random.default_rng(2)
     while True:
-        if env.step(int(rng.integers(5))).done:
+        if env.step(int(rng.integers(5)))[2]:
             break
     with pytest.raises(EpisodeOver):
         env.step(0)
@@ -305,9 +306,9 @@ def test_grid_episode_cap():
     env = GridWorld(layout, seed=9)
     steps = 0
     while True:
-        t = env.step(4)  # stay
+        _, _, done = env.step(4)  # stay
         steps += 1
-        if t.done:
+        if done:
             break
     assert steps == env.max_steps == 400
 
@@ -324,14 +325,13 @@ def test_grid_snapshot_round_trip():
     env = GridWorld(seed=4)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        t = env.step(int(rng.integers(5)))
-        if t.done:
+        if env.step(int(rng.integers(5)))[2]:
             env.reset()
     snap = env.get_state()
-    t1 = env.step(2)
+    next_1, reward_1, done_1 = env.step(2)
     env.set_state(snap)
-    t2 = env.step(2)
-    assert np.array_equal(t1.next_state, t2.next_state)
+    next_2, reward_2, done_2 = env.step(2)
+    assert np.array_equal(next_1, next_2) and (reward_1, done_1) == (reward_2, done_2)
 
 
 # -- cart-pole ------------------------------------------------------------------
@@ -361,11 +361,10 @@ def test_cartpole_step_matches_reference_stepper(seed, d):
             action = int(prev[2] + 0.5 * prev[3] + 0.01 * prev[1] > 0)
         else:
             action = int(rng.integers(2))
-        t = env.step(action)
-        nxt, reward, done = ref.step(action)
-        assert t.state.tobytes() == prev.tobytes()
-        assert t.next_state.tobytes() == nxt.tobytes()
-        assert (t.env_reward, t.done) == (reward, done)
+        next_state, reward, done = env.step(action)
+        nxt, want_reward, want_done = ref.step(action)
+        assert next_state.tobytes() == nxt.tobytes()
+        assert (reward, done) == (want_reward, want_done)
         if done:
             ends["cap" if ref.steps >= CartPole.max_steps else "bound"] += 1
             assert env.reset().tobytes() == ref.reset().tobytes()
@@ -388,18 +387,17 @@ def test_cartpole_accelerations_match_reference():
 
 def test_cartpole_transition_arrays_are_read_only():
     env = CartPole(3)
-    t = env.step(1)
+    next_state, _, _ = env.step(1)
     with pytest.raises(ValueError):
-        t.next_state[0] = 9.0
+        next_state[0] = 9.0
     assert env.state.flags.writeable  # `state` is still the caller's copy
 
 
 def test_grid_transition_arrays_are_read_only():
     env = GridWorld(seed=3)
-    first = env.step(2)
-    second = env.step(2)
-    assert second.state is first.next_state  # shared, not copied
-    for arr in (first.state, first.next_state, second.next_state):
+    first, _, _ = env.step(2)
+    second, _, _ = env.step(2)
+    for arr in (first, second):
         with pytest.raises(ValueError):
             arr[0] = 9.0
     assert env.state.flags.writeable  # `state` is still the caller's copy
@@ -411,11 +409,16 @@ def test_grid_cells_share_one_state_array():
     set_state, reset and step all give the cell as float64 (x, y)."""
     a, b = GridWorld(seed=0), GridWorld(seed=1)
     start = np.array(a.layout.start, dtype=float)
-    first_a, first_b = a.step(4), b.step(4)  # both step from the start cell
-    assert first_a.state is first_b.state
-    assert np.array_equal(first_a.state, start)
-    with pytest.raises(ValueError):
-        first_b.state[1] = 0.0
+    shared, visits = {}, {a: set(), b: set()}  # cell -> its one array; env -> cells
+    for env in (a, b):
+        for _ in range(20):
+            next_state, _, done = env.step(4)  # stay, near the start cell
+            cell = tuple(int(v) for v in next_state)
+            assert shared.setdefault(cell, next_state) is next_state
+            visits[env].add(cell)
+            if done:
+                env.reset()
+    assert visits[a] & visits[b]
 
     def pos_array(env):
         return np.array(env.get_state()["pos"], dtype=float)
@@ -423,20 +426,19 @@ def test_grid_cells_share_one_state_array():
     snapshot = a.get_state()
     snapshot["pos"] = [3, 8]
     b.set_state(snapshot)
-    assert np.array_equal(b.state, [3.0, 8.0])
-    t = b.step(0)
-    assert t.state.dtype == np.float64 and np.array_equal(t.state, [3.0, 8.0])
+    assert b.state.dtype == np.float64 and np.array_equal(b.state, [3.0, 8.0])
+    next_state, _, done = b.step(0)
     rng = np.random.default_rng(0)
     resets = 0
     for _ in range(300):
-        assert np.array_equal(t.next_state, pos_array(b))
-        assert t.next_state.dtype == np.float64 and t.next_state.shape == (2,)
-        assert not t.next_state.flags.writeable
-        if t.done:
+        assert np.array_equal(next_state, pos_array(b))
+        assert next_state.dtype == np.float64 and next_state.shape == (2,)
+        assert not next_state.flags.writeable
+        if done:
             reset = b.reset()
             assert reset.dtype == np.float64 and np.array_equal(reset, start)
             resets += 1
-        t = b.step(int(rng.choice([0, 1, 2, 2])))  # drift up into the band
+        next_state, _, done = b.step(int(rng.choice([0, 1, 2, 2])))  # drift up into the band
     assert resets > 0
 
 
@@ -451,20 +453,20 @@ def test_cartpole_accelerations_symmetric_at_rest():
 def test_cartpole_euler_step_from_rest_hand_values():
     env = CartPole(seed=0)
     env._state = np.zeros(4)
-    t = env.step(1)  # +10 N
-    x, x_dot, theta, theta_dot = t.next_state
+    next_state, reward, _ = env.step(1)  # +10 N
+    x, x_dot, theta, theta_dot = next_state
     assert x == 0.0 and theta == 0.0  # position updates use old velocities
     assert abs(x_dot - 0.02 * X_ACC_FROM_REST) < 1e-15
     assert abs(theta_dot - 0.02 * THETA_ACC_FROM_REST) < 1e-15
-    assert t.env_reward == 1.0
+    assert reward == 1.0
 
 
 def test_cartpole_terminates_on_angle():
     env = CartPole(seed=0)
     env._state = np.array([0.0, 0.0, 0.205, 2.0])
-    t = env.step(1)
-    assert abs(t.next_state[2]) > 0.2095
-    assert t.done
+    next_state, _, done = env.step(1)
+    assert abs(next_state[2]) > 0.2095
+    assert done
     with pytest.raises(EpisodeOver):
         env.step(0)
 
@@ -472,9 +474,9 @@ def test_cartpole_terminates_on_angle():
 def test_cartpole_terminates_on_position():
     env = CartPole(seed=0)
     env._state = np.array([2.39, 3.0, 0.0, 0.0])
-    t = env.step(1)
-    assert abs(t.next_state[0]) > 2.4
-    assert t.done
+    next_state, _, done = env.step(1)
+    assert abs(next_state[0]) > 2.4
+    assert done
 
 
 def test_cartpole_full_episodes_stay_finite():
@@ -483,10 +485,10 @@ def test_cartpole_full_episodes_stay_finite():
     steps = 0
     episodes = 0
     while episodes < 30:
-        t = env.step(int(rng.integers(2)))
+        next_state, _, done = env.step(int(rng.integers(2)))
         steps += 1
-        assert np.all(np.isfinite(t.next_state))
-        if t.done:
+        assert np.all(np.isfinite(next_state))
+        if done:
             episodes += 1
             env.reset()
     assert steps >= 30
@@ -500,7 +502,7 @@ def test_cartpole_cap_500():
     while True:
         env._state = np.zeros(4)
         count += 1
-        if env.step(1).done:
+        if env.step(1)[2]:
             break
     assert count == 500
 
@@ -510,9 +512,9 @@ def test_cartpole_determinism():
     rng = np.random.default_rng(8)
     for _ in range(200):
         action = int(rng.integers(2))
-        ta, tb = a.step(action), b.step(action)
-        assert np.array_equal(ta.next_state, tb.next_state)
-        if ta.done:
+        (next_a, _, done_a), (next_b, _, _) = a.step(action), b.step(action)
+        assert np.array_equal(next_a, next_b)
+        if done_a:
             a.reset()
             b.reset()
 
@@ -526,9 +528,9 @@ def test_delayed_d1_identity():
     rng = np.random.default_rng(6)
     for _ in range(200):
         action = int(rng.integers(5))
-        tb, tw = base.step(action), wrapped.step(action)
-        assert tb.env_reward == tw.env_reward
-        if tb.done:
+        (_, reward_b, done_b), (_, reward_w, _) = base.step(action), wrapped.step(action)
+        assert reward_b == reward_w
+        if done_b:
             base.reset()
             wrapped.reset()
 
@@ -555,23 +557,21 @@ class _ScriptedEnv:
         return self.state
 
     def step(self, action):
-        from logicrl.envs import Transition
         r = self.rewards[self.i]
         self.i += 1
         done = self.done_at is not None and self.i >= self.done_at
-        return Transition(np.array([float(self.i - 1)]), action, r,
-                          np.array([float(self.i)]), done)
+        return self.state, r, done
 
 
 def test_delayed_every_fifth_step():
     env = DelayedReward(_ScriptedEnv([1, 1, 1, 1, 1]), 5)
-    emitted = [env.step(0).env_reward for _ in range(5)]
+    emitted = [env.step(0)[1] for _ in range(5)]
     assert emitted == [0, 0, 0, 0, 5]
 
 
 def test_delayed_flush_at_episode_end():
     env = DelayedReward(_ScriptedEnv([1, 2, 3], done_at=3), 5)
-    emitted = [env.step(0).env_reward for _ in range(3)]
+    emitted = [env.step(0)[1] for _ in range(3)]
     assert emitted == [0, 0, 6]
 
 
@@ -584,13 +584,12 @@ def test_delayed_conservation(d):
     done = False
     while not done:
         action = int(rng.integers(5))
-        tb = base.step(action)
-        tw = wrapped.step(action)
-        raw_total += tb.env_reward
-        wrapped_total += tw.env_reward
-        done = tb.done
-        assert tb.done == tw.done
-        assert np.array_equal(tb.next_state, tw.next_state)
+        next_b, reward_b, done = base.step(action)
+        next_w, reward_w, done_w = wrapped.step(action)
+        raw_total += reward_b
+        wrapped_total += reward_w
+        assert done == done_w
+        assert np.array_equal(next_b, next_w)
     assert raw_total == wrapped_total
 
 
@@ -600,10 +599,59 @@ def test_delayed_validation_and_snapshot():
     env = DelayedReward(GridWorld(seed=1), 3)
     env.step(1)
     snap = env.get_state()
-    r1 = [env.step(1).env_reward for _ in range(3)]
+    r1 = [env.step(1)[1] for _ in range(3)]
     env.set_state(snap)
-    r2 = [env.step(1).env_reward for _ in range(3)]
+    r2 = [env.step(1)[1] for _ in range(3)]
     assert r1 == r2
+
+
+# -- the step protocol shared by every env -------------------------------------------
+
+
+ENVS_UNDER_CONTRACT = {
+    "grid": lambda: GridWorld(seed=0),
+    "cartpole": lambda: CartPole(seed=0),
+    "grid_delayed": lambda: DelayedReward(GridWorld(seed=0), 3),
+    "cartpole_delayed": lambda: DelayedReward(CartPole(seed=0), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVS_UNDER_CONTRACT))
+def test_step_contract(name):
+    """`step` returns exactly (next_state, reward, done): a read-only
+    float64 array of the schema's size, a Python float and a Python bool.
+    A step after `done` raises EpisodeOver, and an out-of-range action
+    ValueError; a wrapper hands on its inner env's next_state uncopied."""
+    env = ENVS_UNDER_CONTRACT[name]()
+    wrapped = isinstance(env, DelayedReward)
+    inner_steps = []
+    if wrapped:
+        inner_step = env.env.step
+
+        def recording_step(action):
+            inner_steps.append(inner_step(action))
+            return inner_steps[-1]
+
+        env.env.step = recording_step
+    n_actions = env.action_spec.count
+    rng = np.random.default_rng(0)
+    for _ in range(3):  # three episodes, each stepped to its end
+        done = False
+        while not done:
+            result = env.step(int(rng.integers(n_actions)))
+            assert type(result) is tuple and len(result) == 3
+            next_state, reward, done = result
+            assert type(reward) is float and type(done) is bool
+            assert next_state.dtype == np.float64 and next_state.shape == (env.schema.size,)
+            assert not next_state.flags.writeable
+            if wrapped:
+                assert next_state is inner_steps[-1][0]
+        with pytest.raises(EpisodeOver):
+            env.step(0)
+        env.reset()
+    for action in (-1, n_actions):
+        with pytest.raises(ValueError):
+            env.step(action)
 
 
 # -- what the trainer asks of an environment ------------------------------------------
@@ -671,11 +719,11 @@ def test_cartpole_end_label_agrees_with_step():
     """An episode that a step ends early is labelled "bound" from its
     last state; the same check decides both."""
     env = CartPole(seed=4)
-    t = env.step(1)
-    while not t.done:
-        t = env.step(1)
+    next_state, _, done = env.step(1)
+    while not done:
+        next_state, _, done = env.step(1)
     assert env._steps < env.max_steps
-    assert env.end_label(t.next_state) == "bound"
+    assert env.end_label(next_state) == "bound"
 
 
 def test_make_env():

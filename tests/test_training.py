@@ -498,13 +498,13 @@ def test_evaluate_policy_random_uniform_regression_value():
     tr = grid_trainer(KEEPOUT)
     bound = fl.bind(fl.parse(KEEPOUT), tr.registry, tr.schema)
     rng = np.random.default_rng(0)
-    satisfied = 0
+    next_states = []
     for _ in range(100_000):
-        t = env.step(int(rng.integers(5)))
-        satisfied += bound.evaluate(t.next_state)
-        if t.done:
+        next_state, _, done = env.step(int(rng.integers(5)))
+        next_states.append(next_state)
+        if done:
             env.reset()
-    assert satisfied / 100_000 == 0.97242
+    assert bound.evaluate_batch(np.array(next_states)).sum() / 100_000 == 0.97242
 
 
 def test_evaluate_satisfaction_ignores_model_quality():
