@@ -19,7 +19,7 @@ print("\nsame cell, action 'left' from the corner (0, 0) clamps and respreads:")
 for cell, p in env.transition_distribution(np.array([0.0, 0.0]), 0):
     print(f"  -> {tuple(int(v) for v in cell)}  with probability {p}")
 
-mean = env.transition_mean([5, 5], 2)
+mean = sum(cell * float(p) for cell, p in env.transition_distribution([5, 5], 2))
 print(f"\nconditional mean of the next state for 'up' at (5,5): {mean}")
 
 # A random walk: most episodes die in the unsafe band long before finding

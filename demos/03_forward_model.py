@@ -37,5 +37,5 @@ labels = ("left", "right", "up", "down", "stay")
 print("\npredictions from (8, 5) against the analytic conditional mean:")
 for a in range(5):
     pred = model.predict_batch([[8.0, 5.0]], [a])[0]
-    mean = env.transition_mean([8, 5], a)
+    mean = sum(cell * float(p) for cell, p in env.transition_distribution([8, 5], a))
     print(f"  {labels[a]:>5}: predicted {np.round(pred, 2)}  analytic mean {np.round(mean, 2)}")

@@ -10,6 +10,7 @@ episode `end_label`. A wrapper defers environment reward into d-step sums.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -266,6 +267,17 @@ def restore_rng(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
+def _snapshot_episode(snapshot: dict, max_steps: int) -> tuple[int, bool]:
+    """A snapshot's (steps, done), checked to be a count in 0..max_steps
+    and a bool."""
+    steps, done = snapshot["steps"], snapshot["done"]
+    if not (type(steps) is int and 0 <= steps <= max_steps):
+        raise ValueError(f"episode step count {steps!r} outside 0..{max_steps}")
+    if type(done) is not bool:
+        raise ValueError(f"episode done flag {done!r} is not a bool")
+    return steps, done
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """`arr`, made read-only: an env hands it out without copying it."""
     arr.flags.writeable = False
@@ -321,11 +333,6 @@ class GridWorld:
             raise ValueError(f"state {cell} outside the grid")
         dist = _distribution(self.layout, cell, GRID_ACTIONS[action])
         return [(np.array(c, dtype=np.float64), p) for c, p in dist]
-
-    def transition_mean(self, state, action: int) -> np.ndarray:
-        """Exact conditional mean of the next state."""
-        pairs = self.transition_distribution(state, action)
-        return np.sum([np.asarray(c) * float(p) for c, p in pairs], axis=0)
 
     # -- what the trainer asks of an environment ------------------------------
 
@@ -392,10 +399,23 @@ class GridWorld:
         }
 
     def set_state(self, snapshot: dict) -> None:
-        self._place(tuple(snapshot["pos"]))
-        self._steps = snapshot["steps"]
-        self._done = snapshot["done"]
+        """Continue from a `get_state` snapshot. One naming an off-grid cell,
+        a target or unsafe cell of an episode still running, a step count
+        outside 0..max_steps or a non-bool done raises ValueError and
+        changes nothing."""
+        cell = tuple(snapshot["pos"])
+        if not (len(cell) == 2 and all(type(v) is int for v in cell)
+                and self.layout.in_bounds(cell)):
+            raise ValueError(
+                f"cell {list(cell)} is not on the {self.layout.width}x{self.layout.height} grid"
+            )
+        steps, done = _snapshot_episode(snapshot, self.max_steps)
+        if not done and cell not in self._table:  # the table holds the non-terminal cells
+            raise ValueError(f"episode still running in {self.layout.label(cell)} cell {cell}")
         self.rng = restore_rng(snapshot["rng"])
+        self._place(cell)
+        self._steps = steps
+        self._done = done
 
 
 # ---------------------------------------------------------------------------
@@ -424,30 +444,21 @@ class CartPole:
         self.schema = StateSchema(names=("x", "x_dot", "theta", "theta_dot"))
         self.action_spec = ActionSpec(2, ("push_left", "push_right"))
         self.rng = np.random.default_rng(seed)
-        self._state = np.zeros(4)
-        self._steps = 0
-        self._done = False
-        self.reset(seed)
+        self.reset()
 
     @staticmethod
     def accelerations(state, force: float) -> tuple[float, float]:
         """Cart and pole angular acceleration for the standard dynamics."""
         _, _, theta, theta_dot = state
-        total = CartPole.mass_cart + CartPole.mass_pole
-        pm_l = CartPole.mass_pole * CartPole.half_length
         sin, cos = math.sin(theta), math.cos(theta)
         # `**2`, not `x * x`: the two round differently, and `**2` keeps the
         # trajectory bit-identical to numpy-scalar arithmetic
-        temp = (force + pm_l * theta_dot**2 * sin) / total
-        theta_acc = (CartPole.gravity * sin - cos * temp) / (
-            CartPole.half_length * (4.0 / 3.0 - CartPole.mass_pole * cos**2 / total)
+        temp = (force + _POLE_MOMENT * theta_dot**2 * sin) / _TOTAL_MASS
+        theta_acc = (_GRAVITY * sin - cos * temp) / (
+            _HALF_LENGTH * (4.0 / 3.0 - _MASS_POLE * cos**2 / _TOTAL_MASS)
         )
-        x_acc = temp - pm_l * theta_acc * cos / total
-        return float(x_acc), float(theta_acc)
-
-    @staticmethod
-    def _out_of_bounds(x, theta) -> bool:
-        return abs(x) > CART_X_LIMIT or abs(theta) > POLE_ANGLE_LIMIT
+        x_acc = temp - _POLE_MOMENT * theta_acc * cos / _TOTAL_MASS
+        return x_acc, theta_acc
 
     def registry(self) -> ObjectRegistry:
         """No anchor sets: cart-pole formulas bound state components."""
@@ -455,7 +466,7 @@ class CartPole:
 
     def end_label(self, state) -> str:
         """Why an episode that ended in `state` ended: bound or cap."""
-        return "bound" if self._out_of_bounds(state[0], state[2]) else "cap"
+        return "bound" if _out_of_bounds(state[0], state[2]) else "cap"
 
     @property
     def state(self) -> np.ndarray:
@@ -474,19 +485,23 @@ class CartPole:
         with the env's new read-only state array: one new array per step."""
         if self._done:
             raise EpisodeOver("episode has ended; call reset()")
-        if action not in (0, 1):
+        if action == 1:
+            force = _FORCE_MAG
+        elif action == 0:
+            force = -_FORCE_MAG
+        else:
             raise ValueError(f"invalid action index {action}")
-        force = self.force_mag if action == 1 else -self.force_mag
         x, x_dot, theta, theta_dot = floats = self._state.tolist()
         x_acc, theta_acc = self.accelerations(floats, force)
-        dt = self.dt
-        x, theta = x + dt * x_dot, theta + dt * theta_dot
-        self._state = _frozen(np.array(
-            [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc]
-        ))
-        self._steps += 1
-        self._done = self._out_of_bounds(x, theta) or self._steps >= self.max_steps
-        return self._state, 1.0, self._done
+        x += _DT * x_dot
+        theta += _DT * theta_dot
+        # a float64 array over immutable bytes is born read-only
+        self._state = state = np.frombuffer(
+            _PACK_STATE(x, x_dot + _DT * x_acc, theta, theta_dot + _DT * theta_acc)
+        )
+        self._steps = steps = self._steps + 1
+        self._done = done = _out_of_bounds(x, theta) or steps >= self.max_steps
+        return state, 1.0, done
 
     def get_state(self) -> dict:
         return {
@@ -497,10 +512,37 @@ class CartPole:
         }
 
     def set_state(self, snapshot: dict) -> None:
-        self._state = _frozen(np.array(snapshot["state"], dtype=np.float64))
-        self._steps = snapshot["steps"]
-        self._done = snapshot["done"]
+        """Continue from a `get_state` snapshot. One whose state is not 4
+        finite numbers, is out of bounds in an episode still running, or
+        whose step count is outside 0..max_steps or done is not a bool
+        raises ValueError and changes nothing."""
+        state = np.array(snapshot["state"], dtype=np.float64)
+        if state.shape != (4,) or not np.isfinite(state).all():
+            raise ValueError(f"cart-pole state {snapshot['state']!r} is not 4 finite numbers")
+        steps, done = _snapshot_episode(snapshot, self.max_steps)
+        if not done and _out_of_bounds(state[0], state[2]):
+            raise ValueError(f"episode still running in out-of-bounds state {state.tolist()}")
         self.rng = restore_rng(snapshot["rng"])
+        self._state = _frozen(state)
+        self._steps = steps
+        self._done = done
+
+
+# What a cart-pole step reads of the physics, as module globals computed once
+# from the class attributes: a global read is cheaper than a class-attribute
+# lookup, and the two sums are the doubles `accelerations` computed per call.
+_GRAVITY = CartPole.gravity
+_MASS_POLE = CartPole.mass_pole
+_HALF_LENGTH = CartPole.half_length
+_TOTAL_MASS = CartPole.mass_cart + CartPole.mass_pole
+_POLE_MOMENT = CartPole.mass_pole * CartPole.half_length
+_FORCE_MAG = CartPole.force_mag
+_DT = CartPole.dt
+_PACK_STATE = struct.Struct("4d").pack
+
+
+def _out_of_bounds(x, theta) -> bool:
+    return abs(x) > CART_X_LIMIT or abs(theta) > POLE_ANGLE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -533,23 +575,32 @@ class DelayedReward:
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
         next_state, reward, done = self.env.step(action)
-        self._pending += reward
-        self._phase += 1
-        if self._phase % self.d == 0 or done:
-            emitted, self._pending = self._pending, 0.0
+        pending = self._pending + reward
+        phase = self._phase + 1
+        if done or phase % self.d == 0:
+            emitted, pending = pending, 0.0
         else:
             emitted = 0.0
-        if done:
-            self._phase = 0
+        self._pending = pending
+        self._phase = 0 if done else phase
         return next_state, emitted, done
 
     def get_state(self) -> dict:
         return {"pending": self._pending, "phase": self._phase, "inner": self.env.get_state()}
 
     def set_state(self, snapshot: dict) -> None:
-        self._pending = snapshot["pending"]
-        self._phase = snapshot["phase"]
+        """Continue from a `get_state` snapshot. The phase counts the steps
+        of the running episode, so one outside 0..max_steps, a non-finite
+        pending sum or an inner snapshot its env refuses raises ValueError
+        and changes nothing."""
+        pending, phase = snapshot["pending"], snapshot["phase"]
+        if not (type(phase) is int and 0 <= phase <= self.env.max_steps):
+            raise ValueError(f"delayed-reward phase {phase!r} outside 0..{self.env.max_steps}")
+        if not (isinstance(pending, (int, float)) and math.isfinite(pending)):
+            raise ValueError(f"delayed-reward pending sum {pending!r} is not a finite number")
         self.env.set_state(snapshot["inner"])
+        self._pending = pending
+        self._phase = phase
 
 
 def make_env(env_id: str, seed: int = 0, layout: Optional[GridLayout] = None, d: int = 1):

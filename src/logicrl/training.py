@@ -512,7 +512,12 @@ class Trainer:
         trainer._ep_returns = np.asarray(state["ep_returns"], dtype=np.float64)
         trainer._last_mean_ep_return = state["last_mean_ep_return"]
         trainer.action_rng = restore_rng(state["action_rng"])
-        for env, snap in zip(trainer.envs, state["env_snapshots"]):
-            env.set_state(snap)
+        for i, (env, snap) in enumerate(zip(trainer.envs, state["env_snapshots"])):
+            try:
+                env.set_state(snap)
+            except ValueError as exc:
+                raise ValueError(
+                    f"unreadable checkpoint at {directory}: env snapshot {i}: {exc}"
+                ) from exc
         trainer.model.normalizer.set_state(state["normalizer"])
         return trainer

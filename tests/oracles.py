@@ -582,6 +582,13 @@ def random_grid_layout(rng: np.random.Generator):
             continue
 
 
+def transition_mean(env, state, action: int) -> np.ndarray:
+    """Exact conditional mean of a grid world's next state, from its
+    `transition_distribution`."""
+    pairs = env.transition_distribution(state, action)
+    return np.sum([np.asarray(c) * float(p) for c, p in pairs], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Cart-pole reference stepper
 

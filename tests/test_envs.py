@@ -19,6 +19,7 @@ from oracles import (
     ReferenceGridStepper,
     random_grid_layout,
     reference_build_table,
+    transition_mean,
 )
 
 # exact acceleration values for one step from the zero state with +10 N,
@@ -135,7 +136,7 @@ def test_transition_mean_matches_enumeration():
     env = GridWorld()
     pairs = env.transition_distribution(np.array([5.0, 5.0]), 2)
     expected = sum(np.asarray(c) * float(p) for c, p in pairs)
-    assert np.allclose(env.transition_mean([5, 5], 2), expected)
+    assert np.allclose(transition_mean(env, [5, 5], 2), expected)
 
 
 def test_intended_cell_frequency():
@@ -344,12 +345,14 @@ def test_cartpole_reset_range():
         assert np.all(np.abs(state) <= 0.05)
 
 
-@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_cartpole_step_matches_reference_stepper(seed, d):
     """6000 steps with resets agree bit for bit with the numpy-array Euler
     step: states, rewards (d-step sums when wrapped) and done. A noisy
-    balancing policy makes episodes long enough to reach the step cap."""
+    balancing policy makes episodes long enough to reach the step cap; across
+    the three seeds, episodes end at every phase of each wrapper. Each next
+    state is an aligned, read-only array."""
     env = CartPole(seed) if d == 1 else DelayedReward(CartPole(seed), d)
     ref = ReferenceCartPole(seed, d)
     rng = np.random.default_rng(seed + 1)
@@ -364,6 +367,7 @@ def test_cartpole_step_matches_reference_stepper(seed, d):
         next_state, reward, done = env.step(action)
         nxt, want_reward, want_done = ref.step(action)
         assert next_state.tobytes() == nxt.tobytes()
+        assert next_state.flags.aligned and not next_state.flags.writeable
         assert (reward, done) == (want_reward, want_done)
         if done:
             ends["cap" if ref.steps >= CartPole.max_steps else "bound"] += 1
@@ -652,6 +656,26 @@ def test_step_contract(name):
     for action in (-1, n_actions):
         with pytest.raises(ValueError):
             env.step(action)
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("grid", {"steps": 401}),
+    ("cartpole", {"state": [float("nan")] * 4}),
+    ("cartpole_delayed", {"inner": {"steps": -1}}),
+])
+def test_refused_snapshot_leaves_the_env_as_it_was(name, changes):
+    """set_state checks the whole snapshot, the wrapper's inner one too,
+    before it restores any of it."""
+    env = ENVS_UNDER_CONTRACT[name]()
+    env.step(1)
+    snapshot = env.get_state()
+    env.step(1)
+    before = env.get_state()
+    for key, value in changes.items():
+        snapshot[key] = {**snapshot[key], **value} if isinstance(value, dict) else value
+    with pytest.raises(ValueError):
+        env.set_state(snapshot)
+    assert env.get_state() == before
 
 
 # -- what the trainer asks of an environment ------------------------------------------

@@ -18,7 +18,12 @@ from logicrl.training import (
     evaluate_policy,
     run_steps,
 )
-from oracles import paramset_with, reference_collect_rollout, reference_evaluate_policy
+from oracles import (
+    paramset_with,
+    reference_collect_rollout,
+    reference_evaluate_policy,
+    transition_mean,
+)
 
 TAUTOLOGY = "forall u in unsafe: 0 <= norm2(s - u)"
 KEEPOUT = "forall u in unsafe: 1.5 <= norm2(s - u)"
@@ -110,7 +115,7 @@ class _ExactMeanModel:
         self.env = env
 
     def predict_batch(self, states, actions):
-        return np.array([self.env.transition_mean(s, a) for s, a in zip(states, actions)])
+        return np.array([transition_mean(self.env, s, a) for s, a in zip(states, actions)])
 
 
 def test_constraint_reward_near_band_with_perfect_model():
@@ -411,6 +416,43 @@ def test_load_checkpoint_rejects_lists_not_one_per_env(tmp_path, key, length):
     state[key] = (state[key] * 2)[:length]
     (ckpt / "state.json").write_text(json.dumps(state))
     with pytest.raises(ValueError, match=f"unreadable checkpoint at .*{length} {key}"):
+        Trainer.load_checkpoint(ckpt)
+
+
+TAMPERED_SNAPSHOTS = {
+    "grid_running_in_unsafe_cell": ("gridworld", {"pos": [5, 9], "done": False}),
+    "grid_running_in_target_cell": ("gridworld", {"pos": [19, 19], "done": False}),
+    "grid_off_grid_cell": ("gridworld", {"pos": [25, 3]}),
+    "grid_steps_past_cap": ("gridworld", {"steps": 401}),
+    "grid_done_not_a_bool": ("gridworld", {"done": "false"}),
+    "cartpole_state_of_length_3": ("cartpole", {"inner": {"state": [0.0, 0.0, 0.0]}}),
+    "cartpole_state_nan": ("cartpole", {"inner": {"state": [float("nan")] * 4}}),
+    "cartpole_running_past_the_bound": ("cartpole", {"inner": {"state": [2.5, 0.0, 0.0, 0.0],
+                                                               "done": False}}),
+    "cartpole_negative_phase": ("cartpole", {"phase": -1}),
+    "cartpole_pending_inf": ("cartpole", {"pending": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_SNAPSHOTS))
+def test_load_checkpoint_rejects_tampered_env_snapshot(tmp_path, name):
+    """An env snapshot that no episode can reach is refused when the bundle
+    is loaded, naming the snapshot, not reported later as a training fault."""
+    env_id, changes = TAMPERED_SNAPSHOTS[name]
+    if env_id == "gridworld":
+        trainer = grid_trainer(KEEPOUT, seed=3)
+    else:
+        trainer = Trainer(tiny_config(), "cartpole", seed=3, d=5,
+                          formula=fl.load_constraint_file(CARTPOLE_THETA))
+    trainer.train_iteration()
+    ckpt = tmp_path / "ckpt"
+    trainer.save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    snapshot = state["env_snapshots"][0]
+    for key, value in changes.items():
+        snapshot[key] = {**snapshot[key], **value} if isinstance(value, dict) else value
+    (ckpt / "state.json").write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="unreadable checkpoint at .*env snapshot 0: "):
         Trainer.load_checkpoint(ckpt)
 
 
