@@ -15,10 +15,8 @@ import sys
 
 import numpy as np
 
-from .constraints import BindError, FLSyntaxError
 from .harness import (
     CONFIG_KEYS,
-    ConfigError,
     build_run_config,
     check_constraint,
     emit_curves,
@@ -169,7 +167,7 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():
             return handlers[args.verb](args)
-    except (ConfigError, FLSyntaxError, BindError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError and the .fl errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:

@@ -71,9 +71,19 @@ class RunningNorm:
         }
 
     def set_state(self, state: dict) -> None:
-        self.count = state["count"]
-        self.mean = np.asarray(state["mean"], dtype=np.float64)
-        self.m2 = np.asarray(state["m2"], dtype=np.float64)
+        """Continue from a `get_state` snapshot. A count that is not an int
+        >= 0, or a mean or m2 that is not `dim` finite numbers, or a negative
+        m2, raises ValueError and changes nothing."""
+        count = state["count"]
+        if type(count) is not int or count < 0:
+            raise ValueError(f"normalizer count {count!r} is not an integer >= 0")
+        mean, m2 = (np.asarray(state[key], dtype=np.float64) for key in ("mean", "m2"))
+        for key, a in (("mean", mean), ("m2", m2)):
+            if a.shape != (self.dim,) or not np.isfinite(a).all():
+                raise ValueError(f"normalizer {key} {state[key]!r} is not {self.dim} finite values")
+        if (m2 < 0.0).any():
+            raise ValueError(f"normalizer m2 {state['m2']!r} has a negative entry")
+        self.count, self.mean, self.m2 = count, mean, m2
         self._refresh_std()
 
 

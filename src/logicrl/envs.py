@@ -550,8 +550,10 @@ def _out_of_bounds(x, theta) -> bool:
 
 
 class DelayedReward:
-    """Withholds environment reward, emitting the accumulated sum every d-th
-    step and at episode end. Every other attribute is the inner env's."""
+    """Withholds environment reward, emitting the accumulated sum at every
+    d-th step of an episode and at its end. The step count is the inner
+    env's, so the wrapper keeps only the pending sum. Every other attribute
+    is the inner env's."""
 
     def __init__(self, env, d: int):
         if d < 1:
@@ -559,7 +561,6 @@ class DelayedReward:
         self.env = env
         self.d = d
         self._pending = 0.0
-        self._phase = 0
 
     def __getattr__(self, name):
         # reached only for names the wrapper lacks; `env` itself is refused so
@@ -570,37 +571,30 @@ class DelayedReward:
 
     def reset(self, seed: Optional[int] = None) -> np.ndarray:
         self._pending = 0.0
-        self._phase = 0
         return self.env.reset(seed)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
         next_state, reward, done = self.env.step(action)
         pending = self._pending + reward
-        phase = self._phase + 1
-        if done or phase % self.d == 0:
+        if done or self.env._steps % self.d == 0:
             emitted, pending = pending, 0.0
         else:
             emitted = 0.0
         self._pending = pending
-        self._phase = 0 if done else phase
         return next_state, emitted, done
 
     def get_state(self) -> dict:
-        return {"pending": self._pending, "phase": self._phase, "inner": self.env.get_state()}
+        return {"pending": self._pending, "inner": self.env.get_state()}
 
     def set_state(self, snapshot: dict) -> None:
-        """Continue from a `get_state` snapshot. The phase counts the steps
-        of the running episode, so one outside 0..max_steps, a non-finite
-        pending sum or an inner snapshot its env refuses raises ValueError
-        and changes nothing."""
-        pending, phase = snapshot["pending"], snapshot["phase"]
-        if not (type(phase) is int and 0 <= phase <= self.env.max_steps):
-            raise ValueError(f"delayed-reward phase {phase!r} outside 0..{self.env.max_steps}")
+        """Continue from a `get_state` snapshot. A non-finite pending sum or
+        an inner snapshot its env refuses raises ValueError and changes
+        nothing."""
+        pending = snapshot["pending"]
         if not (isinstance(pending, (int, float)) and math.isfinite(pending)):
             raise ValueError(f"delayed-reward pending sum {pending!r} is not a finite number")
         self.env.set_state(snapshot["inner"])
         self._pending = pending
-        self._phase = phase
 
 
 def make_env(env_id: str, seed: int = 0, layout: Optional[GridLayout] = None, d: int = 1):

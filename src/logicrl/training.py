@@ -26,7 +26,7 @@ from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_fil
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.4.0"
+VERSION_TAG = "logicrl-0.5.0"
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
@@ -36,6 +36,21 @@ _PARAM_SETS = (
     ("value", "agent", "value_params"),
     ("forward", "model", "params"),
 )
+
+
+def _count(state: dict, key: str, least: int = 0) -> int:
+    """`state[key]`, checked to be an int >= `least`."""
+    value = state[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} {value!r} is not an integer >= {least}")
+    return value
+
+
+def _finite(value, what: str):
+    """`value`, checked to be a finite int or float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return value
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,13 +109,6 @@ class System3Config:
     @property
     def steps_per_iteration(self) -> int:
         return self.rollout_length * self.batch_size
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "System3Config":
-        return System3Config(**d)  # __post_init__ turns a JSON hidden list into a tuple
 
 
 @dataclass
@@ -293,10 +301,15 @@ class Trainer:
         )
 
         self.iteration = 0
-        self.steps = 0
         self._ep_returns = np.zeros(config.batch_size)
         self._last_mean_ep_return = 0.0
         self._eval_count = 0
+
+    @property
+    def steps(self) -> int:
+        """Environment steps trained so far: each iteration steps every env
+        rollout_length times."""
+        return self.iteration * self.config.steps_per_iteration
 
     # -- rollout + update -------------------------------------------------------
 
@@ -375,7 +388,6 @@ class Trainer:
         )
 
         self.iteration += 1
-        self.steps += flat_actions.size
         if r.completed:
             self._last_mean_ep_return = float(np.mean(r.completed))
         return {
@@ -435,16 +447,14 @@ class Trainer:
             )
         state = {
             "version": VERSION_TAG,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "env_id": self.env_id,
             "seed": self.seed,
             "d": self.d,
             "layout": self.layout.to_text() if self.layout is not None else None,
             "formula": fl.to_text(self.formula) if self.formula is not None else None,
             "iteration": self.iteration,
-            "steps": self.steps,
             "eval_count": self._eval_count,
-            "eval_seed_base": self._eval_seed_base,
             "ep_returns": self._ep_returns.tolist(),
             "last_mean_ep_return": self._last_mean_ep_return,
             "action_rng": self.action_rng.bit_generator.state,
@@ -457,20 +467,18 @@ class Trainer:
     @staticmethod
     def load_checkpoint(directory) -> "Trainer":
         """Rebuild a trainer that continues bit-identically to the saved one.
-        A bundle that cannot be read or restored raises ValueError."""
-        path = os.path.join(directory, "state.json")
+        A bundle that cannot be read or restored raises ValueError. The step
+        count and the evaluation seed base are not stored: the first follows
+        from the iteration, the second from the seed."""
         try:
-            with open(path) as fp:
+            with open(os.path.join(directory, "state.json")) as fp:
                 state = json.load(fp)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
-        try:
             return Trainer._restore(directory, state)
-        except (KeyError, TypeError, AttributeError) as exc:
-            # an entry missing from state.json, or of the wrong kind
-            raise ValueError(
-                f"unreadable checkpoint at {directory}: {type(exc).__name__}: {exc}"
-            ) from exc
+        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+            # ValueError covers a malformed state.json and every refusal below;
+            # the other kinds mean an entry missing or of the wrong kind
+            detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"unreadable checkpoint at {directory}: {detail}") from exc
 
     @staticmethod
     def _restore(directory, state: dict) -> "Trainer":
@@ -478,46 +486,36 @@ class Trainer:
             raise ValueError(
                 f"checkpoint version {state.get('version')!r} does not match {VERSION_TAG!r}"
             )
-        config = System3Config.from_dict(state["config"])
+        config = System3Config(**state["config"])  # __post_init__ makes a JSON hidden list a tuple
         for key in ("ep_returns", "env_snapshots"):
             if len(state[key]) != config.batch_size:
-                raise ValueError(
-                    f"unreadable checkpoint at {directory}: {len(state[key])} {key} "
-                    f"for batch_size {config.batch_size}"
-                )
-        layout = GridLayout.from_text(state["layout"]) if state["layout"] else None
-        formula = fl.parse(state["formula"]) if state["formula"] else None
+                raise ValueError(f"{len(state[key])} {key} for batch_size {config.batch_size}")
+        ep_returns = [_finite(x, "ep_returns entry") for x in state["ep_returns"]]
+        last_mean = _finite(state["last_mean_ep_return"], "last_mean_ep_return")
+        layout = GridLayout.from_text(state["layout"]) if state["layout"] is not None else None
+        formula = fl.parse(state["formula"]) if state["formula"] is not None else None
         trainer = Trainer(
-            config, state["env_id"], seed=state["seed"], layout=layout,
-            d=state["d"], formula=formula,
+            config, state["env_id"], seed=_count(state, "seed"), layout=layout,
+            d=_count(state, "d", least=1), formula=formula,
         )
         for name, owner, params_attr in _PARAM_SETS:
             # the freshly built net gives the entry names and shapes
             learner = getattr(trainer, owner)
             path = os.path.join(directory, f"{name}.params")
-            try:
-                params, opt_state = load_paramset_file(path, getattr(learner, params_attr))
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"unreadable checkpoint at {directory}: {exc}") from exc
+            params, opt_state = load_paramset_file(path, getattr(learner, params_attr))
             if opt_state is None:
-                raise ValueError(
-                    f"unreadable checkpoint at {directory}: no optimizer state in {path}"
-                )
+                raise ValueError(f"no optimizer state in {path}")
             setattr(learner, params_attr, params)
             trainer.optimizers[name].set_state(opt_state)
-        trainer.iteration = state["iteration"]
-        trainer.steps = state["steps"]
-        trainer._eval_count = state["eval_count"]
-        trainer._eval_seed_base = state["eval_seed_base"]
-        trainer._ep_returns = np.asarray(state["ep_returns"], dtype=np.float64)
-        trainer._last_mean_ep_return = state["last_mean_ep_return"]
+        trainer.iteration = _count(state, "iteration")
+        trainer._eval_count = _count(state, "eval_count")
+        trainer._ep_returns = np.asarray(ep_returns, dtype=np.float64)
+        trainer._last_mean_ep_return = last_mean
         trainer.action_rng = restore_rng(state["action_rng"])
         for i, (env, snap) in enumerate(zip(trainer.envs, state["env_snapshots"])):
             try:
                 env.set_state(snap)
             except ValueError as exc:
-                raise ValueError(
-                    f"unreadable checkpoint at {directory}: env snapshot {i}: {exc}"
-                ) from exc
+                raise ValueError(f"env snapshot {i}: {exc}") from exc
         trainer.model.normalizer.set_state(state["normalizer"])
         return trainer

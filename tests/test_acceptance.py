@@ -13,10 +13,11 @@ evaluation seed the training loop used.
 
 Criterion 5 is implemented faithfully and is expected to fail two of its
 three legs at this step budget: a uniform random policy reaches the far
-target 0 times in 2e5 steps on this layout, so no actor-critic configuration
-can learn target-reaching here, and the untrained-looking baseline never
-behaves unsafely enough to open a 0.15 satisfaction margin. The blocking
-analysis lives in the project notes; the test reports every leg's number.
+target with probability 1.7e-4 per episode on this layout, so no
+actor-critic configuration can learn target-reaching here, and the
+untrained-looking baseline never behaves unsafely enough to open a 0.15
+satisfaction margin. The blocking analysis is in the README; the test
+reports every leg's number.
 """
 import os
 import time

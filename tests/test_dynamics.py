@@ -45,6 +45,22 @@ def test_running_norm_snapshot():
     assert other.count == norm.count
 
 
+@pytest.mark.parametrize("changes", [
+    {"count": -1}, {"count": 2.5}, {"count": None},
+    {"mean": [0.0, 0.0, 0.0]}, {"mean": [float("nan"), 0.0]}, {"mean": None},
+    {"m2": [1.0]}, {"m2": [float("inf"), 0.0]}, {"m2": [-1e-9, 0.0]},
+])
+def test_running_norm_refuses_a_snapshot_it_cannot_have_written(changes):
+    """A count that is not an int >= 0, a mean or m2 that is not `dim`
+    finite numbers, or a negative m2 raises ValueError and changes nothing."""
+    norm = RunningNorm(2)
+    norm.update(np.random.default_rng(1).normal(size=(10, 2)))
+    before = norm.get_state()
+    with pytest.raises(ValueError, match="normalizer"):
+        norm.set_state({**before, **changes})
+    assert norm.get_state() == before
+
+
 def _fresh_std(norm: RunningNorm) -> np.ndarray:
     if norm.count < 2:
         return np.ones(norm.dim)

@@ -540,30 +540,29 @@ def test_delayed_d1_identity():
 
 
 class _ScriptedEnv:
-    """Fixed reward stream for wrapper arithmetic tests."""
-
-    max_steps = 100
+    """Fixed reward stream for wrapper arithmetic tests; the wrapper reads
+    its `_steps` as the phase."""
 
     def __init__(self, rewards, done_at=None):
         self.rewards = list(rewards)
         self.done_at = done_at
-        self.i = 0
+        self._steps = 0
         from logicrl.envs import ActionSpec, StateSchema
         self.schema = StateSchema(("x",), {})
         self.action_spec = ActionSpec(1, ("noop",))
 
     @property
     def state(self):
-        return np.array([float(self.i)])
+        return np.array([float(self._steps)])
 
     def reset(self, seed=None):
-        self.i = 0
+        self._steps = 0
         return self.state
 
     def step(self, action):
-        r = self.rewards[self.i]
-        self.i += 1
-        done = self.done_at is not None and self.i >= self.done_at
+        r = self.rewards[self._steps]
+        self._steps += 1
+        done = self.done_at is not None and self._steps >= self.done_at
         return self.state, r, done
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from logicrl import cli
+from logicrl import constraints as fl
 from logicrl.cli import main
 from logicrl.harness import (
     CONFIG_KEYS,
@@ -688,6 +689,33 @@ def test_cli_eval_of_tampered_state_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "eval_count" in err and "Traceback" not in err
+
+
+# each top-level value of state.json is replaced in turn by every one of these
+STATE_MUTANTS = ["x", -1, 1.5, None, [], {}, float("nan"), 2**70]
+
+
+@pytest.mark.parametrize("env_id", ["gridworld", "cartpole"])
+def test_cli_eval_of_mutated_state_exits_0_or_2(tmp_path, capsys, env_id):
+    """A bundle whose state.json has any one top-level value swapped for a
+    value of another kind or range is evaluated (exit 0) or refused as a
+    configuration error (exit 2); no exception escapes `main`. Cart-pole
+    runs behind the d = 5 delayed-reward wrapper."""
+    if env_id == "gridworld":
+        formula, d = fl.parse("forall u in unsafe: 1.5 <= norm2(s - u)"), 1
+    else:
+        formula, d = fl.load_constraint_file("configs/cartpole_theta.fl"), 5
+    trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8, hidden=(8,)),
+                      env_id, seed=0, d=d, formula=formula)
+    trainer.train_iteration()
+    ckpt = tmp_path / "ckpt"
+    trainer.save_checkpoint(ckpt)
+    good = json.loads((ckpt / "state.json").read_text())
+    for key in sorted(good):
+        for value in STATE_MUTANTS:
+            (ckpt / "state.json").write_text(json.dumps({**good, key: value}))
+            assert main(["eval", str(ckpt), "--eval-horizon", "10"]) in (0, 2), (key, value)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_eval_with_a_negative_seed_exits_2_naming_it(tmp_path, capsys):

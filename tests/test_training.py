@@ -59,7 +59,7 @@ def test_config_defaults_and_validation():
         System3Config(learning_rate=0.0)
     with pytest.raises(ValueError):
         System3Config(gamma=1.2)
-    roundtrip = System3Config.from_dict(cfg.to_dict())
+    roundtrip = System3Config(**json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert roundtrip == cfg
 
 
@@ -302,16 +302,30 @@ def test_metric_stream_determinism():
         assert a.train_iteration() == b.train_iteration()
 
 
-def test_checkpoint_resume_bit_identical(tmp_path):
-    straight = grid_trainer(KEEPOUT, seed=21)
+RESUMED_TRAINERS = {
+    "grid": lambda: grid_trainer(KEEPOUT, seed=21),
+    # 8 steps per rollout: the checkpoint falls inside a d = 5 window, so the
+    # delayed reward's phase, which the bundle does not store, must resume
+    "cartpole_d5": lambda: Trainer(tiny_config(), "cartpole", seed=21, d=5,
+                                   formula=fl.load_constraint_file(CARTPOLE_THETA)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESUMED_TRAINERS))
+def test_checkpoint_resume_bit_identical(tmp_path, name):
+    straight = RESUMED_TRAINERS[name]()
     for _ in range(2):
         straight.train_iteration()
-    resumed_src = grid_trainer(KEEPOUT, seed=21)
+    resumed_src = RESUMED_TRAINERS[name]()
     for _ in range(2):
         resumed_src.train_iteration()
     resumed_src.save_checkpoint(tmp_path / "ckpt")
     resumed = Trainer.load_checkpoint(tmp_path / "ckpt")
     assert_same_learners(resumed_src, resumed)
+    assert resumed.steps == resumed_src.steps == 64
+    assert resumed._eval_seed_base == resumed_src._eval_seed_base
+    for env_src, env in zip(resumed_src.envs, resumed.envs):
+        assert env.get_state() == env_src.get_state()
     for _ in range(2):
         m_straight = straight.train_iteration()
         m_resumed = resumed.train_iteration()
@@ -388,21 +402,41 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
         Trainer.load_checkpoint(tmp_path / "ckpt")
 
 
+TAMPERED_SCALARS = [
+    ("seed", None), ("seed", -1), ("seed", 1.5),
+    ("iteration", -4), ("iteration", "x"), ("iteration", True),
+    ("eval_count", -1), ("eval_count", "x"),
+    ("d", 0), ("d", 2.0),
+    ("ep_returns", [float("nan"), 0.0, 0.0, 0.0]), ("ep_returns", [0.0, "x", 0.0, 0.0]),
+    ("last_mean_ep_return", float("inf")), ("last_mean_ep_return", None),
+    ("layout", []), ("formula", ""),
+]
+
+
 def test_load_checkpoint_rejects_tampered_state(tmp_path):
-    """A state.json missing any top-level key, or whose config holds an
-    unknown key, is refused with ValueError, never a KeyError or TypeError."""
+    """A state.json missing any top-level key, whose config holds an
+    unknown key, whose seed, d, counts, returns or normalizer are out of
+    range, or of the 0.4.0 format, is refused with ValueError, never a
+    KeyError or TypeError."""
     ckpt = tmp_path / "ckpt"
     grid_trainer(KEEPOUT, seed=3).save_checkpoint(ckpt)
     good = json.loads((ckpt / "state.json").read_text())
+    assert not {"steps", "eval_seed_base"} & set(good)  # derived, not stored
     tampered = [({k: v for k, v in good.items() if k != key}, key) for key in good]
     tampered.append(({**good, "config": {**good["config"], "bogus": 1}}, "bogus config key"))
+    tampered += [({**good, key: value}, f"{key} {value!r}") for key, value in TAMPERED_SCALARS]
+    tampered.append(({**good, "normalizer": {**good["normalizer"], "mean": [0.0] * 3}},
+                     "3-long normalizer mean"))
+    # the 0.4.0 format stored the derived steps, evaluation seed base and phase
+    tampered.append(({**good, "version": "logicrl-0.4.0", "steps": 0, "eval_seed_base": 1},
+                     "version"))
     for state, what in tampered:
         (ckpt / "state.json").write_text(json.dumps(state))
         message = "version" if what == "version" else "unreadable checkpoint at"
         with pytest.raises(ValueError, match=message):
             Trainer.load_checkpoint(ckpt)
     (ckpt / "state.json").write_text(json.dumps(good))
-    assert Trainer.load_checkpoint(ckpt).steps == good["steps"]
+    assert Trainer.load_checkpoint(ckpt).iteration == good["iteration"]
 
 
 @pytest.mark.parametrize("key", ["ep_returns", "env_snapshots"])
@@ -429,7 +463,6 @@ TAMPERED_SNAPSHOTS = {
     "cartpole_state_nan": ("cartpole", {"inner": {"state": [float("nan")] * 4}}),
     "cartpole_running_past_the_bound": ("cartpole", {"inner": {"state": [2.5, 0.0, 0.0, 0.0],
                                                                "done": False}}),
-    "cartpole_negative_phase": ("cartpole", {"phase": -1}),
     "cartpole_pending_inf": ("cartpole", {"pending": float("inf")}),
 }
 
