@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Verbs: train, eval, plot, value-grid, check-constraint. Exit codes: 0 on
-success, 2 on configuration errors, 3 on runtime failures. Every verb runs
-with numpy's bundled OpenBLAS on one thread (see _one_blas_thread).
+success, 2 on configuration and I/O errors, 3 on runtime failures. Every
+verb runs with numpy's bundled OpenBLAS on one thread (see _one_blas_thread).
 """
 from __future__ import annotations
 
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():
             return handlers[args.verb](args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError and the .fl errors too
+    except (ValueError, OSError) as exc:  # ConfigError, the .fl errors, unusable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:

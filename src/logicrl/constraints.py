@@ -175,9 +175,6 @@ class ObjectRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self.sets
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
 
 # ---------------------------------------------------------------------------
 # Norms
@@ -346,13 +343,8 @@ class _Parser:
 
     def scalar_expr(self) -> ScalarExpr:
         tok = self.cur
-        if tok.kind == "MINUS":
-            self.advance()
-            num = self.expect("NUMBER", "a number")
-            return Literal(-float(num.text))
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Literal(float(tok.text))
+        if tok.kind in ("MINUS", "NUMBER"):
+            return Literal(self.signed_number())
         if tok.kind == "IDENT":
             if tok.text in _NORM_NAMES:
                 return self.norm()
@@ -480,12 +472,15 @@ def to_text(formula: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Binding and compilation
 #
-# bind() compiles the formula into a tree of closures. Each closure maps the
-# (n, size) state matrix to a boolean array with one axis for the rows and one
-# per enclosing quantifier: a quantified variable is its set's anchors stacked
-# along that variable's axis, so `forall` is `.all()` over the last axis and
-# needs no loop. Everything that does not read the state (literals, anchors,
-# point literals, norms between them) is resolved once, here.
+# bind() checks and compiles the formula in one walk, into a tree of
+# closures; a name or width the registry and schema do not provide raises
+# BindError at the node that uses it, also inside a quantifier over an empty
+# set. Each closure maps the (n, size) state matrix to a boolean array with
+# one axis for the rows and one per enclosing quantifier: a quantified
+# variable is its set's anchors stacked along that variable's axis, so
+# `forall` is `.all()` over the last axis and needs no loop. Everything that
+# does not read the state (literals, anchors, point literals, norms between
+# them) is resolved once, here.
 
 
 _CMP_FN = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal, ">": np.greater}
@@ -506,6 +501,12 @@ def _constant(value: np.ndarray):
     return lambda s: np.repeat(value, len(s), axis=0)
 
 
+def _never_scored(s):
+    """The closure of a norm over a variable whose set is empty: the
+    vacuous quantifier returns a constant and never calls its body."""
+    raise AssertionError("a quantifier over an empty set scored its body")
+
+
 def _flatten(f: Formula) -> list:
     """Children of f, with nested connectives of f's own kind spliced in."""
     out = []
@@ -522,72 +523,21 @@ class BoundFormula:
         self.registry = registry
         self.schema = schema
         self._slices = {name: tuple(idx) for name, idx in schema.slices.items()}
-        self._check(formula, {})
         self._fn = self._compile(formula, ())
 
-    # -- validation ---------------------------------------------------------
-
-    def _slice_indices(self, name: str) -> tuple[int, ...]:
-        if name not in self._slices:
-            raise BindError(f"unknown state slice {name!r}; schema has {sorted(self._slices)}")
-        return self._slices[name]
+    # -- checked compilation ------------------------------------------------
+    # Each node is checked where it is compiled, so the first BindError in
+    # reading order is raised. `scope` lists the (variable, anchors) of the
+    # enclosing quantifiers, outermost first; its length is the depth. A
+    # closure at depth D returns an array of ndim D + 1 whose first axis has
+    # the n rows.
 
     def _state_columns(self, ref: StateRef) -> tuple[int, ...]:
         if ref.slice_name is None:
             return tuple(range(self.schema.size))
-        return self._slice_indices(ref.slice_name)
-
-    def _vector_dim(self, ref: VectorExpr, var_dims: dict[str, int]) -> int:
-        if isinstance(ref, StateRef):
-            return len(self._state_columns(ref))
-        if isinstance(ref, VarRef):
-            if ref.name not in var_dims:
-                raise BindError(f"unknown identifier {ref.name!r} (not bound by any quantifier)")
-            return var_dims[ref.name]
-        return len(ref.values)
-
-    def _check_expr(self, expr: ScalarExpr, var_dims: dict[str, int]) -> None:
-        if isinstance(expr, Component):
-            if not 0 <= expr.index < self.schema.size:
-                raise BindError(
-                    f"component s[{expr.index}] out of range for schema of size {self.schema.size}"
-                )
-        elif isinstance(expr, NormDistance):
-            if expr.p not in _NORM_NAMES.values():
-                raise BindError(f"norm order {expr.p} is not one of 1, 2, inf")
-            ld = self._vector_dim(expr.left, var_dims)
-            rd = self._vector_dim(expr.right, var_dims)
-            # -1 marks a variable over an empty (vacuous) set: width unknown
-            if ld != rd and ld != -1 and rd != -1:
-                raise BindError(
-                    f"norm operands have different dimensions ({ld} vs {rd}); "
-                    "use a state slice (s.<name>) to select matching components"
-                )
-
-    def _check(self, f: Formula, var_dims: dict[str, int]) -> None:
-        if isinstance(f, Atom):
-            self._check_expr(f.cmp.lhs, var_dims)
-            self._check_expr(f.cmp.rhs, var_dims)
-        elif isinstance(f, Not):
-            self._check(f.child, var_dims)
-        elif isinstance(f, (And, Or)):
-            for c in f.children:
-                self._check(c, var_dims)
-        elif isinstance(f, ForAll):
-            if f.set_name not in self.registry:
-                raise BindError(f"unknown object set {f.set_name!r}")
-            points = self.registry.points(f.set_name)
-            if len(points) == 0:
-                # vacuous domain: the body still must be well-formed, but the
-                # bound variable has no known width; treat it as matching.
-                self._check(f.body, {**var_dims, f.var: -1})
-            else:
-                self._check(f.body, {**var_dims, f.var: points.shape[1]})
-
-    # -- compilation ----------------------------------------------------------
-    # `scope` lists the (variable, anchors) of the enclosing quantifiers,
-    # outermost first; its length is the depth. A closure at depth D returns
-    # an array of ndim D + 1 whose first axis has the n rows.
+        if ref.slice_name not in self._slices:
+            raise BindError(f"unknown state slice {ref.slice_name!r}; schema has {sorted(self._slices)}")
+        return self._slices[ref.slice_name]
 
     def _compile(self, f: Formula, scope: tuple):
         if isinstance(f, Atom):
@@ -597,10 +547,12 @@ class BoundFormula:
             return lambda s: ~child(s)
         if isinstance(f, (And, Or)):
             return self._compile_connective(f, scope)
+        if f.set_name not in self.registry:
+            raise BindError(f"unknown object set {f.set_name!r}")
         points = self.registry.points(f.set_name)
-        if len(points) == 0:  # vacuous: true, and the body is never scored
-            return _constant(np.ones((1,) * (len(scope) + 1), dtype=bool))
         body = self._compile(f.body, scope + ((f.var, points),))
+        if len(points) == 0:  # vacuous: true; the body is checked, never scored
+            return _constant(np.ones((1,) * (len(scope) + 1), dtype=bool))
         return lambda s: body(s).all(axis=-1)
 
     def _compile_connective(self, f: Formula, scope: tuple):
@@ -639,11 +591,24 @@ class BoundFormula:
             return expr.value, None
         depth = len(scope)
         if isinstance(expr, Component):
+            if not 0 <= expr.index < self.schema.size:
+                raise BindError(
+                    f"component s[{expr.index}] out of range for schema of size {self.schema.size}"
+                )
             i = expr.index
             return None, _lifted(lambda s: s[:, i], depth)
         p = expr.p
-        left, left_fn = self._compile_vector(expr.left, scope)
-        right, right_fn = self._compile_vector(expr.right, scope)
+        if p not in _NORM_NAMES.values():
+            raise BindError(f"norm order {p} is not one of 1, 2, inf")
+        lw, left, left_fn = self._compile_vector(expr.left, scope)
+        rw, right, right_fn = self._compile_vector(expr.right, scope)
+        if lw is None or rw is None:  # a variable over an empty set
+            return None, _never_scored
+        if lw != rw:
+            raise BindError(
+                f"norm operands have different dimensions ({lw} vs {rw}); "
+                "use a state slice (s.<name>) to select matching components"
+            )
         if left_fn is None and right_fn is None:
             return _norm_rows(left - right, p), None
         if (left_fn is None) != (right_fn is None):
@@ -656,22 +621,27 @@ class BoundFormula:
         return None, lambda s: _norm_rows(left_fn(s) - right_fn(s), p)
 
     def _compile_vector(self, ref: VectorExpr, scope: tuple):
-        """(constant, None) or (None, closure) for a norm operand, shaped
-        (rows, one axis per quantifier, width) up to broadcasting."""
+        """(width, constant, None) or (width, None, closure) for a norm
+        operand, shaped (rows, one axis per quantifier, width) up to
+        broadcasting. A variable over an empty set has width None."""
         depth = len(scope)
         if isinstance(ref, StateRef):
             if ref.slice_name is None:
-                return None, _lifted(lambda s: s, depth, self.schema.size)
+                return self.schema.size, None, _lifted(lambda s: s, depth, self.schema.size)
             idx = list(self._state_columns(ref))
-            return None, _lifted(lambda s: s[:, idx], depth, len(idx))
+            return len(idx), None, _lifted(lambda s: s[:, idx], depth, len(idx))
         if isinstance(ref, VarRef):
             # innermost binding of the name wins
-            axis = max(a for a, (var, _) in enumerate(scope) if var == ref.name)
+            axis = {var: a for a, (var, _) in enumerate(scope)}.get(ref.name)
+            if axis is None:
+                raise BindError(f"unknown identifier {ref.name!r} (not bound by any quantifier)")
             points = scope[axis][1]
-            return points.reshape((1,) * (axis + 1) + (len(points),)
-                                  + (1,) * (depth - axis - 1) + (points.shape[1],)), None
+            if len(points) == 0:
+                return None, None, None
+            m, k = points.shape
+            return k, points.reshape((1,) * (axis + 1) + (m,) + (1,) * (depth - axis - 1) + (k,)), None
         point = np.array(ref.values, dtype=np.float64)
-        return point.reshape((1,) * (depth + 1) + point.shape), None
+        return len(point), point.reshape((1,) * (depth + 1) + point.shape), None
 
     # -- evaluation ---------------------------------------------------------
 

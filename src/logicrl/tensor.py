@@ -421,16 +421,24 @@ def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
     """Read an archive written by save_paramset_file for a net shaped like
     `like`: the parameters, laid out as `like`'s entries, and the optimizer
     state (None if not saved). A file that is not such an archive
-    (truncated, foreign, missing an array, or of another length than `like`)
-    raises ValueError; a missing file raises OSError."""
+    (truncated, foreign, missing an array, of another length than `like`,
+    or with a step count and moments no optimizer writes) raises
+    ValueError; a missing file raises OSError."""
     size = like.n_params()
     try:
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
             params = like.with_flat(_flat_array(archive, "params", size))
             state = None
             if "t" in archive.files:
-                state = {"t": int(archive["t"]), "m": None, "v": None}
-                if "m" in archive.files:
+                t = archive["t"]
+                if t.shape != () or t.dtype.kind not in "iu" or t < 0:
+                    raise ValueError(f"'t' holds {t.dtype} {t.tolist()!r}, expected an integer >= 0")
+                t = int(t)
+                # Adam has moments exactly once it has stepped; SGD stays at t = 0
+                if ("m" in archive.files or "v" in archive.files) != (t >= 1):
+                    raise ValueError(f"step count {t} {'without' if t else 'with'} Adam moments")
+                state = {"t": t, "m": None, "v": None}
+                if t >= 1:
                     state["m"] = _flat_array(archive, "m", size)
                     state["v"] = _flat_array(archive, "v", size)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:

@@ -3,14 +3,15 @@
 These implement the 'other side' of dual-route checks: central finite
 differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
-GAE recursion, dense one-hot inputs, the out-of-place forward pass and the
-inference formulas built on it, ParamSets with chosen entries, a per-entry
-backward pass, per-entry SGD and Adam updates, reference
-environment steppers, a cell-by-cell grid transition table, and the
+GAE recursion, a direct discounted-sum advantage, dense one-hot inputs, the
+out-of-place forward pass and the inference formulas built on it, ParamSets
+with chosen entries, a per-entry backward pass, per-entry SGD and Adam
+updates, reference environment steppers, a cell-by-cell grid transition table, and the
 step-by-step training rollout and evaluation loops. They
 intentionally avoid the library code paths they are used to check
 (numpy.linalg.norm instead of the DSL's norm code, operator dispatch instead
-of the DSL's comparison table).
+of the DSL's comparison table). `gae_column`, a one-stream view of
+gae_batch, is a shared helper rather than an oracle.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import operator
 import numpy as np
 
 from logicrl import constraints as fl
+from logicrl.actor_critic import gae_batch
 from logicrl import envs
 from logicrl.envs import StateSchema
 from logicrl.tensor import MLPCache, ParamSet, _as_batch
@@ -102,6 +104,37 @@ def gae_advantages(
         acc = deltas[t] + gamma * lam * (1.0 - d[t]) * acc
         advantages[t] = acc
     return advantages, advantages + v
+
+
+def gae_column(rewards, values, dones, gamma, lam, bootstrap_value=0.0):
+    """gae_batch on one stream: (T, 1) columns in, (T,) advantages and returns out."""
+    def column(x):
+        return np.asarray(x, dtype=np.float64).reshape(-1, 1)
+
+    adv, ret = gae_batch(column(rewards), column(values), column(dones), gamma, lam,
+                         np.array([bootstrap_value], dtype=np.float64))
+    return adv[:, 0], ret[:, 0]
+
+
+def direct_sum_oracle(rewards, values, dones, gamma, bootstrap_value):
+    """Monte-Carlo advantages at lam=1: discounted reward sum to episode end
+    (or buffer end with bootstrap), minus the state value."""
+    T = len(rewards)
+    adv = np.zeros(T)
+    for t in range(T):
+        total = 0.0
+        discount = 1.0
+        k = t
+        while k < T:
+            total += discount * rewards[k]
+            if dones[k]:
+                break
+            discount *= gamma
+            k += 1
+        else:
+            total += discount * bootstrap_value
+        adv[t] = total - values[t]
+    return adv
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from logicrl.envs import GridLayout, GridWorld
 from logicrl.harness import build_run_config, read_metrics_csv, run_eval, run_train, train_one_seed
 from logicrl.tensor import MLPConfig, mlp_backward, mlp_forward, mlp_init
 from oracles import (
+    direct_sum_oracle,
     fd_gradient,
+    gae_column,
     grads_match,
     oracle_evaluate_batch,
     random_formula,
 )
-from test_actor_critic import direct_sum_oracle, gae_column
 
 SEEDS = "0,1,2"
 GRID_STEPS = 200_000

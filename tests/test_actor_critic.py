@@ -16,8 +16,10 @@ from logicrl.envs import GridWorld
 from logicrl.tensor import Optimizer
 from oracles import (
     dense_grid_onehot_features,
+    direct_sum_oracle,
     fd_gradient,
     gae_advantages,
+    gae_column,
     grads_match,
     paramset_with,
 )
@@ -152,16 +154,6 @@ def test_index_and_dense_onehot_give_the_same_loss_bits():
 # -- GAE -----------------------------------------------------------------------------
 
 
-def gae_column(rewards, values, dones, gamma, lam, bootstrap_value=0.0):
-    """gae_batch on one stream: (T, 1) columns in, (T,) advantages and returns out."""
-    def column(x):
-        return np.asarray(x, dtype=np.float64).reshape(-1, 1)
-
-    adv, ret = gae_batch(column(rewards), column(values), column(dones), gamma, lam,
-                         np.array([bootstrap_value], dtype=np.float64))
-    return adv[:, 0], ret[:, 0]
-
-
 def test_gae_single_terminal_step():
     adv, ret = gae_column([2.0], [0.7], [1.0], gamma=0.9, lam=0.95)
     assert np.allclose(adv, [2.0 - 0.7])
@@ -185,27 +177,6 @@ def test_gae_worked_two_step_example():
     assert abs(adv[1] - 0.5) < 1e-12
     assert abs(adv[0] - 1.3775) < 1e-12
     assert np.allclose(ret, adv + np.array([0.5, 0.5]))
-
-
-def direct_sum_oracle(rewards, values, dones, gamma, bootstrap_value):
-    """Monte-Carlo advantages at lam=1: discounted reward sum to episode end
-    (or buffer end with bootstrap), minus the state value."""
-    T = len(rewards)
-    adv = np.zeros(T)
-    for t in range(T):
-        total = 0.0
-        discount = 1.0
-        k = t
-        while k < T:
-            total += discount * rewards[k]
-            if dones[k]:
-                break
-            discount *= gamma
-            k += 1
-        else:
-            total += discount * bootstrap_value
-        adv[t] = total - values[t]
-    return adv
 
 
 def test_gae_lam_one_matches_direct_sum():

@@ -145,6 +145,30 @@ def test_bind_empty_set_is_vacuous_true():
     reg.add_set("hazards", np.zeros((0, 0)))
     bound = fl.bind(f, reg, GRID_SCHEMA)
     assert holds(bound, [3.0, 4.0])
+    # a nested quantifier over a non-empty set, whose body fails at s == u
+    reg.add_set("pts", np.array([[3.0, 4.0]]))
+    f = fl.parse("forall h in hazards: forall u in pts: (1 <= norm2(h - u) and 1 <= norm2(s - u))")
+    bound = fl.bind(f, reg, GRID_SCHEMA)
+    assert holds(bound, [3.0, 4.0]) and holds(bound, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("forall u in nowhere: 1 <= norm2(s - u)", "unknown object set 'nowhere'"),
+    ("1 <= norm2(s.vel - h)", "unknown state slice 'vel'; schema has ['pos']"),
+    ("s[9] <= 1", "component s[9] out of range for schema of size 2"),
+    ("1 <= norm2(s - q)", "unknown identifier 'q' (not bound by any quantifier)"),
+    ("1 <= norm2(s - [1,2,3])", "norm operands have different dimensions (2 vs 3); "
+                                "use a state slice (s.<name>) to select matching components"),
+], ids=["unknown_set", "unknown_slice", "component", "unbound", "dimensions"])
+def test_bind_checks_a_body_over_an_empty_set(body, message):
+    """A quantifier over an empty set holds without scoring its body, but the
+    body is still checked: a bad one raises the BindError it would raise
+    over a non-empty set."""
+    reg = fl.ObjectRegistry()
+    reg.add_set("hazards", np.zeros((0, 0)))
+    with pytest.raises(fl.BindError) as err:
+        fl.bind(fl.parse(f"forall h in hazards: {body}"), reg, GRID_SCHEMA)
+    assert str(err.value) == message
 
 
 def test_bind_component_out_of_range():

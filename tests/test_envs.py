@@ -688,7 +688,7 @@ def test_default_registry_grid():
 
 
 def test_default_registry_cartpole_empty():
-    assert len(CartPole().registry()) == 0
+    assert CartPole().registry().names() == []
 
 
 def test_default_registry_unwraps():
@@ -696,7 +696,7 @@ def test_default_registry_unwraps():
     layout and end label."""
     inner = GridWorld()
     env = DelayedReward(inner, 4)
-    assert len(env.registry()) == 2
+    assert len(env.registry().names()) == 2
     assert env.layout is inner.layout
     assert env.end_label([19, 19]) == "target"
     assert env.schema is inner.schema and env.max_steps == inner.max_steps

@@ -615,6 +615,30 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["plot_out_is_a_file", "plot_out_under_a_file",
+                                  "plot_a_directory", "value_grid_out_is_a_directory"])
+def test_cli_unusable_path_exits_2(tmp_path, capsys, verb):
+    """A path the verb cannot read or write is an I/O error: exit 2 with one
+    `error:` line, no traceback."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(METRICS_HEADER + "\n0,0,1.0,1.0,0,0.5,0.1,1.3,0\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if verb == "value_grid_out_is_a_directory":
+        Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+                "gridworld", seed=0).save_checkpoint(tmp_path / "ckpt")
+    argv = {
+        "plot_out_is_a_file": ["plot", str(metrics), "--out", str(blocker)],
+        "plot_out_under_a_file": ["plot", str(metrics), "--out", str(blocker / "sub")],
+        "plot_a_directory": ["plot", str(tmp_path)],
+        "value_grid_out_is_a_directory": ["value-grid", str(tmp_path / "ckpt"),
+                                          "--out", str(tmp_path)],
+    }[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--optimizer", "rmsprop"], "optimizer"),
     (["--beta", "2"], "beta"),

@@ -590,6 +590,14 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
                          "m": np.zeros(n - 1), "v": np.zeros(n)},
         "missing_v": {"params": np.zeros(n), "t": np.int64(1), "m": np.zeros(n)},
         "vector_t": {"params": np.zeros(n), "t": np.arange(2)},
+        # step counts that no optimizer writes
+        "negative_t": {"params": np.zeros(n), "t": np.int64(-1),
+                       "m": np.zeros(n), "v": np.zeros(n)},
+        "fractional_t": {"params": np.zeros(n), "t": np.float64(1.5),
+                         "m": np.zeros(n), "v": np.zeros(n)},
+        "stepped_without_moments": {"params": np.zeros(n), "t": np.int64(3)},
+        "unstepped_with_moments": {"params": np.zeros(n), "t": np.int64(0),
+                                   "m": np.zeros(n), "v": np.zeros(n)},
         # an archive of the 0.2.0 layout: one array per entry and a JSON header
         "entry_layout": {"meta": np.array("{}"), "param/w0": np.zeros((3, 2)),
                          "param/b0": np.zeros(2)},
