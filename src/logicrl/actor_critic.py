@@ -79,7 +79,7 @@ class ActorCritic:
         if x.ndim < 2:
             x = x.reshape(1, -1)
         probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x))
-        logits = pcache.pre[-1]
+        logits = pcache.logits
         if np.count_nonzero(np.isfinite(logits)) != logits.size:
             raise NonFiniteLogits(
                 f"non-finite logits for states {np.asarray(states)!r}"
@@ -176,7 +176,7 @@ def policy_value_loss(
     returns = np.asarray(returns, dtype=np.float64)
 
     probs, values, pcache, vcache = model.policy_value(states)
-    logits = pcache.pre[-1]
+    logits = pcache.logits
     logp_all = log_softmax(logits)
     rows = np.arange(n)
     logp = logp_all[rows, actions]

@@ -396,6 +396,9 @@ class _Parser:
             neg = True
         tok = self.expect("NUMBER", "a number")
         v = float(tok.text)
+        # an overflowing number reads as inf, which to_text cannot write back
+        if not math.isfinite(v):
+            raise FLSyntaxError(f"number {tok.text} is too large for a float", tok.line, tok.col)
         return -v if neg else v
 
 

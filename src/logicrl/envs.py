@@ -512,13 +512,16 @@ class CartPole:
         }
 
     def set_state(self, snapshot: dict) -> None:
-        """Continue from a `get_state` snapshot. One whose state is not 4
-        finite numbers, is out of bounds in an episode still running, or
-        whose step count is outside 0..max_steps or done is not a bool
-        raises ValueError and changes nothing."""
-        state = np.array(snapshot["state"], dtype=np.float64)
-        if state.shape != (4,) or not np.isfinite(state).all():
-            raise ValueError(f"cart-pole state {snapshot['state']!r} is not 4 finite numbers")
+        """Continue from a `get_state` snapshot. One whose state is not a
+        list of 4 finite ints or floats (a bool is neither), is out of
+        bounds in an episode still running, or whose step count is outside
+        0..max_steps or done is not a bool raises ValueError and changes
+        nothing."""
+        values = snapshot["state"]
+        if not (isinstance(values, (list, tuple)) and len(values) == 4
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+            raise ValueError(f"cart-pole state {values!r} is not 4 finite numbers")
+        state = np.array(values, dtype=np.float64)
         steps, done = _snapshot_episode(snapshot, self.max_steps)
         if not done and _out_of_bounds(state[0], state[2]):
             raise ValueError(f"episode still running in out-of-bounds state {state.tolist()}")
@@ -587,11 +590,11 @@ class DelayedReward:
         return {"pending": self._pending, "inner": self.env.get_state()}
 
     def set_state(self, snapshot: dict) -> None:
-        """Continue from a `get_state` snapshot. A non-finite pending sum or
-        an inner snapshot its env refuses raises ValueError and changes
-        nothing."""
+        """Continue from a `get_state` snapshot. A pending sum that is not a
+        finite int or float (a bool is neither) or an inner snapshot its env
+        refuses raises ValueError and changes nothing."""
         pending = snapshot["pending"]
-        if not (isinstance(pending, (int, float)) and math.isfinite(pending)):
+        if not (type(pending) in (int, float) and math.isfinite(pending)):
             raise ValueError(f"delayed-reward pending sum {pending!r} is not a finite number")
         self.env.set_state(snapshot["inner"])
         self._pending = pending

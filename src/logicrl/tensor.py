@@ -178,11 +178,15 @@ def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
 
 @dataclass
 class MLPCache:
-    """Per-layer records from a forward pass, consumed by mlp_backward."""
+    """What mlp_backward reads of a forward pass: the input, each layer's
+    output, and the output layer's pre-activation. A hidden layer's
+    pre-activation is not kept: the activation overwrites it, and the
+    activation's derivative is read from the output. Under an identity
+    output, `logits` is the output array itself."""
 
     inputs: np.ndarray            # (n, d_in) floats, or (n, 1) one-hot indices
-    pre: list[np.ndarray]         # pre-activation per layer, (n, d_l)
-    post: list[np.ndarray]        # post-activation per layer, (n, d_l)
+    post: list[np.ndarray]        # each layer's output, (n, d_l)
+    logits: np.ndarray            # the output layer's pre-activation, (n, d_out)
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -210,16 +214,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _relu(pre: np.ndarray) -> np.ndarray:
-    return np.maximum(pre, 0.0)
-
-
-def _activation_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - post * post
-    return (pre > 0.0).astype(np.float64)
-
-
 def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.ndarray, MLPCache]:
     """Run the net on a batch of row vectors.
 
@@ -228,7 +222,9 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
     Returns the (n, d_out) output and the activation cache needed for
-    mlp_backward.
+    mlp_backward. Each hidden activation is applied in place on its layer's
+    fresh product, so the pass allocates one array per layer (two for a
+    softmax output); the bits are those of the out-of-place formulas.
     """
     weights = params.views
     x = np.asarray(x)
@@ -245,18 +241,19 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
     # each bias is added in place on the fresh gather or product: the same
     # additions as `+`, without a second temporary
     pre += weights[1]
-    activate = np.tanh if config.activation == "tanh" else _relu
-    pre_list: list[np.ndarray] = [pre]
+    tanh = config.activation == "tanh"
     post_list: list[np.ndarray] = []
     for i in range(2, 2 * config.n_layers, 2):
-        post = activate(pre)
-        post_list.append(post)
-        pre = post @ weights[i]
+        if tanh:
+            np.tanh(pre, out=pre)
+        else:
+            np.maximum(pre, 0.0, out=pre)
+        post_list.append(pre)
+        pre = pre @ weights[i]
         pre += weights[i + 1]
-        pre_list.append(pre)
     h = softmax(pre) if config.output_activation == "softmax" else pre
     post_list.append(h)
-    return h, MLPCache(x, pre_list, post_list)
+    return h, MLPCache(x, post_list, pre)
 
 
 # OpenBLAS 0.3 (measured with its SkylakeX kernels) sends a product of at
@@ -287,6 +284,19 @@ def _index_weight_grad(idx: np.ndarray, d_pre: np.ndarray, out: np.ndarray) -> N
     out[cells] = onehot.T @ d_pre
 
 
+def _times_activation_grad(d_post: np.ndarray, post: np.ndarray, kind: str) -> None:
+    """Multiply `d_post` in place by the hidden activation's derivative,
+    read from the activation's output: 1 - post*post for tanh, and
+    [post > 0] for ReLU, which is [pre > 0], NaN included. The tanh slope
+    is one temporary array, freed on return."""
+    if kind == "tanh":
+        slope = np.multiply(post, post)
+        np.subtract(1.0, slope, out=slope)
+        d_post *= slope
+    else:
+        d_post *= post > 0.0
+
+
 def mlp_backward(
     params: ParamSet,
     config: MLPConfig,
@@ -303,8 +313,13 @@ def mlp_backward(
     zeroed vector in `params`'s layout. Also returns the gradient w.r.t.
     the input batch, or None for a one-hot index input, whose layer-0 weight
     gradient comes from _index_weight_grad.
+
+    A hidden layer's activation derivative is read from its output (see
+    _times_activation_grad). The trunk gradient and the derivative are
+    applied in place on the `d_pre @ W.T` product the pass made itself;
+    `output_grad`, `hidden_grads` and the cache are only read.
     """
-    if len(cache.pre) != config.n_layers:
+    if len(cache.post) != config.n_layers:
         raise ValueError("cache does not match config")
     g = _as_batch(output_grad, config.layer_sizes[-1], "mlp_backward output_grad")
     if g.shape[0] != cache.inputs.shape[0]:
@@ -316,9 +331,7 @@ def mlp_backward(
     last = config.n_layers - 1
     d_post = g
     for layer in range(last, -1, -1):
-        pre, post = cache.pre[layer], cache.post[layer]
-        if hidden_grads and layer in hidden_grads and layer != last:
-            d_post = d_post + hidden_grads[layer]
+        post = cache.post[layer]
         if layer == last:
             if config.output_activation == "softmax":
                 # exact softmax Jacobian-transpose product, row-wise
@@ -327,7 +340,13 @@ def mlp_backward(
             else:
                 d_pre = d_post
         else:
-            d_pre = d_post * _activation_grad(pre, post, config.activation)
+            # d_post is this pass's own product, taken over before the
+            # previous layer's d_pre is dropped: the same additions and
+            # products as `d_post + extra` and `d_post * slope`, in place
+            d_pre = d_post
+            if hidden_grads and layer in hidden_grads:
+                d_pre += hidden_grads[layer]
+            _times_activation_grad(d_pre, post, config.activation)
         if layer == 0 and index_input:
             _index_weight_grad(inputs[:, 0], d_pre, grads[0])
         else:
@@ -367,20 +386,34 @@ class Optimizer:
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
         """The updated parameters. A mismatched or non-finite gradient raises
         (UpdateRejected names the entry), as does a non-finite result, and
-        leaves the optimizer state as it was."""
+        leaves the optimizer state as it was.
+
+        Adam computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) in that order, in
+        place on two work vectors. The new `m` and `v` and the new
+        parameters are fresh arrays: the arrays of an earlier `get_state()`
+        are never written."""
         _check_update(params, grads)
         p, g = params.flat(), grads.flat()
         if self.kind == "sgd":
             return params.with_flat(p - self.learning_rate * g)
         t = self.t + 1
-        # zero moments before the first step, so a -0.0 gradient gives +0.0
-        m0 = np.zeros_like(p) if self.m is None else self.m
-        v0 = np.zeros_like(p) if self.v is None else self.v
-        m = self.beta1 * m0 + (1 - self.beta1) * g
-        v = self.beta2 * v0 + (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        out = params.with_flat(p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps))
+        # zero moments before the first step, so a -0.0 gradient gives +0.0;
+        # b * 0.0 is +0.0, so zeros stand for b times the zero moments
+        m = np.zeros_like(p) if self.m is None else np.multiply(self.beta1, self.m)
+        v = np.zeros_like(p) if self.v is None else np.multiply(self.beta2, self.v)
+        work = np.multiply(1 - self.beta1, g)
+        m += work
+        np.multiply(1 - self.beta2, g, out=work)
+        work *= g
+        v += work
+        np.divide(m, 1 - self.beta1**t, out=work)
+        work *= self.learning_rate
+        denom = np.divide(v, 1 - self.beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        work /= denom
+        out = params.with_flat(np.subtract(p, work, out=denom))
         self.t, self.m, self.v = t, m, v
         return out
 

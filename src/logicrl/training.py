@@ -474,9 +474,10 @@ class Trainer:
             with open(os.path.join(directory, "state.json")) as fp:
                 state = json.load(fp)
             return Trainer._restore(directory, state)
-        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             # ValueError covers a malformed state.json and every refusal below;
-            # the other kinds mean an entry missing or of the wrong kind
+            # the other kinds mean an entry missing or of the wrong kind, or a
+            # JSON integer too large for a float
             detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
             raise ValueError(f"unreadable checkpoint at {directory}: {detail}") from exc
 
@@ -515,7 +516,7 @@ class Trainer:
         for i, (env, snap) in enumerate(zip(trainer.envs, state["env_snapshots"])):
             try:
                 env.set_state(snap)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"env snapshot {i}: {exc}") from exc
         trainer.model.normalizer.set_state(state["normalizer"])
         return trainer

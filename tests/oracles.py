@@ -190,7 +190,8 @@ def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
     Returns the (n, d_out) output and the activation cache needed for
-    mlp_backward.
+    mlp_backward. Every layer allocates fresh arrays: the out-of-place
+    formulas the in-place forward pass must match bit for bit.
     """
     weights = params.views
     x = np.asarray(x)
@@ -204,16 +205,14 @@ def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
     else:
         x = _as_batch(x, config.layer_sizes[0], "mlp_forward input")
         pre = x @ weights[0] + weights[1]
-    pre_list: list[np.ndarray] = [pre]
     post_list: list[np.ndarray] = []
     for layer in range(1, config.n_layers):
         post = _reference_activate(pre, config.activation)
         post_list.append(post)
         pre = post @ weights[2 * layer] + weights[2 * layer + 1]
-        pre_list.append(pre)
     h = reference_softmax(pre) if config.output_activation == "softmax" else pre
     post_list.append(h)
-    return h, MLPCache(x, pre_list, post_list)
+    return h, MLPCache(x, post_list, pre)
 
 
 def reference_grid_cells(states: np.ndarray, width: int) -> np.ndarray:
@@ -231,7 +230,7 @@ def reference_probs(agent, states, grid_width=None) -> np.ndarray:
     if grid_width is not None:
         x = reference_grid_cells(x, grid_width)
     probs, pcache = reference_mlp_forward(agent.policy_params, agent.policy_config, x)
-    assert np.isfinite(pcache.pre[-1]).all()
+    assert np.isfinite(pcache.logits).all()
     return probs
 
 
@@ -283,16 +282,18 @@ def paramset_with(like: ParamSet, entries: dict | None = None, fill: float | Non
 def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grads=None) -> list:
     """mlp_backward's gradients for a float input batch, one freshly
     allocated array per entry (each layer's weight, then its bias): the
-    reference for the views into one gradient vector. `hidden_grads` may
-    not name the output layer."""
+    reference for the views into one gradient vector, computed out of
+    place. `hidden_grads` may not name the output layer. The cache keeps
+    no hidden pre-activation, so ReLU's slope is read from its output:
+    relu(pre) > 0 exactly where pre > 0, and neither holds for NaN."""
     grads = [None] * (2 * config.n_layers)
     d_post = output_grad
     for layer in reversed(range(config.n_layers)):
-        pre, post = cache.pre[layer], cache.post[layer]
+        post = cache.post[layer]
         if hidden_grads and layer in hidden_grads:
             d_post = d_post + hidden_grads[layer]
         if layer < config.n_layers - 1:
-            slope = 1.0 - post * post if config.activation == "tanh" else (pre > 0.0).astype(float)
+            slope = 1.0 - post * post if config.activation == "tanh" else (post > 0.0).astype(float)
             d_pre = d_post * slope
         elif config.output_activation == "softmax":
             d_pre = post * (d_post - np.sum(d_post * post, axis=1, keepdims=True))

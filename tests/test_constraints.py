@@ -112,6 +112,26 @@ def test_only_ascii_digits_make_numbers(source, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("source, line, col", [
+    ("s[0] <= 1e999", 1, 9),
+    ("s[0] >= -1e999", 1, 10),
+    ("forall u in unsafe:\n  norm2(s - [0, 2e308]) >= 1", 2, 17),
+], ids=["literal", "negated-literal", "point-literal"])
+def test_overflowing_number_is_a_syntax_error_at_its_token(source, line, col):
+    """A number float() reads as inf is refused where it stands: to_text
+    would write it as `inf`, which parse does not read back."""
+    with pytest.raises(fl.FLSyntaxError, match="too large for a float") as exc:
+        fl.parse(source)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_largest_float_round_trips():
+    for source in ("s[0] <= 1.7976931348623157e308", "norm2(s - [-1.7976931348623157e308, 0]) <= 1"):
+        f = fl.parse(source)
+        assert fl.parse(fl.to_text(f)) == f
+    assert fl.parse("s[0] <= 1.7976931348623157e308").cmp.rhs.value == np.finfo(np.float64).max
+
+
 def test_end_of_input_after_a_comment_sits_past_the_last_character():
     """The end-of-input position is one past the last character, also when
     the input ends in a comment."""

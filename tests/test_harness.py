@@ -615,6 +615,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_check_constraint_with_an_overflowing_number_exits_2(tmp_path, capsys):
+    """A number too large for a float is a syntax error at its token, not
+    an infinite constant whose norm folds inf - inf to NaN."""
+    overflow = tmp_path / "overflow.fl"
+    overflow.write_text("norm2([1e999,0] - [1e999,0]) <= 1\n")
+    assert main(["check-constraint", str(overflow), "--env", "cartpole"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: number 1e999 is too large for a float (line 1, column 8)\n"
+
+
 @pytest.mark.parametrize("verb", ["plot_out_is_a_file", "plot_out_under_a_file",
                                   "plot_a_directory", "value_grid_out_is_a_directory"])
 def test_cli_unusable_path_exits_2(tmp_path, capsys, verb):
@@ -715,8 +725,9 @@ def test_cli_eval_of_tampered_state_exits_2(tmp_path, capsys):
     assert "eval_count" in err and "Traceback" not in err
 
 
-# each top-level value of state.json is replaced in turn by every one of these
-STATE_MUTANTS = ["x", -1, 1.5, None, [], {}, float("nan"), 2**70]
+# each top-level value of state.json is replaced in turn by every one of these;
+# 10**400 is a JSON integer too large for a float
+STATE_MUTANTS = ["x", -1, 1.5, None, [], {}, float("nan"), 2**70, 10**400]
 
 
 @pytest.mark.parametrize("env_id", ["gridworld", "cartpole"])
@@ -740,6 +751,33 @@ def test_cli_eval_of_mutated_state_exits_0_or_2(tmp_path, capsys, env_id):
             (ckpt / "state.json").write_text(json.dumps({**good, key: value}))
             assert main(["eval", str(ckpt), "--eval-horizon", "10"]) in (0, 2), (key, value)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutation", ["pending_true", "state_bools", "pending_huge_int"])
+def test_cli_eval_of_env_snapshot_with_a_non_number_exits_2(tmp_path, capsys, mutation):
+    """An env snapshot whose delayed-reward pending sum or cart-pole state
+    holds a JSON boolean, or an integer too large for a float, is an
+    unreadable checkpoint: JSON true is not the number 1.0."""
+    trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8, hidden=(8,)),
+                      "cartpole", seed=0, d=5, formula=fl.load_constraint_file("configs/cartpole_theta.fl"))
+    trainer.train_iteration()
+    ckpt = tmp_path / "ckpt"
+    trainer.save_checkpoint(ckpt)
+    state = json.loads((ckpt / "state.json").read_text())
+    assert main(["eval", str(ckpt), "--eval-horizon", "10"]) == 0
+    snapshot = state["env_snapshots"][1]
+    if mutation == "pending_true":
+        snapshot["pending"] = True
+    elif mutation == "state_bools":
+        snapshot["inner"]["state"] = [True, False, 0.0, 0.0]
+        snapshot["inner"]["done"] = False
+    else:
+        snapshot["pending"] = 10**400
+    (ckpt / "state.json").write_text(json.dumps(state))
+    assert main(["eval", str(ckpt), "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ") and "env snapshot 1" in err
+    assert "Traceback" not in err
 
 
 def test_cli_eval_with_a_negative_seed_exits_2_naming_it(tmp_path, capsys):

@@ -32,9 +32,8 @@ def assert_same_forward(params, config, x):
     assert np.array_equal(out, ref_out)
     assert np.array_equal(cache.inputs, ref_cache.inputs)
     assert cache.inputs.dtype == ref_cache.inputs.dtype
-    assert len(cache.pre) == len(ref_cache.pre) == config.n_layers
     assert len(cache.post) == len(ref_cache.post) == config.n_layers
-    for got, want in zip(cache.pre + cache.post, ref_cache.pre + ref_cache.post):
+    for got, want in zip(cache.post + [cache.logits], ref_cache.post + [ref_cache.logits]):
         assert np.array_equal(got, want)
 
 

@@ -216,6 +216,33 @@ def test_backward_input_gradient_matches_fd():
         assert abs(input_grad[0, i] - num) < 1e-6
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("output", ["identity", "softmax"])
+@pytest.mark.parametrize("index_input", [False, True])
+@pytest.mark.parametrize("n", [1, 20, 1000])
+def test_backward_writes_nothing_its_caller_owns(activation, output, index_input, n):
+    """The backward pass works in place only on arrays it made: the output
+    gradient, the extra hidden-layer gradients and every cached array keep
+    their bits, and the gradients equal the out-of-place reference."""
+    width = 400 if index_input else 6
+    config = MLPConfig((width, 16, 8, 5), activation, output)
+    rng = np.random.default_rng(n)
+    params = mlp_init(config, seed=n)
+    params = params.with_flat(rng.normal(scale=0.5, size=params.n_params()))
+    x = rng.integers(0, width, size=(n, 1)) if index_input else rng.normal(size=(n, width))
+    _, cache = mlp_forward(params, config, x)
+    g_out = rng.normal(size=(n, 5))
+    hidden = {0: rng.normal(size=(n, 16)), 1: rng.normal(size=(n, 8))}
+    owned = [cache.inputs, *cache.post, cache.logits, g_out, *hidden.values()]
+    before = [a.copy() for a in owned]
+    grads, _ = mlp_backward(params, config, cache, g_out, hidden)
+    for got, want in zip(owned, before):
+        assert same_bits(got, want)
+    if not index_input:
+        want = oracles.per_entry_backward(params, config, cache, g_out, hidden)
+        assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+
+
 # -- one-hot index input -------------------------------------------------------
 
 
@@ -249,7 +276,7 @@ def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
     out_i, cache_i = mlp_forward(params, GRID_POLICY, idx)
     out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
     assert same_bits(out_i, out_d)
-    for a, b in zip(cache_i.pre + cache_i.post, cache_d.pre + cache_d.post):
+    for a, b in zip(cache_i.post + [cache_i.logits], cache_d.post + [cache_d.logits]):
         assert same_bits(a, b)
     grads_i, input_grad_i = mlp_backward(params, GRID_POLICY, cache_i, g_out, hidden)
     grads_d, input_grad_d = mlp_backward(params, GRID_POLICY, cache_d, g_out, hidden)
@@ -461,6 +488,27 @@ def test_rejected_adam_step_leaves_the_state():
     assert after["t"] == before["t"] == 1
     for key in ("m", "v"):
         assert after[key].tobytes() == before[key].tobytes()
+
+
+def test_adam_step_leaves_an_earlier_state_and_its_inputs():
+    """Adam works in place only on its own work arrays: the moments of a
+    `get_state()` taken before a step, the parameters and the gradients keep
+    their bits, and the new moments are new arrays."""
+    params = mlp_init(MLPConfig((4, 6, 3)), seed=8)
+    rng = np.random.default_rng(8)
+    opt = Optimizer("adam", 1e-2)
+    for _ in range(3):
+        grads = special_gradients(params, rng)
+        earlier = opt.get_state()
+        owned = [params.flat(), grads.flat()] + [earlier[k] for k in ("m", "v") if earlier[k] is not None]
+        before = [a.copy() for a in owned]
+        stepped = opt.step(params, grads)
+        for got, want in zip(owned, before):
+            assert same_bits(got, want)
+        for key in ("m", "v"):
+            assert earlier[key] is None or not np.shares_memory(opt.get_state()[key], earlier[key])
+        assert not np.shares_memory(stepped.flat(), opt.m) and not np.shares_memory(stepped.flat(), opt.v)
+        params = stepped
 
 
 def test_optimizer_state_roundtrip(tmp_path):

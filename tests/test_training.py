@@ -650,7 +650,7 @@ def test_update_pass_does_not_refault_the_heap(config_file):
     10-iteration warm-up (while the heap is still growing) fault in almost
     no memory: the update pass's freed activations stay mapped for the next
     iteration (tensor's heap setting). With glibc's default thresholds this
-    reads about 1,500 (grid) and 730 (cart-pole) minor faults per iteration."""
+    reads about 620 (grid) and 380 (cart-pole) minor faults per iteration."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
