@@ -10,6 +10,7 @@ mlp_init lays them out in. Importing the module sets glibc's malloc thresholds
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import math
 import os
 import zipfile
@@ -426,18 +427,42 @@ class Optimizer:
         self.t, self.m, self.v = state["t"], state["m"], state["v"]
 
 
-def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict] = None) -> None:
-    """Write one parameter set as a numpy archive: `params`, the flat vector
-    in `ParamSet.flat()` order, and with an optimizer state
-    (`Optimizer.get_state`) its step count `t` and, once Adam has stepped,
-    its moments `m` and `v`. Arrays are stored in binary, so loading gives
-    back every bit. Entry names and shapes are not stored: the loader takes
-    them from a ParamSet of the same net."""
-    arrays = {"params": params.flat()}
+def _digest(untrained: ParamSet) -> np.ndarray:
+    """The sha256 of a vector's little-endian float64 bytes, as 32 uint8s."""
+    vec = np.ascontiguousarray(untrained.flat(), dtype="<f8")
+    return np.frombuffer(hashlib.sha256(vec).digest(), dtype=np.uint8)
+
+
+def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict],
+                       untrained: ParamSet) -> None:
+    """Write one parameter set as a numpy archive that stores only the
+    elements training touched. `untrained` is the same net as seeded; an
+    element is touched if its parameter's bits differ from `untrained`'s or
+    its Adam moment `m` or `v` is not +0.0 (bits again, so a -0.0 is kept).
+
+    The archive holds `touched`, the `np.packbits` of that mask over the
+    vector in `ParamSet.flat()` order; `untrained_sha256`, the digest of the
+    untrained vector; `params` at the touched positions; and with an
+    optimizer state (`Optimizer.get_state`) its step count `t` and, once
+    Adam has stepped, `m` and `v` at the touched positions. Arrays are
+    stored in binary, so loading gives back every bit. On the grid bridge
+    config, the one-hot rows of cells the agent never reached are never
+    touched: 20-39 % of a bundle's dense bytes, by seed, are left out. On
+    cart-pole every element is touched. Entry names and shapes are not
+    stored: the loader takes them, and the untouched values, from the
+    untrained net."""
+    p = params.flat()
+    touched = p.view(np.uint64) != untrained.flat().view(np.uint64)
+    moments = {}
+    if optimizer_state is not None and optimizer_state["m"] is not None:
+        moments = {key: optimizer_state[key] for key in ("m", "v")}
+    for moment in moments.values():
+        touched |= moment.view(np.uint64) != 0
+    arrays = {"touched": np.packbits(touched), "untrained_sha256": _digest(untrained),
+              "params": p[touched]}
     if optimizer_state is not None:
         arrays["t"] = np.int64(optimizer_state["t"])
-        if optimizer_state["m"] is not None:
-            arrays["m"], arrays["v"] = optimizer_state["m"], optimizer_state["v"]
+        arrays.update((key, moment[touched]) for key, moment in moments.items())
     # a file object, not a path: np.savez appends ".npz" to a path without it
     with open(path, "wb") as fp:
         np.savez(fp, **arrays)
@@ -450,17 +475,44 @@ def _flat_array(archive, key: str, size: int) -> np.ndarray:
     return a
 
 
+def _touched_mask(archive, size: int) -> np.ndarray:
+    """The archive's `touched` mask, unpacked to `size` booleans."""
+    packed = archive["touched"]
+    if packed.dtype != np.uint8 or packed.shape != ((size + 7) // 8,):
+        raise ValueError(
+            f"'touched' holds {packed.dtype} {packed.shape}, expected uint8 ({(size + 7) // 8},)"
+        )
+    bits = np.unpackbits(packed)
+    if bits[size:].any():
+        raise ValueError(f"'touched' sets padding bits past element {size}")
+    return bits[:size].view(bool)
+
+
 def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
-    """Read an archive written by save_paramset_file for a net shaped like
+    """Read an archive written by save_paramset_file for the untrained net
     `like`: the parameters, laid out as `like`'s entries, and the optimizer
-    state (None if not saved). A file that is not such an archive
-    (truncated, foreign, missing an array, of another length than `like`,
-    or with a step count and moments no optimizer writes) raises
-    ValueError; a missing file raises OSError."""
+    state (None if not saved). The stored values are scattered at the
+    touched positions into a copy of `like`'s vector and, for `m` and `v`,
+    into +0.0 vectors.
+
+    A file that is not such an archive raises ValueError: truncated or
+    foreign; missing an array; a mask of the wrong dtype or length, with
+    nonzero padding bits, or whose bit count differs from a stored array's
+    length; a digest other than `like`'s (a file of another seed's bundle,
+    which would mix two initialisations); or a step count and moments no
+    optimizer writes. A missing file raises OSError."""
     size = like.n_params()
     try:
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
-            params = like.with_flat(_flat_array(archive, "params", size))
+            mask = _touched_mask(archive, size)
+            digest = archive["untrained_sha256"]
+            if digest.dtype != np.uint8 or digest.shape != (32,) \
+                    or digest.tobytes() != _digest(like).tobytes():
+                raise ValueError("'untrained_sha256' is not the digest of this net as seeded")
+            n = int(np.count_nonzero(mask))
+            vec = like.flat().copy()
+            vec[mask] = _flat_array(archive, "params", n)
+            params = like.with_flat(vec)
             state = None
             if "t" in archive.files:
                 t = archive["t"]
@@ -472,8 +524,9 @@ def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
                     raise ValueError(f"step count {t} {'without' if t else 'with'} Adam moments")
                 state = {"t": t, "m": None, "v": None}
                 if t >= 1:
-                    state["m"] = _flat_array(archive, "m", size)
-                    state["v"] = _flat_array(archive, "v", size)
+                    for key in ("m", "v"):
+                        state[key] = np.zeros(size)
+                        state[key][mask] = _flat_array(archive, key, n)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         # ValueError also covers pickled or malformed .npy data
         raise ValueError(

@@ -26,7 +26,7 @@ from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_fil
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.5.0"
+VERSION_TAG = "logicrl-0.6.0"
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
@@ -100,6 +100,8 @@ class System3Config:
             raise ValueError("gamma and gae_lambda must be in [0, 1]")
         if self.rollout_length < 1 or self.batch_size < 1:
             raise ValueError("rollout_length and batch_size must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         self.hidden = tuple(int(h) for h in self.hidden)
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden must list at least one layer size >= 1, got {self.hidden}")
@@ -290,6 +292,11 @@ class Trainer:
         self.optimizers = {
             name: Optimizer(config.optimizer, config.learning_rate) for name, *_ in _PARAM_SETS
         }
+        # each net as seeded (read-only): a checkpoint stores only the
+        # elements training moved away from it
+        self._untrained = {
+            name: getattr(getattr(self, owner), attr) for name, owner, attr in _PARAM_SETS
+        }
         self.action_rng = np.random.default_rng(action_seed)
 
         self.formula = formula
@@ -436,14 +443,15 @@ class Trainer:
             shutil.rmtree(staging, ignore_errors=True)
 
     def _write_checkpoint(self, directory) -> None:
-        # parameters and optimizer moments go into the binary .params
-        # archives; state.json holds only scalars, text and RNG states, and
-        # its config fixes every net's shape
+        # the touched elements of the parameters and optimizer moments go
+        # into the binary .params archives; state.json holds only scalars,
+        # text and RNG states, and its config fixes every net's shape
         for name, owner, params_attr in _PARAM_SETS:
             save_paramset_file(
                 os.path.join(directory, f"{name}.params"),
                 getattr(getattr(self, owner), params_attr),
                 self.optimizers[name].get_state(),
+                self._untrained[name],
             )
         state = {
             "version": VERSION_TAG,
@@ -500,7 +508,8 @@ class Trainer:
             d=_count(state, "d", least=1), formula=formula,
         )
         for name, owner, params_attr in _PARAM_SETS:
-            # the freshly built net gives the entry names and shapes
+            # the freshly built net gives the entry names and shapes, and the
+            # values of the elements training never touched
             learner = getattr(trainer, owner)
             path = os.path.join(directory, f"{name}.params")
             params, opt_state = load_paramset_file(path, getattr(learner, params_attr))

@@ -115,6 +115,20 @@ def test_cli_rejects_repeated_or_negative_seeds_before_writing(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_train_refuses_negative_steps_and_keeps_zero(tmp_path, capsys):
+    """A negative step budget would train nothing and exit 0: exit 2 naming
+    it, nothing written. A budget of 0 stays valid (it writes the run
+    directory and checks the inputs without training)."""
+    out = tmp_path / "out"
+    assert main(["train", "--seeds", "0", "--steps", "-5", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: total_steps must be >= 0, got -5\n"
+    with pytest.raises(ConfigError, match="total_steps must be >= 0"):
+        build_run_config(tiny_values(tmp_path, steps="-1"))
+    assert main(["train", "--seeds", "0", "--steps", "0", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_snapshot_round_trips(tmp_path):
     cfg = build_run_config(tiny_values(tmp_path, constraint="configs/grid_keepout.fl"))
     text = snapshot_text(cfg, seed=0)
@@ -820,6 +834,24 @@ def test_cli_eval_of_checkpoint_with_foreign_net_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "policy.params" in err and "Traceback" not in err
+
+
+def test_cli_eval_of_checkpoint_with_params_of_another_seed_exits_2(tmp_path, capsys):
+    """A policy.params from a same-shape run of another seed fits the net,
+    but its untouched elements would come from this seed's initialisation:
+    refused by the digest of the untrained net, not evaluated."""
+    config = build_run_config(tiny_values(tmp_path))
+    run_dir, other_dir = (train_one_seed(config, seed) for seed in (0, 1))
+    name = sorted(os.listdir(os.path.join(run_dir, "checkpoints")))[-1]
+    ckpt = os.path.join(run_dir, "checkpoints", name)
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 0
+    shutil.copyfile(os.path.join(other_dir, "checkpoints", name, "policy.params"),
+                    os.path.join(ckpt, "policy.params"))
+    capsys.readouterr()
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "policy.params" in err and "not the digest" in err and "Traceback" not in err
 
 
 def test_heatmap_and_line_chart_svg_wellformed():

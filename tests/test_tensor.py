@@ -523,7 +523,7 @@ def test_optimizer_state_roundtrip(tmp_path):
     p2a = opt.step(p1, grads)
     # through the archive, as a checkpoint stores it
     path = tmp_path / "opt.params"
-    save_paramset_file(path, p1, snapshot)
+    save_paramset_file(path, p1, snapshot, params)
     _, loaded = load_paramset_file(path, params)
     for restored in (snapshot, loaded):
         opt2 = Optimizer("adam", 1e-2)
@@ -535,7 +535,7 @@ def test_optimizer_state_roundtrip(tmp_path):
         for name, arr in p2a:
             assert np.array_equal(arr, p2b[name])
     # an optimizer that has not stepped has no moments
-    save_paramset_file(path, params, Optimizer("adam", 1e-3).get_state())
+    save_paramset_file(path, params, Optimizer("adam", 1e-3).get_state(), params)
     _, fresh = load_paramset_file(path, params)
     assert fresh == {"t": 0, "m": None, "v": None}
 
@@ -555,13 +555,14 @@ def test_paramset_checkpoint_roundtrip(tmp_path):
     config = MLPConfig((3, 5, 2), "relu", "softmax")
     params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
-    save_paramset_file(path, params)
+    untrained = mlp_init(config, seed=10)
+    save_paramset_file(path, params, None, untrained)
     assert os.listdir(tmp_path) == ["policy.params"]  # no ".npz" appended
-    loaded, opt_state = load_paramset_file(path, mlp_init(config, seed=10))
+    loaded, opt_state = load_paramset_file(path, untrained)
     assert opt_state is None
     assert_bitwise_equal(loaded, params)
     with np.load(path) as archive:
-        assert archive.files == ["params"]
+        assert sorted(archive.files) == ["params", "touched", "untrained_sha256"]
 
 
 def test_paramset_archive_is_bitwise_exact(tmp_path):
@@ -577,8 +578,9 @@ def test_paramset_archive_is_bitwise_exact(tmp_path):
     m = params.flat()[::-1].copy()
     state = {"t": 7, "m": m, "v": -m}
     path = tmp_path / "special.params"
-    save_paramset_file(path, params, state)
-    loaded, opt = load_paramset_file(path, paramset_with(params, fill=0.0))
+    untrained = paramset_with(params, fill=0.0)
+    save_paramset_file(path, params, state, untrained)
+    loaded, opt = load_paramset_file(path, untrained)
     assert_bitwise_equal(loaded, params)
     assert np.signbit(loaded["zeros"]).tolist() == [True, False, True]
     assert np.signbit(loaded["scalar"]) and loaded["scalar"].shape == ()
@@ -596,7 +598,7 @@ def write_archive(path, **arrays):
 def test_failed_paramset_load_closes_the_file(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=1)
     good = tmp_path / "good.params"
-    save_paramset_file(good, params)
+    save_paramset_file(good, params, None, params)
     data = good.read_bytes()
     (tmp_path / "truncated").write_bytes(data[: len(data) // 2])
     with warnings.catch_warnings(record=True) as caught:
@@ -607,15 +609,28 @@ def test_failed_paramset_load_closes_the_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def archive_header(like: ParamSet, tmp_path) -> dict:
+    """The `touched` mask with every element set and the digest of `like`,
+    as an archive for the untrained net `like` holds them."""
+    path = tmp_path / "header.params"
+    save_paramset_file(path, like, None, like)
+    with np.load(path) as archive:
+        digest = archive["untrained_sha256"]
+    return {"touched": np.packbits(np.ones(like.n_params(), dtype=bool)),
+            "untrained_sha256": digest}
+
+
 def test_paramset_checkpoint_bad_magic(tmp_path):
-    """Anything but a complete archive for a net of `like`'s size is a
-    ValueError naming the file."""
-    like = mlp_init(MLPConfig((3, 2)), seed=1)
+    """Anything but a complete archive for the untrained net `like` is a
+    ValueError naming the file: among others, a mask or digest of the wrong
+    kind, and a file written for a net of another seed."""
+    like = mlp_init(MLPConfig((2, 3)), seed=1)
     n = like.n_params()
+    assert n % 8  # so the mask has padding bits
     good = tmp_path / "good.params"
     opt = Optimizer("adam", 1e-3)
     opt.step(like, like)
-    save_paramset_file(good, like, opt.get_state())
+    save_paramset_file(good, like, opt.get_state(), like)
     data = good.read_bytes()
     cases = {
         "empty": b"",
@@ -628,6 +643,7 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
         (tmp_path / name).write_bytes(content)
     with open(tmp_path / "pickled", "wb") as fp:
         np.savez(fp, params=np.array([{"a": 1}], dtype=object))
+    header = archive_header(like, tmp_path)
     archives = {
         "no_params": {"t": np.int64(0)},
         "short": {"params": np.zeros(n - 1)},
@@ -646,18 +662,48 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
         "stepped_without_moments": {"params": np.zeros(n), "t": np.int64(3)},
         "unstepped_with_moments": {"params": np.zeros(n), "t": np.int64(0),
                                    "m": np.zeros(n), "v": np.zeros(n)},
-        # an archive of the 0.2.0 layout: one array per entry and a JSON header
-        "entry_layout": {"meta": np.array("{}"), "param/w0": np.zeros((3, 2)),
-                         "param/b0": np.zeros(2)},
     }
+    archives = {name: {**header, **arrays} for name, arrays in archives.items()}
+    # an archive of the 0.2.0 layout: one array per entry and a JSON header
+    archives["entry_layout"] = {"meta": np.array("{}"), "param/w0": np.zeros((3, 2)),
+                                "param/b0": np.zeros(2)}
     for name, arrays in archives.items():
         write_archive(tmp_path / name, **arrays)
     for name in [*cases, "pickled", *archives]:
         with pytest.raises(ValueError, match=f"unreadable parameter archive .*{name}"):
             load_paramset_file(tmp_path / name, like)
-    # a well-formed archive of another net's size
-    with pytest.raises(ValueError, match="unreadable parameter archive"):
-        load_paramset_file(good, mlp_init(MLPConfig((3, 3)), seed=1))
+
+    # a malformed mask or digest, each refused by its own check
+    packed, digest = header["touched"], header["untrained_sha256"]
+    padded = packed.copy()
+    padded[-1] |= 1
+    half = np.packbits(np.arange(n) % 2 == 0)
+    other_seed = archive_header(mlp_init(MLPConfig((2, 3)), seed=2), tmp_path)["untrained_sha256"]
+    malformed = {
+        "no_mask": ({"touched": None}, "touched"),
+        "bool_mask": ({"touched": np.ones(n, dtype=bool)}, "'touched' holds bool"),
+        "uint16_mask": ({"touched": packed.astype(np.uint16)}, "'touched' holds uint16"),
+        "short_mask": ({"touched": packed[:-1]}, "'touched' holds uint8 \\(1,\\)"),
+        "long_mask": ({"touched": np.append(packed, np.uint8(0))}, "'touched' holds uint8 \\(3,\\)"),
+        "two_d_mask": ({"touched": packed[None, :]}, "'touched' holds uint8 \\(1, 2\\)"),
+        "padding_bits": ({"touched": padded}, "padding bits"),
+        "mask_counts_fewer": ({"touched": half}, "'params' holds float64 \\(9,\\), expected float64 \\(5,\\)"),
+        "no_digest": ({"untrained_sha256": None}, "untrained_sha256"),
+        "zero_digest": ({"untrained_sha256": np.zeros(32, dtype=np.uint8)}, "not the digest"),
+        "int64_digest": ({"untrained_sha256": digest.astype(np.int64)}, "not the digest"),
+        "two_d_digest": ({"untrained_sha256": digest.reshape(2, 16)}, "not the digest"),
+        "other_seed_digest": ({"untrained_sha256": other_seed}, "not the digest"),
+    }
+    for name, (changes, message) in malformed.items():
+        arrays = {**header, "params": np.zeros(n), **changes}
+        write_archive(tmp_path / name, **{k: a for k, a in arrays.items() if a is not None})
+        with pytest.raises(ValueError, match=f"unreadable parameter archive .*{name}.*{message}"):
+            load_paramset_file(tmp_path / name, like)
+    # a well-formed archive of another net's size, and of the same net seeded otherwise
+    with pytest.raises(ValueError, match="unreadable parameter archive .*'touched' holds"):
+        load_paramset_file(good, mlp_init(MLPConfig((4, 4)), seed=1))
+    with pytest.raises(ValueError, match="unreadable parameter archive .*not the digest"):
+        load_paramset_file(good, mlp_init(MLPConfig((2, 3)), seed=2))
     with pytest.raises(OSError):
         load_paramset_file(tmp_path / "absent.params", like)
 
@@ -669,9 +715,58 @@ def test_paramset_rejects_nonfinite_and_duplicates(tmp_path):
         ParamSet([("a", np.zeros(1)), ("a", np.zeros(1))])
     # the same check guards what an archive holds, naming the entry
     like = ParamSet([("a", np.zeros(1)), ("b", np.zeros(2))])
-    write_archive(tmp_path / "inf.params", params=np.array([1.0, 0.0, np.nan]))
+    write_archive(tmp_path / "inf.params", **archive_header(like, tmp_path),
+                  params=np.array([1.0, 0.0, np.nan]))
     with pytest.raises(ValueError, match="non-finite values in entry 'b'"):
         load_paramset_file(tmp_path / "inf.params", like)
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+UNTRAINED = ParamSet([("w", np.array([[0.0, 0.5], [-0.25, 1.0]])), ("b", np.zeros(3))])
+
+
+def _adam_state(m, v, t=3):
+    return {"t": t, "m": np.array(m, dtype=np.float64), "v": np.array(v, dtype=np.float64)}
+
+
+# each case: the parameter vector, the optimizer state, and how many
+# elements the archive must store of the 7
+SPARSE_CASES = {
+    # -0.0 == +0.0, so only a comparison of bits stores it
+    "negative_zero_parameter": ([0.0, 0.5, -0.25, 1.0, -0.0, 0.0, 0.0], None, 1),
+    "negative_zero_and_subnormal_moments": (
+        [0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0],
+        _adam_state([-0.0, 0, 0, 0, TINY, 0, 0], [0, 0, -0.0, 0, 0, 0, 3 * TINY]), 4),
+    "sgd_without_moments": ([0.0, 0.5 + 2**-53, -0.25, 1.0, 0.0, 0.0, TINY],
+                            {"t": 0, "m": None, "v": None}, 2),
+    "untouched": ([0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0], _adam_state([0.0] * 7, [0.0] * 7), 0),
+    "all_touched": ([-0.0, -TINY, 0.25, 1e308, TINY, -1.0, 2.0],
+                    _adam_state([-TINY, 1, -1, 0.5, TINY, 2, -0.0], [TINY, 1, 2, 3, 4, 5, -0.0]), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_archive_keeps_every_bit(tmp_path, case):
+    """An archive stores exactly the elements whose parameter bits differ
+    from the untrained net's or whose moments are not +0.0, and loading
+    gives back every bit of the parameters and the moments."""
+    vec, state, n_stored = SPARSE_CASES[case]
+    params = UNTRAINED.with_flat(np.array(vec))
+    path = tmp_path / "sparse.params"
+    save_paramset_file(path, params, state, UNTRAINED)
+    with np.load(path) as archive:
+        assert archive["params"].shape == (n_stored,)
+    loaded, opt = load_paramset_file(path, UNTRAINED)
+    assert_bitwise_equal(loaded, params)
+    if state is None:
+        assert opt is None
+        return
+    assert opt["t"] == state["t"]
+    for key in ("m", "v"):
+        if state[key] is None:
+            assert opt[key] is None
+        else:
+            assert opt[key].dtype == np.float64 and opt[key].tobytes() == state[key].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,22 @@ def assert_same_learners(a: Trainer, b: Trainer):
             assert moments_a.tobytes() == moments_b.tobytes()
 
 
+def test_grid_bundle_stores_only_touched_elements(tmp_path):
+    """After 2 iterations the grid agent has visited few of its 400 cells,
+    so the policy's one-hot rows of the others keep their seeded values and
+    zero moments: the policy archive stores fewer elements than the net
+    holds, and the bundle reloads bit for bit."""
+    trainer = grid_trainer(KEEPOUT, seed=21)
+    for _ in range(2):
+        trainer.train_iteration()
+    trainer.save_checkpoint(tmp_path / "ckpt")
+    with np.load(tmp_path / "ckpt" / "policy.params") as archive:
+        stored = archive["params"].size
+        assert archive["m"].size == archive["v"].size == stored
+    assert 0 < stored < trainer.agent.policy_params.n_params()
+    assert_same_learners(trainer, Trainer.load_checkpoint(tmp_path / "ckpt"))
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     import logicrl.training as training
 
