@@ -18,7 +18,8 @@ anchor points. Grammar (EBNF):
     point      := "[" ["-"] NUMBER ("," ["-"] NUMBER)* "]"
 
 "#" starts a comment running to end of line. Constraint files (.fl) hold one
-formula, possibly spanning lines. "exists" is sugar for not-forall-not.
+formula, possibly spanning lines. "exists" is sugar for not-forall-not. A
+quantifier variable may not be named "s": "s" in a norm is the state.
 
 A parsed Formula is bound against an ObjectRegistry (quantifier domains) and
 a state schema (component count, named slices) to produce a BoundFormula
@@ -81,6 +82,10 @@ class VarRef:
 @dataclass(frozen=True)
 class PointLiteral:
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("PointLiteral needs at least 1 value")
 
 
 VectorExpr = Union[StateRef, VarRef, PointLiteral]
@@ -180,36 +185,21 @@ class ObjectRegistry:
 # Norms
 
 
-def _norm_rows(diff: np.ndarray, p: float) -> np.ndarray:
-    """p-norm along the last axis, for p in {1, 2, inf}."""
-    if p == 2.0:
-        # no np.abs copy: (-x) * (-x) == x * x bit for bit
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    a = np.abs(diff)
-    return a.max(axis=-1) if p == math.inf else a.sum(axis=-1)
-
-
-# Below 8 terms np.sum adds sequentially, so a running sum over the
-# components is bitwise equal to _norm_rows; from 8 on it sums pairwise.
-_PLANE_NORM_MAX_WIDTH = 7
-
-
-def _plane_norm(cols: tuple, const: np.ndarray, p: float, depth: int):
-    """A closure equal bit for bit to `_norm_rows(s[:, cols] - const, p)`
-    (lifted to `depth` quantifier axes) for p in {1, 2, inf} and at most
-    _PLANE_NORM_MAX_WIDTH columns. It takes one (rows, anchors...) plane
-    per component and sums (or maxes) the planes in order, so no
-    (rows, anchors, width) difference is built. |a - b| == |b - a|, so the
-    side the state stands on does not matter."""
-    shape = (-1,) + (1,) * depth
-    planes = [(i, np.ascontiguousarray(const[..., k])) for k, i in enumerate(cols)]
+def _running_norm(left: list, right: list, p: float):
+    """The p-norm of `left - right`, for p in {1, 2, inf}, over two operands
+    given as one closure per component (each maps the state matrix to a
+    (rows, anchors...) plane, up to broadcasting). The component planes of
+    the difference are summed (or maxed) in order, so no (rows, anchors,
+    width) array is built. Below 8 components that is bit for bit what
+    np.sum gives; from 8 on np.sum adds pairwise, a few ulp away."""
+    pairs = tuple(zip(left, right))
     square = p == 2.0
     combine = np.maximum if p == math.inf else np.add
 
     def norm(s):
         acc = None
-        for i, plane in planes:
-            d = s[:, i].reshape(shape) - plane
+        for a, b in pairs:
+            d = a(s) - b(s)
             if square:
                 d *= d  # (-x) * (-x) == x * x, so no abs
             else:
@@ -481,21 +471,23 @@ def to_text(formula: Formula) -> str:
 # set. Each closure maps the (n, size) state matrix to a boolean array with
 # one axis for the rows and one per enclosing quantifier: a quantified
 # variable is its set's anchors stacked along that variable's axis, so
-# `forall` is `.all()` over the last axis and needs no loop. Everything that
-# does not read the state (literals, anchors, point literals, norms between
-# them) is resolved once, here.
+# `forall` is `.all()` over the last axis and needs no loop. A norm operand
+# compiles to one closure per component: a state column read, or a constant
+# plane of anchors or point values; every norm is the one running norm over
+# the two lists. Everything that does not read the state (literals, anchors,
+# point literals, norms between them) is resolved once, here.
 
 
 _CMP_FN = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal, ">": np.greater}
 
 
-def _lifted(fn, depth: int, width: Optional[int] = None):
-    """`fn` with one unit axis inserted per quantifier, after the row axis
-    (and before the trailing vector axis of width `width`, if any)."""
+def _column(i: int, depth: int):
+    """A closure reading state component i, with one unit axis per
+    quantifier after the row axis."""
     if depth == 0:
-        return fn
-    shape = (-1,) + (1,) * depth + (() if width is None else (width,))
-    return lambda s: fn(s).reshape(shape)
+        return lambda s: s[:, i]
+    shape = (-1,) + (1,) * depth
+    return lambda s: s[:, i].reshape(shape)
 
 
 def _constant(value: np.ndarray):
@@ -525,7 +517,6 @@ class BoundFormula:
         self.formula = formula
         self.registry = registry
         self.schema = schema
-        self._slices = {name: tuple(idx) for name, idx in schema.slices.items()}
         self._fn = self._compile(formula, ())
 
     # -- checked compilation ------------------------------------------------
@@ -538,9 +529,10 @@ class BoundFormula:
     def _state_columns(self, ref: StateRef) -> tuple[int, ...]:
         if ref.slice_name is None:
             return tuple(range(self.schema.size))
-        if ref.slice_name not in self._slices:
-            raise BindError(f"unknown state slice {ref.slice_name!r}; schema has {sorted(self._slices)}")
-        return self._slices[ref.slice_name]
+        slices = self.schema.slices
+        if ref.slice_name not in slices:
+            raise BindError(f"unknown state slice {ref.slice_name!r}; schema has {sorted(slices)}")
+        return slices[ref.slice_name]
 
     def _compile(self, f: Formula, scope: tuple):
         if isinstance(f, Atom):
@@ -550,6 +542,8 @@ class BoundFormula:
             return lambda s: ~child(s)
         if isinstance(f, (And, Or)):
             return self._compile_connective(f, scope)
+        if f.var == "s":
+            raise BindError("quantifier variable 's' would be read as the state; rename it")
         if f.set_name not in self.registry:
             raise BindError(f"unknown object set {f.set_name!r}")
         points = self.registry.points(f.set_name)
@@ -592,47 +586,36 @@ class BoundFormula:
         """(constant, None) or (None, closure) for one side of an atom."""
         if isinstance(expr, Literal):
             return expr.value, None
-        depth = len(scope)
         if isinstance(expr, Component):
             if not 0 <= expr.index < self.schema.size:
                 raise BindError(
                     f"component s[{expr.index}] out of range for schema of size {self.schema.size}"
                 )
-            i = expr.index
-            return None, _lifted(lambda s: s[:, i], depth)
+            return None, _column(expr.index, len(scope))
         p = expr.p
         if p not in _NORM_NAMES.values():
             raise BindError(f"norm order {p} is not one of 1, 2, inf")
-        lw, left, left_fn = self._compile_vector(expr.left, scope)
-        rw, right, right_fn = self._compile_vector(expr.right, scope)
-        if lw is None or rw is None:  # a variable over an empty set
+        left = self._compile_vector(expr.left, scope)
+        right = self._compile_vector(expr.right, scope)
+        if left is None or right is None:  # a variable over an empty set
             return None, _never_scored
-        if lw != rw:
+        if len(left) != len(right):
             raise BindError(
-                f"norm operands have different dimensions ({lw} vs {rw}); "
+                f"norm operands have different dimensions ({len(left)} vs {len(right)}); "
                 "use a state slice (s.<name>) to select matching components"
             )
-        if left_fn is None and right_fn is None:
-            return _norm_rows(left - right, p), None
-        if (left_fn is None) != (right_fn is None):
-            ref, const = (expr.left, right) if right_fn is None else (expr.right, left)
-            cols = self._state_columns(ref)
-            if len(cols) <= _PLANE_NORM_MAX_WIDTH:
-                return None, _plane_norm(cols, const, p, depth)
-        left_fn = left_fn or (lambda s: left)
-        right_fn = right_fn or (lambda s: right)
-        return None, lambda s: _norm_rows(left_fn(s) - right_fn(s), p)
+        norm = _running_norm(left, right, p)
+        if not isinstance(expr.left, StateRef) and not isinstance(expr.right, StateRef):
+            return norm(None), None
+        return None, norm
 
     def _compile_vector(self, ref: VectorExpr, scope: tuple):
-        """(width, constant, None) or (width, None, closure) for a norm
-        operand, shaped (rows, one axis per quantifier, width) up to
-        broadcasting. A variable over an empty set has width None."""
+        """One closure per component of a norm operand, each returning a
+        (rows, one axis per quantifier) array up to broadcasting; None for
+        a variable over an empty set."""
         depth = len(scope)
         if isinstance(ref, StateRef):
-            if ref.slice_name is None:
-                return self.schema.size, None, _lifted(lambda s: s, depth, self.schema.size)
-            idx = list(self._state_columns(ref))
-            return len(idx), None, _lifted(lambda s: s[:, idx], depth, len(idx))
+            return [_column(i, depth) for i in self._state_columns(ref)]
         if isinstance(ref, VarRef):
             # innermost binding of the name wins
             axis = {var: a for a, (var, _) in enumerate(scope)}.get(ref.name)
@@ -640,11 +623,12 @@ class BoundFormula:
                 raise BindError(f"unknown identifier {ref.name!r} (not bound by any quantifier)")
             points = scope[axis][1]
             if len(points) == 0:
-                return None, None, None
+                return None
             m, k = points.shape
-            return k, points.reshape((1,) * (axis + 1) + (m,) + (1,) * (depth - axis - 1) + (k,)), None
-        point = np.array(ref.values, dtype=np.float64)
-        return len(point), point.reshape((1,) * (depth + 1) + point.shape), None
+            planes = points.T.reshape((k,) + (1,) * (axis + 1) + (m,) + (1,) * (depth - axis - 1))
+        else:
+            planes = np.array(ref.values, dtype=np.float64).reshape((-1,) + (1,) * (depth + 1))
+        return [lambda s, c=c: c for c in planes]
 
     # -- evaluation ---------------------------------------------------------
 

@@ -40,6 +40,15 @@ class StateSchema:
     names: tuple[str, ...]
     slices: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.names:
+            raise ValueError("a state schema needs at least one component")
+        for name, idx in self.slices.items():
+            if not (isinstance(idx, tuple) and idx
+                    and all(type(i) is int and 0 <= i < self.size for i in idx)):
+                raise ValueError(f"slice {name!r} must be a non-empty tuple of component "
+                                 f"indices in 0..{self.size - 1}, got {idx!r}")
+
     @property
     def size(self) -> int:
         return len(self.names)

@@ -445,8 +445,9 @@ def random_formula(rng: np.random.Generator, max_atoms: int = 6):
 # ---------------------------------------------------------------------------
 # Random quantified formulas over 3-D states
 
-# 3-D states whose `pos` slice picks components 2 and 0, in that order
-QUANTIFIED_SCHEMA = StateSchema(("a", "b", "c"), {"pos": (2, 0)})
+# 3-D states whose `pos` slice picks components 2 and 0, in that order, and
+# whose `alt` slice picks 1 and 2, so `s.pos - s.alt` is a state-versus-state norm
+QUANTIFIED_SCHEMA = StateSchema(("a", "b", "c"), {"pos": (2, 0), "alt": (1, 2)})
 QUANTIFIED_SETS = ("few", "one", "many", "empty")
 
 
@@ -475,7 +476,7 @@ def random_quantified_atom(rng: np.random.Generator, scope: tuple) -> fl.Atom:
     (no state at all), state-versus-state norms and literal-only atoms."""
     p = [1.0, 2.0, math.inf][rng.integers(3)]
     op = list(OPS)[rng.integers(4)]
-    kinds = ["bound", "pos_point", "state_point", "literals"]
+    kinds = ["bound", "pos_point", "state_point", "pos_alt", "literals"]
     if scope:
         kinds += ["pos_var", "pos_var", "pos_var", "var_point", "var_var", "two_norms"]
 
@@ -490,6 +491,9 @@ def random_quantified_atom(rng: np.random.Generator, scope: tuple) -> fl.Atom:
         lhs = fl.NormDistance(p, fl.StateRef("pos"), _point(rng, 2))
     elif kind == "state_point":
         lhs = fl.NormDistance(p, fl.StateRef(None), _point(rng, 3))
+    elif kind == "pos_alt":
+        sides = (fl.StateRef("pos"), fl.StateRef("alt"))
+        lhs = fl.NormDistance(p, *(sides if rng.random() < 0.5 else sides[::-1]))
     elif kind == "literals":
         lhs = fl.Literal(_num(rng, 0, 9))
     elif kind == "pos_var":

@@ -211,6 +211,21 @@ def test_bind_unknown_slice_and_unknown_var():
         fl.bind(fl.parse("norm2(s - q) <= 1"), fl.ObjectRegistry(), GRID_SCHEMA)
 
 
+@pytest.mark.parametrize("source", [
+    "forall s in unsafe: 1.5 <= norm2(s - [0,0])",
+    "exists s in unsafe: s[0] <= 1",
+    "forall s in nowhere: 1 <= s[0]",
+    "forall u in unsafe: forall s in unsafe: 1 <= norm2(u - s)",
+], ids=["forall", "exists", "unknown_set", "nested"])
+def test_bind_rejects_a_quantifier_variable_named_s(source):
+    """`s` in a norm operand always reads the state, so a variable named `s`
+    would never be read; bind refuses it before looking up the set."""
+    reg = registry_with(unsafe=[[0.0, 0.0], [5.0, 5.0]])
+    with pytest.raises(fl.BindError) as err:
+        fl.bind(fl.parse(source), reg, GRID_SCHEMA)
+    assert str(err.value) == "quantifier variable 's' would be read as the state; rename it"
+
+
 def test_bind_named_slice():
     f = fl.parse("norm2(s.pos - [1,2]) <= 3")
     bound = fl.bind(f, fl.ObjectRegistry(), GRID_SCHEMA)
@@ -297,6 +312,47 @@ def test_norm_distance_identity_and_errors():
         fl.bind(fl.parse("norm2(s - [1, 2, 3]) <= 1"), fl.ObjectRegistry(), GRID_SCHEMA)
     with pytest.raises(fl.FLSyntaxError):
         fl.parse("norm3(s - [0, 0]) <= 1")
+    with pytest.raises(ValueError, match="at least 1 value"):
+        fl.PointLiteral(())  # a zero-width norm operand
+
+
+def compiled_norm(expr: fl.NormDistance, schema, states) -> np.ndarray:
+    """The values bind compiles for one norm: the per-row values of a norm
+    that reads the state, the folded (1,) constant of one that does not."""
+    bound = fl.bind(fl.Atom(fl.Comparison(expr, "<=", fl.Literal(0.0))), fl.ObjectRegistry(), schema)
+    const, fn = bound._compile_scalar(expr, ())
+    return const if fn is None else fn(states)
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_norm_of_every_pairing_matches_numpy(width):
+    """State against constant, constant against state, state against state
+    and constant against constant (folded at bind time) all take the one
+    running norm. Up to 7 components it equals np.linalg.norm bit for bit;
+    from 8 on numpy sums pairwise, so the two agree to rounding only."""
+    rng = np.random.default_rng(width)
+    # `a` reads the first `width` components, `b` the last `width` in reverse
+    schema = StateSchema(tuple(f"x{i}" for i in range(2 * width)),
+                         {"a": tuple(range(width)), "b": tuple(range(2 * width - 1, width - 1, -1))})
+    states = rng.uniform(-5.0, 5.0, size=(50, 2 * width))
+    x, y = rng.uniform(-5.0, 5.0, size=(2, width))
+    a, b = states[:, :width], states[:, :width - 1:-1]
+    point, other = fl.PointLiteral(tuple(x)), fl.PointLiteral(tuple(y))
+    pairings = [
+        (fl.StateRef("a"), point, a - x),
+        (point, fl.StateRef("a"), x - a),
+        (fl.StateRef("a"), fl.StateRef("b"), a - b),
+        (point, other, (x - y)[None, :]),
+    ]
+    for p in (1.0, 2.0, math.inf):
+        for left, right, diff in pairings:
+            mine = compiled_norm(fl.NormDistance(p, left, right), schema, states)
+            expected = np.linalg.norm(diff, ord=p, axis=1)
+            assert mine.shape == expected.shape
+            if width <= 7:
+                assert np.array_equal(mine, expected), (p, left, right)
+            else:
+                np.testing.assert_allclose(mine, expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("p", [3.0, 0.5, 0.0, math.nan])
@@ -417,16 +473,12 @@ def test_component_bounds_strictness():
     assert strict.evaluate_batch(at_bounds).tolist() == [False, False, True]
 
 
-@pytest.mark.parametrize("width", range(1, 9))
-def test_quantified_norm_bounds_match_oracle_at_the_boundary(width, monkeypatch):
+@pytest.mark.parametrize("width", range(1, 13))
+def test_quantified_norm_bounds_match_oracle_at_the_boundary(width):
     """`forall`/`exists` over a `c <op> norm(s.pos - u)` body (literal on
     either side, state on either side of the norm, every operator, p in
     {1, 2, inf}) on states exactly at distance c from an anchor and one ulp
-    either side. Slices of up to 7 components take the plane-wise norm;
-    8 components take _norm_rows."""
-    calls = []
-    norm_rows = fl._norm_rows
-    monkeypatch.setattr(fl, "_norm_rows", lambda diff, p: calls.append(p) or norm_rows(diff, p))
+    either side, for slices of 1 to 12 components."""
     # `pos` reads the last `width` components in reverse; s[0] is unread
     schema = StateSchema(tuple(f"x{i}" for i in range(width + 1)),
                          {"pos": tuple(range(width, 0, -1))})
@@ -454,7 +506,6 @@ def test_quantified_norm_bounds_match_oracle_at_the_boundary(width, monkeypatch)
     # a lower bound under forall and an upper bound under exists split the
     # states at the boundary; no state is near every anchor at once
     assert mixed == 24
-    assert bool(calls) == (width == 8)
 
 
 @pytest.mark.parametrize("n_anchors", [1, 2, 3, 5, 8])

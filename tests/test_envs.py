@@ -12,6 +12,7 @@ from logicrl.envs import (
     EpisodeOver,
     GridLayout,
     GridWorld,
+    StateSchema,
     make_env,
 )
 from oracles import (
@@ -245,6 +246,17 @@ def test_table_computes_each_edge_shape_once(monkeypatch):
     envs._build_table(GridLayout.default_bridge())
     assert len(calls) == 45
     assert len(set(calls)) == 9
+
+
+def test_state_schema_rejects_slices_it_cannot_read():
+    """A slice is a non-empty tuple of ints naming existing components; a
+    bad one is refused when the schema is built, not when a formula reads it."""
+    for bad in ((0, 5), (0, -1), (), [0, 1], (0.0, 1)):
+        with pytest.raises(ValueError, match="slice 'pos' must be a non-empty tuple"):
+            StateSchema(("x", "y"), {"pos": bad})
+    with pytest.raises(ValueError, match="at least one component"):
+        StateSchema(())
+    assert StateSchema(("x", "y"), {"pos": (1, 0)}).slices == {"pos": (1, 0)}
 
 
 # -- grid episodes --------------------------------------------------------------

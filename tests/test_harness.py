@@ -639,6 +639,16 @@ def test_cli_check_constraint_with_an_overflowing_number_exits_2(tmp_path, capsy
     assert err == "error: number 1e999 is too large for a float (line 1, column 8)\n"
 
 
+def test_cli_check_constraint_with_a_quantifier_variable_named_s_exits_2(tmp_path, capsys):
+    """`s` in a norm operand is the state, so `forall s in unsafe` would
+    score the state and ignore the anchors; the file is refused instead."""
+    shadow = tmp_path / "shadow.fl"
+    shadow.write_text("forall s in unsafe: 1.5 <= norm2(s - [0,0])\n")
+    assert main(["check-constraint", str(shadow), "--env", "gridworld"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: quantifier variable 's' would be read as the state; rename it\n"
+
+
 @pytest.mark.parametrize("verb", ["plot_out_is_a_file", "plot_out_under_a_file",
                                   "plot_a_directory", "value_grid_out_is_a_directory"])
 def test_cli_unusable_path_exits_2(tmp_path, capsys, verb):
