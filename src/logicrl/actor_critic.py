@@ -66,8 +66,8 @@ class ActorCritic:
         self.featurize = featurize if featurize is not None else (lambda s: s)
         self.entropy_coef = entropy_coef
         self.value_coef = value_coef
-        self.policy_config = MLPConfig((feature_dim, *hidden, n_actions), "tanh", "softmax")
-        self.value_config = MLPConfig((hidden[-1], 1), "tanh", "identity")
+        self.policy_config = MLPConfig((feature_dim, *hidden, n_actions), "softmax")
+        self.value_config = MLPConfig((hidden[-1], 1))
         self.policy_params = mlp_init(self.policy_config, seed, prefix="pi.")
         self.value_params = mlp_init(self.value_config, seed + 1, prefix="vf.")
 

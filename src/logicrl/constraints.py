@@ -153,7 +153,8 @@ Formula = Union[Atom, Not, And, Or, ForAll]
 class ObjectRegistry:
     """Named finite sets of anchor points that quantifiers range over.
 
-    Each set is an (m, k) array of points.
+    Each set is an (m, k) array of points. An empty set is stored as
+    (0, 0) and makes its quantifier vacuous; points of width 0 are refused.
     """
 
     def __init__(self):
@@ -164,6 +165,8 @@ class ObjectRegistry:
             raise ValueError(f"registry set {name!r} already exists")
         arr = np.asarray(points, dtype=np.float64)
         if arr.size == 0:
+            if len(arr):
+                raise ValueError(f"set {name!r}: {len(arr)} anchor points of width 0")
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
             raise ValueError(f"set {name!r}: points must form an (m, k) array")

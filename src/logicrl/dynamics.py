@@ -99,7 +99,7 @@ class ForwardModel:
     ):
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self.config = MLPConfig((state_dim + n_actions, *hidden, state_dim), "tanh", "identity")
+        self.config = MLPConfig((state_dim + n_actions, *hidden, state_dim))
         self.params = mlp_init(self.config, seed, prefix="fwd.")
         self.normalizer = RunningNorm(state_dim)
         self._action_rows = np.eye(n_actions)  # one-hot rows, indexed by action

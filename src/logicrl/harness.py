@@ -116,7 +116,6 @@ CONFIG_KEYS = (
     ("entropy_coef", "sys3", "entropy_coef", float),
     ("value_coef", "sys3", "value_coef", float),
     ("hidden", "sys3", "hidden", _parse_ints),
-    ("optimizer", "sys3", "optimizer", str),
 )
 _KEY_ROWS = {row[0]: row for row in CONFIG_KEYS}
 

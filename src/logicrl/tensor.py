@@ -1,4 +1,5 @@
-"""Dense MLP forward/backward passes, optimizers, and the binary parameter file.
+"""Dense tanh MLP forward/backward passes, the Adam optimizer, and the binary
+parameter file.
 
 Everything is float64. A ParamSet is one finite, read-only vector plus a
 layout of (name, shape) rows; each entry is a reshaped view of its slice of
@@ -19,9 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
-OPTIMIZERS = ("sgd", "adam")
 
 # glibc's mallopt parameters (malloc.h) and the values set for them. An update
 # pass frees a few MB of (rows x hidden) activations. On the grid bridge config
@@ -70,12 +69,11 @@ class UpdateRejected(ValueError):
 class MLPConfig:
     """Shape of a fully-connected net: sizes of input, hidden and output layers.
 
-    The hidden activation applies to every layer except the last; the output
-    activation is identity or softmax (softmax only for categorical heads).
+    Every layer except the last applies tanh; the output activation is
+    identity or softmax (softmax only for categorical heads).
     """
 
     layer_sizes: tuple[int, ...]
-    activation: str = "tanh"
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -85,8 +83,6 @@ class MLPConfig:
             raise ValueError("need at least input and output layer sizes")
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer sizes must be positive: {sizes}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
 
@@ -223,7 +219,7 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
     Returns the (n, d_out) output and the activation cache needed for
-    mlp_backward. Each hidden activation is applied in place on its layer's
+    mlp_backward. Each hidden tanh is applied in place on its layer's
     fresh product, so the pass allocates one array per layer (two for a
     softmax output); the bits are those of the out-of-place formulas.
     """
@@ -242,13 +238,9 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
     # each bias is added in place on the fresh gather or product: the same
     # additions as `+`, without a second temporary
     pre += weights[1]
-    tanh = config.activation == "tanh"
     post_list: list[np.ndarray] = []
     for i in range(2, 2 * config.n_layers, 2):
-        if tanh:
-            np.tanh(pre, out=pre)
-        else:
-            np.maximum(pre, 0.0, out=pre)
+        np.tanh(pre, out=pre)
         post_list.append(pre)
         pre = pre @ weights[i]
         pre += weights[i + 1]
@@ -285,17 +277,13 @@ def _index_weight_grad(idx: np.ndarray, d_pre: np.ndarray, out: np.ndarray) -> N
     out[cells] = onehot.T @ d_pre
 
 
-def _times_activation_grad(d_post: np.ndarray, post: np.ndarray, kind: str) -> None:
-    """Multiply `d_post` in place by the hidden activation's derivative,
-    read from the activation's output: 1 - post*post for tanh, and
-    [post > 0] for ReLU, which is [pre > 0], NaN included. The tanh slope
-    is one temporary array, freed on return."""
-    if kind == "tanh":
-        slope = np.multiply(post, post)
-        np.subtract(1.0, slope, out=slope)
-        d_post *= slope
-    else:
-        d_post *= post > 0.0
+def _times_activation_grad(d_post: np.ndarray, post: np.ndarray) -> None:
+    """Multiply `d_post` in place by tanh's derivative, read from tanh's
+    output as 1 - post*post. The slope is one temporary array, freed on
+    return."""
+    slope = np.multiply(post, post)
+    np.subtract(1.0, slope, out=slope)
+    d_post *= slope
 
 
 def mlp_backward(
@@ -347,7 +335,7 @@ def mlp_backward(
             d_pre = d_post
             if hidden_grads and layer in hidden_grads:
                 d_pre += hidden_grads[layer]
-            _times_activation_grad(d_pre, post, config.activation)
+            _times_activation_grad(d_pre, post)
         if layer == 0 and index_input:
             _index_weight_grad(inputs[:, 0], d_pre, grads[0])
         else:
@@ -368,17 +356,15 @@ def _check_update(params: ParamSet, grads: ParamSet) -> None:
 
 
 class Optimizer:
-    """SGD or Adam over one ParamSet's update stream. Each step updates the
-    parameters as one flat vector in `ParamSet.flat()` order; the Adam
-    moments `m` and `v` are flat vectors of that layout (None before the
-    first Adam step) and `t` counts Adam steps."""
+    """Adam over one ParamSet's update stream. Each step updates the
+    parameters as one flat vector in `ParamSet.flat()` order; the moments
+    `m` and `v` are flat vectors of that layout (None before the first
+    step) and `t` counts steps. The step is per coordinate, so in exact
+    arithmetic a gradient scaled by c > 0 moves it only through `eps`."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, kind: str = "adam", learning_rate: float = 1e-3):
-        if kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {kind!r}")
-        self.kind = kind
+    def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
         self.t = 0
         self.m: Optional[np.ndarray] = None
@@ -389,15 +375,13 @@ class Optimizer:
         (UpdateRejected names the entry), as does a non-finite result, and
         leaves the optimizer state as it was.
 
-        Adam computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        The step computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
         p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) in that order, in
         place on two work vectors. The new `m` and `v` and the new
         parameters are fresh arrays: the arrays of an earlier `get_state()`
         are never written."""
         _check_update(params, grads)
         p, g = params.flat(), grads.flat()
-        if self.kind == "sgd":
-            return params.with_flat(p - self.learning_rate * g)
         t = self.t + 1
         # zero moments before the first step, so a -0.0 gradient gives +0.0;
         # b * 0.0 is +0.0, so zeros stand for b times the zero moments
@@ -419,8 +403,8 @@ class Optimizer:
         return out
 
     def get_state(self) -> dict:
-        """Step count and flat Adam moments; kind and learning rate come
-        from the run config."""
+        """Step count and flat moments; the learning rate comes from the run
+        config."""
         return {"t": self.t, "m": self.m, "v": self.v}
 
     def set_state(self, state: dict) -> None:
@@ -433,7 +417,7 @@ def _digest(untrained: ParamSet) -> np.ndarray:
     return np.frombuffer(hashlib.sha256(vec).digest(), dtype=np.uint8)
 
 
-def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict],
+def save_paramset_file(path, params: ParamSet, optimizer_state: dict,
                        untrained: ParamSet) -> None:
     """Write one parameter set as a numpy archive that stores only the
     elements training touched. `untrained` is the same net as seeded; an
@@ -442,9 +426,9 @@ def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict],
 
     The archive holds `touched`, the `np.packbits` of that mask over the
     vector in `ParamSet.flat()` order; `untrained_sha256`, the digest of the
-    untrained vector; `params` at the touched positions; and with an
-    optimizer state (`Optimizer.get_state`) its step count `t` and, once
-    Adam has stepped, `m` and `v` at the touched positions. Arrays are
+    untrained vector; `params` at the touched positions; the optimizer
+    state's (`Optimizer.get_state`) step count `t`; and, once the optimizer
+    has stepped, `m` and `v` at the touched positions. Arrays are
     stored in binary, so loading gives back every bit. On the grid bridge
     config, the one-hot rows of cells the agent never reached are never
     touched: 20-39 % of a bundle's dense bytes, by seed, are left out. On
@@ -454,15 +438,13 @@ def save_paramset_file(path, params: ParamSet, optimizer_state: Optional[dict],
     p = params.flat()
     touched = p.view(np.uint64) != untrained.flat().view(np.uint64)
     moments = {}
-    if optimizer_state is not None and optimizer_state["m"] is not None:
+    if optimizer_state["m"] is not None:
         moments = {key: optimizer_state[key] for key in ("m", "v")}
     for moment in moments.values():
         touched |= moment.view(np.uint64) != 0
     arrays = {"touched": np.packbits(touched), "untrained_sha256": _digest(untrained),
-              "params": p[touched]}
-    if optimizer_state is not None:
-        arrays["t"] = np.int64(optimizer_state["t"])
-        arrays.update((key, moment[touched]) for key, moment in moments.items())
+              "params": p[touched], "t": np.int64(optimizer_state["t"])}
+    arrays.update((key, moment[touched]) for key, moment in moments.items())
     # a file object, not a path: np.savez appends ".npz" to a path without it
     with open(path, "wb") as fp:
         np.savez(fp, **arrays)
@@ -488,12 +470,11 @@ def _touched_mask(archive, size: int) -> np.ndarray:
     return bits[:size].view(bool)
 
 
-def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
+def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, dict]:
     """Read an archive written by save_paramset_file for the untrained net
     `like`: the parameters, laid out as `like`'s entries, and the optimizer
-    state (None if not saved). The stored values are scattered at the
-    touched positions into a copy of `like`'s vector and, for `m` and `v`,
-    into +0.0 vectors.
+    state. The stored values are scattered at the touched positions into a
+    copy of `like`'s vector and, for `m` and `v`, into +0.0 vectors.
 
     A file that is not such an archive raises ValueError: truncated or
     foreign; missing an array; a mask of the wrong dtype or length, with
@@ -513,20 +494,18 @@ def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, Optional[dict]]:
             vec = like.flat().copy()
             vec[mask] = _flat_array(archive, "params", n)
             params = like.with_flat(vec)
-            state = None
-            if "t" in archive.files:
-                t = archive["t"]
-                if t.shape != () or t.dtype.kind not in "iu" or t < 0:
-                    raise ValueError(f"'t' holds {t.dtype} {t.tolist()!r}, expected an integer >= 0")
-                t = int(t)
-                # Adam has moments exactly once it has stepped; SGD stays at t = 0
-                if ("m" in archive.files or "v" in archive.files) != (t >= 1):
-                    raise ValueError(f"step count {t} {'without' if t else 'with'} Adam moments")
-                state = {"t": t, "m": None, "v": None}
-                if t >= 1:
-                    for key in ("m", "v"):
-                        state[key] = np.zeros(size)
-                        state[key][mask] = _flat_array(archive, key, n)
+            t = archive["t"]
+            if t.shape != () or t.dtype.kind not in "iu" or t < 0:
+                raise ValueError(f"'t' holds {t.dtype} {t.tolist()!r}, expected an integer >= 0")
+            t = int(t)
+            # the optimizer has moments exactly once it has stepped
+            if ("m" in archive.files or "v" in archive.files) != (t >= 1):
+                raise ValueError(f"step count {t} {'without' if t else 'with'} moments")
+            state = {"t": t, "m": None, "v": None}
+            if t >= 1:
+                for key in ("m", "v"):
+                    state[key] = np.zeros(size)
+                    state[key][mask] = _flat_array(archive, key, n)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         # ValueError also covers pickled or malformed .npy data
         raise ValueError(

@@ -22,11 +22,11 @@ from . import constraints as fl
 from .actor_critic import ActorCritic, gae_batch, grid_onehot_features, policy_value_loss
 from .dynamics import ForwardModel
 from .envs import GridLayout, make_env, restore_rng
-from .tensor import OPTIMIZERS, Optimizer, load_paramset_file, save_paramset_file
+from .tensor import Optimizer, load_paramset_file, save_paramset_file
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.6.0"
+VERSION_TAG = "logicrl-0.7.0"
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
@@ -83,7 +83,6 @@ class System3Config:
     entropy_coef: float = 0.01
     value_coef: float = 0.5
     hidden: tuple[int, ...] = (64, 64)
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -105,8 +104,6 @@ class System3Config:
         self.hidden = tuple(int(h) for h in self.hidden)
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden must list at least one layer size >= 1, got {self.hidden}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r} (one of {OPTIMIZERS})")
 
     @property
     def steps_per_iteration(self) -> int:
@@ -289,9 +286,7 @@ class Trainer:
             hidden=config.hidden,
             seed=fwd_seed,
         )
-        self.optimizers = {
-            name: Optimizer(config.optimizer, config.learning_rate) for name, *_ in _PARAM_SETS
-        }
+        self.optimizers = {name: Optimizer(config.learning_rate) for name, *_ in _PARAM_SETS}
         # each net as seeded (read-only): a checkpoint stores only the
         # elements training moved away from it
         self._untrained = {
@@ -513,8 +508,6 @@ class Trainer:
             learner = getattr(trainer, owner)
             path = os.path.join(directory, f"{name}.params")
             params, opt_state = load_paramset_file(path, getattr(learner, params_attr))
-            if opt_state is None:
-                raise ValueError(f"no optimizer state in {path}")
             setattr(learner, params_attr, params)
             trainer.optimizers[name].set_state(opt_state)
         trainer.iteration = _count(state, "iteration")

@@ -5,7 +5,7 @@ differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
 GAE recursion, a direct discounted-sum advantage, dense one-hot inputs, the
 out-of-place forward pass and the inference formulas built on it, ParamSets
-with chosen entries, a per-entry backward pass, per-entry SGD and Adam
+with chosen entries, a per-entry backward pass, per-entry Adam
 updates, reference environment steppers, a cell-by-cell grid transition table, and the
 step-by-step training rollout and evaluation loops. They
 intentionally avoid the library code paths they are used to check
@@ -176,12 +176,6 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _reference_activate(pre: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(pre)
-    return np.maximum(pre, 0.0)
-
-
 def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
     """Run the net on a batch of row vectors.
 
@@ -207,7 +201,7 @@ def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
         pre = x @ weights[0] + weights[1]
     post_list: list[np.ndarray] = []
     for layer in range(1, config.n_layers):
-        post = _reference_activate(pre, config.activation)
+        post = np.tanh(pre)
         post_list.append(post)
         pre = post @ weights[2 * layer] + weights[2 * layer + 1]
     h = reference_softmax(pre) if config.output_activation == "softmax" else pre
@@ -283,9 +277,7 @@ def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grad
     """mlp_backward's gradients for a float input batch, one freshly
     allocated array per entry (each layer's weight, then its bias): the
     reference for the views into one gradient vector, computed out of
-    place. `hidden_grads` may not name the output layer. The cache keeps
-    no hidden pre-activation, so ReLU's slope is read from its output:
-    relu(pre) > 0 exactly where pre > 0, and neither holds for NaN."""
+    place. `hidden_grads` may not name the output layer."""
     grads = [None] * (2 * config.n_layers)
     d_post = output_grad
     for layer in reversed(range(config.n_layers)):
@@ -293,8 +285,7 @@ def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grad
         if hidden_grads and layer in hidden_grads:
             d_post = d_post + hidden_grads[layer]
         if layer < config.n_layers - 1:
-            slope = 1.0 - post * post if config.activation == "tanh" else (post > 0.0).astype(float)
-            d_pre = d_post * slope
+            d_pre = d_post * (1.0 - post * post)
         elif config.output_activation == "softmax":
             d_pre = post * (d_post - np.sum(d_post * post, axis=1, keepdims=True))
         else:
@@ -303,11 +294,6 @@ def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grad
         grads[2 * layer], grads[2 * layer + 1] = h_in.T @ d_pre, d_pre.sum(axis=0)
         d_post = d_pre @ params.views[2 * layer].T
     return grads
-
-
-def sgd_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:
-    """One plain gradient-descent step, entry by entry."""
-    return ParamSet((n, a - learning_rate * grads[n]) for n, a in params)
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: dict, learning_rate: float,

@@ -1,13 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line
 (run with `pytest tests/test_acceptance.py -s` to see them live).
 
-The two training-based fixtures are session-scoped and shared: the grid
-bridge experiments back criteria 5, 6 and 8; the cart-pole experiments back
-criterion 7. They train each experiment's seeds in parallel worker
-processes, which write the same bytes as a sequential run. Those four tests
-are marked `slow` (the fixtures take minutes), so `pytest -m "not slow"`
-runs everything else. Baseline runs
-train without any formula, so their safety is scored afterwards by
+The two training-based fixtures (in conftest.py) are session-scoped and
+shared: the grid bridge experiments back criteria 5, 6 and 8; the cart-pole
+experiments back criterion 7. Those four tests are marked `slow` (the
+fixtures take minutes), so `pytest -m "not slow"` runs everything else.
+Baseline runs train without any formula, so their safety is scored afterwards by
 re-evaluating every saved checkpoint under the same formula and derived
 evaluation seed the training loop used.
 
@@ -30,7 +28,7 @@ from logicrl import constraints as fl
 from logicrl.actor_critic import ActorCritic, policy_value_loss
 from logicrl.dynamics import ForwardModel
 from logicrl.envs import GridLayout, GridWorld
-from logicrl.harness import build_run_config, read_metrics_csv, run_eval, run_train, train_one_seed
+from logicrl.harness import build_run_config, read_metrics_csv, run_eval, train_one_seed
 from logicrl.tensor import MLPConfig, mlp_backward, mlp_forward, mlp_init
 from oracles import (
     direct_sum_oracle,
@@ -40,97 +38,11 @@ from oracles import (
     oracle_evaluate_batch,
     random_formula,
 )
-
-SEEDS = "0,1,2"
-GRID_STEPS = 200_000
-CARTPOLE_STEPS = 300_000
-KEEPOUT = "configs/grid_keepout.fl"
-TAUTOLOGY = "configs/grid_tautology.fl"
-CARTPOLE_FL = "configs/cartpole_theta.fl"
+from conftest import CARTPOLE_FL, KEEPOUT, checkpoints_of, grid_run_values
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def grid_run_values(out: str, experiment: str, constraint: str) -> dict:
-    return {
-        "experiment": experiment,
-        "env": "gridworld",
-        "constraint": constraint,
-        "seeds": SEEDS,
-        "steps": str(GRID_STEPS),
-        "rollout_length": "50",
-        "batch_size": "20",
-        "gamma": "0.99",
-        "gae_lambda": "0.95",
-        "lr": "0.001",
-        "entropy_coef": "0.01",
-        "eval_every": "20000",
-        "eval_horizon": "1000",
-        "out": out,
-    }
-
-
-def cartpole_run_values(out: str, experiment: str, constraint: str, d: int,
-                        use_env_reward: bool) -> dict:
-    return {
-        "experiment": experiment,
-        "env": "cartpole",
-        "constraint": constraint,
-        "d": str(d),
-        "use_env_reward": "true" if use_env_reward else "false",
-        "seeds": SEEDS,
-        "steps": str(CARTPOLE_STEPS),
-        "rollout_length": "20",
-        "batch_size": "20",
-        "gamma": "0.95",
-        "gae_lambda": "0.9",
-        "lr": "0.001",
-        "entropy_coef": "0.01",
-        "value_coef": "0.5",
-        "eval_every": "30000",
-        "eval_horizon": "1000",
-        "out": out,
-    }
-
-
-@pytest.fixture(scope="session")
-def grid_runs(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("grid_runs"))
-    dirs = {}
-    for experiment, constraint in (
-        ("bridge_sys3", KEEPOUT),
-        ("bridge_base", "none"),
-        ("bridge_lb0", TAUTOLOGY),
-    ):
-        config = build_run_config(grid_run_values(out, experiment, constraint))
-        dirs[experiment] = run_train(config, parallel=True)
-    return out, dirs
-
-
-@pytest.fixture(scope="session")
-def cartpole_runs(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("cartpole_runs"))
-    dirs = {}
-    for d in (1, 5):
-        for label, constraint, use_env in (
-            ("sys3", CARTPOLE_FL, False),
-            ("base", "none", True),
-        ):
-            experiment = f"cp_{label}_d{d}"
-            config = build_run_config(
-                cartpole_run_values(out, experiment, constraint, d, use_env)
-            )
-            dirs[experiment] = run_train(config, parallel=True)
-    return out, dirs
-
-
-def checkpoints_of(run_dir: str) -> list[str]:
-    root = os.path.join(run_dir, "checkpoints")
-    # only complete bundles: a save cut short leaves a `.step_*.partial` dir
-    return [os.path.join(root, name) for name in sorted(os.listdir(root))
-            if name.startswith("step_")]
 
 
 def rescore_run(run_dir: str, constraint: str, horizon: int = 1000):
@@ -220,7 +132,7 @@ def test_criterion_2_gradient_suite():
     assert grads_match(fwd_grads.flat(), fd_gradient(fwd_loss, model.params))
     probes += model.params.n_params()
 
-    config = MLPConfig((4, 10, 8, 3), "relu", "identity")
+    config = MLPConfig((4, 10, 8, 3))
     params = mlp_init(config, seed=102)
     x = rng.normal(size=(4, 4))
     v = rng.normal(size=3)

@@ -13,7 +13,6 @@ from logicrl.actor_critic import (
     standardize_advantages,
 )
 from logicrl.envs import GridWorld
-from logicrl.tensor import Optimizer
 from oracles import (
     dense_grid_onehot_features,
     direct_sum_oracle,
@@ -314,6 +313,8 @@ def test_small_step_raises_log_prob_of_positive_advantage_actions():
 
     before = mean_logp()
     _, pi_grads, vf_grads, _ = policy_value_loss(agent, states, actions, advantages, returns)
-    agent.policy_params = Optimizer("sgd", 1e-3).step(agent.policy_params, pi_grads)
-    agent.value_params = Optimizer("sgd", 1e-3).step(agent.value_params, vf_grads)
+    # a plain gradient step p - lr * g on each set
+    for attr, grads in (("policy_params", pi_grads), ("value_params", vf_grads)):
+        params = getattr(agent, attr)
+        setattr(agent, attr, params.with_flat(params.flat() - 1e-3 * grads.flat()))
     assert mean_logp() > before

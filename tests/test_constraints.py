@@ -161,10 +161,11 @@ def test_bind_unknown_set_names_it():
 
 def test_bind_empty_set_is_vacuous_true():
     f = fl.parse("forall h in hazards: 1 <= norm2(s - h)")
-    reg = fl.ObjectRegistry()
-    reg.add_set("hazards", np.zeros((0, 0)))
-    bound = fl.bind(f, reg, GRID_SCHEMA)
-    assert holds(bound, [3.0, 4.0])
+    for empty in ([], np.zeros((0, 2)), np.zeros((0, 0))):
+        reg = fl.ObjectRegistry()
+        reg.add_set("hazards", empty)
+        bound = fl.bind(f, reg, GRID_SCHEMA)
+        assert holds(bound, [3.0, 4.0])
     # a nested quantifier over a non-empty set, whose body fails at s == u
     reg.add_set("pts", np.array([[3.0, 4.0]]))
     f = fl.parse("forall h in hazards: forall u in pts: (1 <= norm2(h - u) and 1 <= norm2(s - u))")
@@ -189,6 +190,15 @@ def test_bind_checks_a_body_over_an_empty_set(body, message):
     with pytest.raises(fl.BindError) as err:
         fl.bind(fl.parse(f"forall h in hazards: {body}"), reg, GRID_SCHEMA)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("points", [[[], []], np.zeros((3, 0))], ids=["lists", "array"])
+def test_registry_refuses_points_of_width_zero(points):
+    """Points of width 0 would be stored as the empty set, and a quantifier
+    over them would hold vacuously without a width check (the empty set
+    itself stays legal: test_bind_empty_set_is_vacuous_true)."""
+    with pytest.raises(ValueError, match=f"{len(points)} anchor points of width 0"):
+        fl.ObjectRegistry().add_set("w", points)
 
 
 def test_bind_component_out_of_range():

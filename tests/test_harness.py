@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -151,6 +152,17 @@ def test_readme_config_table_matches_config_keys():
     assert [key for key, _ in documented] == [row[0] for row in CONFIG_KEYS]
     snapshot = snapshot_text(RunConfig(), seed=0).splitlines()[1:]
     assert documented == [tuple(line.split(" = ")) for line in snapshot]
+
+
+def test_config_keys_are_exactly_the_config_fields():
+    """CONFIG_KEYS sets each field of System3Config and of RunConfig (less
+    `sys3`) by exactly one key, and names no other field: a knob removed from
+    a dataclass leaves no dangling key, and a new one cannot be unsettable."""
+    pairs = [(section, fieldname) for _, section, fieldname, _ in CONFIG_KEYS]
+    fields = [("sys3", f.name) for f in dataclasses.fields(System3Config)]
+    fields += [("run", f.name) for f in dataclasses.fields(RunConfig) if f.name != "sys3"]
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(pairs) == sorted(fields)
 
 
 # -- training runs ------------------------------------------------------------------
@@ -674,7 +686,7 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--optimizer", "rmsprop"], "optimizer"),
+    (["--gamma", "2"], "gamma"),
     (["--beta", "2"], "beta"),
     (["--hidden", ","], "hidden"),
     (["--lr", "nan"], "learning_rate"),
@@ -697,10 +709,12 @@ def test_cli_rejects_bad_values_before_writing(tmp_path, capsys, flags, named):
     ["--policy-features", "bogus"],
     ["--env", "cartpole", "--policy-features", "onehot"],
     ["--model-warmup-iters", "1"],
+    ["--optimizer", "adam"],
 ])
 def test_cli_rejects_removed_option_flags(tmp_path, capsys, flags):
-    """The policy input follows the env and there is no model warm-up, so
-    their flags are unknown: argparse exits 2 before any run directory."""
+    """The policy input follows the env, there is no model warm-up and Adam
+    is the only optimizer, so their flags are unknown: argparse exits 2
+    before any run directory."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["train", "--seeds", "0", "--steps", "40", "--out", str(out), *flags])
@@ -709,7 +723,7 @@ def test_cli_rejects_removed_option_flags(tmp_path, capsys, flags):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["policy_features", "model_warmup_iters"])
+@pytest.mark.parametrize("key", ["policy_features", "model_warmup_iters", "optimizer"])
 def test_config_file_with_removed_option_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"seeds = 0\nsteps = 40\n{key} = 0\n")

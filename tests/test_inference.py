@@ -37,13 +37,13 @@ def assert_same_forward(params, config, x):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("output", ["identity", "softmax"])
+# Each case id names the hidden activation too: tanh, the only one.
+@pytest.mark.parametrize("output", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
 @pytest.mark.parametrize("index_input", [False, True])
 @pytest.mark.parametrize("n", [1, 20, 1000])
-def test_forward_matches_out_of_place_reference(activation, output, index_input, n):
+def test_forward_matches_out_of_place_reference(output, index_input, n):
     width = 400 if index_input else 6
-    config = MLPConfig((width, 16, 8, 5), activation, output)
+    config = MLPConfig((width, 16, 8, 5), output)
     params = randomized(mlp_init(config, seed=n), seed=n + 1)
     rng = np.random.default_rng(n)
     x = rng.integers(0, width, size=(n, 1)) if index_input else rng.normal(size=(n, width))

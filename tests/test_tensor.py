@@ -62,8 +62,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MLPConfig((3, 0, 1))
     with pytest.raises(ValueError):
-        MLPConfig((3, 2), activation="sigmoid")
-    with pytest.raises(ValueError):
         MLPConfig((3, 2), output_activation="tanh")
 
 
@@ -165,10 +163,10 @@ def test_backward_rejects_mismatched_cache():
 @pytest.mark.parametrize(
     "config,seed",
     [
-        (MLPConfig((3, 8, 4, 2), "tanh", "identity"), 10),
-        (MLPConfig((2, 16, 3), "tanh", "softmax"), 11),
-        (MLPConfig((4, 12, 6, 3), "relu", "identity"), 12),
-        (MLPConfig((5, 64, 2), "tanh", "softmax"), 13),
+        (MLPConfig((3, 8, 4, 2)), 10),
+        (MLPConfig((2, 16, 3), "softmax"), 11),
+        (MLPConfig((4, 12, 6, 3)), 12),
+        (MLPConfig((5, 64, 2), "softmax"), 13),
     ],
 )
 def test_backward_matches_finite_differences(config, seed):
@@ -216,16 +214,16 @@ def test_backward_input_gradient_matches_fd():
         assert abs(input_grad[0, i] - num) < 1e-6
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("output", ["identity", "softmax"])
+# Each case id names the hidden activation too: tanh, the only one.
+@pytest.mark.parametrize("output", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
 @pytest.mark.parametrize("index_input", [False, True])
 @pytest.mark.parametrize("n", [1, 20, 1000])
-def test_backward_writes_nothing_its_caller_owns(activation, output, index_input, n):
+def test_backward_writes_nothing_its_caller_owns(output, index_input, n):
     """The backward pass works in place only on arrays it made: the output
     gradient, the extra hidden-layer gradients and every cached array keep
     their bits, and the gradients equal the out-of-place reference."""
     width = 400 if index_input else 6
-    config = MLPConfig((width, 16, 8, 5), activation, output)
+    config = MLPConfig((width, 16, 8, 5), output)
     rng = np.random.default_rng(n)
     params = mlp_init(config, seed=n)
     params = params.with_flat(rng.normal(scale=0.5, size=params.n_params()))
@@ -246,7 +244,7 @@ def test_backward_writes_nothing_its_caller_owns(activation, output, index_input
 # -- one-hot index input -------------------------------------------------------
 
 
-GRID_POLICY = MLPConfig((400, 64, 64, 5), "tanh", "softmax")
+GRID_POLICY = MLPConfig((400, 64, 64, 5), "softmax")
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -385,42 +383,19 @@ def test_softmax_rejects_empty():
         softmax(np.array([]))
 
 
-# -- optimizers ---------------------------------------------------------------
-
-
-def test_sgd_zero_lr_is_identity():
-    params = mlp_init(MLPConfig((3, 2)), seed=0)
-    grads = ParamSet([(n, np.ones_like(a)) for n, a in params])
-    updated = Optimizer("sgd", 0.0).step(params, grads)
-    for name, arr in params:
-        assert np.array_equal(arr, updated[name])
-
-
-def test_sgd_definition():
-    params = ParamSet([("w0", np.array([[1.0]])), ("b0", np.array([0.0]))])
-    grads = ParamSet([("w0", np.array([[0.5]])), ("b0", np.array([0.0]))])
-    updated = Optimizer("sgd", 0.1).step(params, grads)
-    assert updated["w0"][0, 0] == 0.95
-
-
-def test_sgd_rejects_nan_grads():
-    params = ParamSet([("w0", np.array([[1.0]])), ("b0", np.array([0.0]))])
-    bad = paramset_with(params, {"w0": np.nan})
-    with pytest.raises(UpdateRejected, match="'w0'"):
-        Optimizer("sgd", 0.1).step(params, bad)
-    assert params["w0"][0, 0] == 1.0
+# -- optimizer ----------------------------------------------------------------
 
 
 def test_adam_zero_lr_and_determinism():
     params = mlp_init(MLPConfig((4, 3)), seed=1)
     grads = ParamSet([(n, np.full_like(a, 0.3)) for n, a in params])
-    opt = Optimizer("adam", 0.0)
+    opt = Optimizer(0.0)
     updated = opt.step(params, grads)
     for name, arr in params:
         assert np.array_equal(arr, updated[name])
     assert opt.t == 1
-    a1 = Optimizer("adam", 1e-3).step(params, grads)
-    a2 = Optimizer("adam", 1e-3).step(params, grads)
+    a1 = Optimizer(1e-3).step(params, grads)
+    a2 = Optimizer(1e-3).step(params, grads)
     for name, arr in a1:
         assert np.array_equal(arr, a2[name])
     # first Adam step moves every entry by about the learning rate
@@ -442,30 +417,24 @@ def special_gradients(params: ParamSet, rng) -> ParamSet:
     return ParamSet(out)
 
 
-@pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_optimizer_matches_per_entry_reference(kind):
+@pytest.mark.parametrize("learning_rate", [1e-3], ids=["adam"])
+def test_optimizer_matches_per_entry_reference(learning_rate):
     """The flat-vector update equals the per-entry reference bit for bit at
-    each of 25 steps on the grid policy's shapes: parameters, and for Adam
-    the step count and both moments."""
-    params = mlp_init(MLPConfig((400, 64, 64, 5), "tanh", "softmax"), seed=3, prefix="pi.")
+    each of 25 steps on the grid policy's shapes: parameters, the step count
+    and both moments."""
+    params = mlp_init(GRID_POLICY, seed=3, prefix="pi.")
     ref_params, ref_state = params, {"t": 0, "m": {}, "v": {}}
-    opt = Optimizer(kind, 1e-3)
+    opt = Optimizer(learning_rate)
     rng = np.random.default_rng(3)
     for _ in range(25):
         grads = special_gradients(params, rng)
         params = opt.step(params, grads)
-        if kind == "sgd":
-            ref_params = oracles.sgd_step(ref_params, grads, 1e-3)
-        else:
-            ref_params, ref_state = oracles.adam_step(ref_params, grads, ref_state, 1e-3)
+        ref_params, ref_state = oracles.adam_step(ref_params, grads, ref_state, learning_rate)
         assert params.layout == ref_params.layout
         for name, arr in ref_params:
             assert params[name].shape == arr.shape
             assert params[name].tobytes() == arr.tobytes()
         state = opt.get_state()
-        if kind == "sgd":
-            assert state == {"t": 0, "m": None, "v": None}
-            continue
         assert state["t"] == ref_state["t"]
         for key in ("m", "v"):
             want = np.concatenate([ref_state[key][n].ravel() for n, _ in params])
@@ -473,15 +442,19 @@ def test_optimizer_matches_per_entry_reference(kind):
 
 
 def test_rejected_adam_step_leaves_the_state():
+    """A NaN or inf gradient is refused, naming its entry, and leaves the
+    parameters and the optimizer state as they were."""
     params = mlp_init(MLPConfig((3, 2)), seed=2)
+    kept = params.flat().copy()
     grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
-    opt = Optimizer("adam", 1e-2)
+    opt = Optimizer(1e-2)
     opt.step(params, grads)
     before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
               for k, v in opt.get_state().items()}
-    bad = paramset_with(grads, {"b0": [0.0, np.inf]})
-    with pytest.raises(UpdateRejected, match="'b0'"):
-        opt.step(params, bad)
+    for name, value in (("b0", [0.0, np.inf]), ("w0", np.nan)):
+        with pytest.raises(UpdateRejected, match=f"'{name}'"):
+            opt.step(params, paramset_with(grads, {name: value}))
+    assert params.flat().tobytes() == kept.tobytes()
     with pytest.raises(ValueError, match="names/shapes"):
         opt.step(params, ParamSet([(n, g) for n, g in reversed(list(grads))]))
     after = opt.get_state()
@@ -496,7 +469,7 @@ def test_adam_step_leaves_an_earlier_state_and_its_inputs():
     their bits, and the new moments are new arrays."""
     params = mlp_init(MLPConfig((4, 6, 3)), seed=8)
     rng = np.random.default_rng(8)
-    opt = Optimizer("adam", 1e-2)
+    opt = Optimizer(1e-2)
     for _ in range(3):
         grads = special_gradients(params, rng)
         earlier = opt.get_state()
@@ -514,7 +487,7 @@ def test_adam_step_leaves_an_earlier_state_and_its_inputs():
 def test_optimizer_state_roundtrip(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=4)
     grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
-    opt = Optimizer("adam", 1e-2)
+    opt = Optimizer(1e-2)
     p1 = opt.step(params, grads)
     snapshot = opt.get_state()
     assert snapshot["t"] == 1
@@ -526,7 +499,7 @@ def test_optimizer_state_roundtrip(tmp_path):
     save_paramset_file(path, p1, snapshot, params)
     _, loaded = load_paramset_file(path, params)
     for restored in (snapshot, loaded):
-        opt2 = Optimizer("adam", 1e-2)
+        opt2 = Optimizer(1e-2)
         opt2.set_state(restored)
         assert opt2.t == 1
         assert opt2.m.tobytes() == snapshot["m"].tobytes()
@@ -535,7 +508,7 @@ def test_optimizer_state_roundtrip(tmp_path):
         for name, arr in p2a:
             assert np.array_equal(arr, p2b[name])
     # an optimizer that has not stepped has no moments
-    save_paramset_file(path, params, Optimizer("adam", 1e-3).get_state(), params)
+    save_paramset_file(path, params, Optimizer(1e-3).get_state(), params)
     _, fresh = load_paramset_file(path, params)
     assert fresh == {"t": 0, "m": None, "v": None}
 
@@ -552,17 +525,17 @@ def assert_bitwise_equal(loaded: ParamSet, params: ParamSet):
 
 
 def test_paramset_checkpoint_roundtrip(tmp_path):
-    config = MLPConfig((3, 5, 2), "relu", "softmax")
+    config = MLPConfig((3, 5, 2), "softmax")
     params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
     untrained = mlp_init(config, seed=10)
-    save_paramset_file(path, params, None, untrained)
+    save_paramset_file(path, params, Optimizer().get_state(), untrained)
     assert os.listdir(tmp_path) == ["policy.params"]  # no ".npz" appended
     loaded, opt_state = load_paramset_file(path, untrained)
-    assert opt_state is None
+    assert opt_state == {"t": 0, "m": None, "v": None}
     assert_bitwise_equal(loaded, params)
     with np.load(path) as archive:
-        assert sorted(archive.files) == ["params", "touched", "untrained_sha256"]
+        assert sorted(archive.files) == ["params", "t", "touched", "untrained_sha256"]
 
 
 def test_paramset_archive_is_bitwise_exact(tmp_path):
@@ -598,7 +571,7 @@ def write_archive(path, **arrays):
 def test_failed_paramset_load_closes_the_file(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=1)
     good = tmp_path / "good.params"
-    save_paramset_file(good, params, None, params)
+    save_paramset_file(good, params, Optimizer().get_state(), params)
     data = good.read_bytes()
     (tmp_path / "truncated").write_bytes(data[: len(data) // 2])
     with warnings.catch_warnings(record=True) as caught:
@@ -613,7 +586,7 @@ def archive_header(like: ParamSet, tmp_path) -> dict:
     """The `touched` mask with every element set and the digest of `like`,
     as an archive for the untrained net `like` holds them."""
     path = tmp_path / "header.params"
-    save_paramset_file(path, like, None, like)
+    save_paramset_file(path, like, Optimizer().get_state(), like)
     with np.load(path) as archive:
         digest = archive["untrained_sha256"]
     return {"touched": np.packbits(np.ones(like.n_params(), dtype=bool)),
@@ -628,7 +601,7 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
     n = like.n_params()
     assert n % 8  # so the mask has padding bits
     good = tmp_path / "good.params"
-    opt = Optimizer("adam", 1e-3)
+    opt = Optimizer(1e-3)
     opt.step(like, like)
     save_paramset_file(good, like, opt.get_state(), like)
     data = good.read_bytes()
@@ -646,6 +619,7 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
     header = archive_header(like, tmp_path)
     archives = {
         "no_params": {"t": np.int64(0)},
+        "no_t": {"params": np.zeros(n)},
         "short": {"params": np.zeros(n - 1)},
         "long": {"params": np.zeros(n + 1)},
         "two_d": {"params": np.zeros((1, n))},
@@ -733,12 +707,13 @@ def _adam_state(m, v, t=3):
 # elements the archive must store of the 7
 SPARSE_CASES = {
     # -0.0 == +0.0, so only a comparison of bits stores it
-    "negative_zero_parameter": ([0.0, 0.5, -0.25, 1.0, -0.0, 0.0, 0.0], None, 1),
+    "negative_zero_parameter": ([0.0, 0.5, -0.25, 1.0, -0.0, 0.0, 0.0],
+                                {"t": 0, "m": None, "v": None}, 1),
     "negative_zero_and_subnormal_moments": (
         [0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0],
         _adam_state([-0.0, 0, 0, 0, TINY, 0, 0], [0, 0, -0.0, 0, 0, 0, 3 * TINY]), 4),
-    "sgd_without_moments": ([0.0, 0.5 + 2**-53, -0.25, 1.0, 0.0, 0.0, TINY],
-                            {"t": 0, "m": None, "v": None}, 2),
+    "unstepped_without_moments": ([0.0, 0.5 + 2**-53, -0.25, 1.0, 0.0, 0.0, TINY],
+                                  {"t": 0, "m": None, "v": None}, 2),
     "untouched": ([0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0], _adam_state([0.0] * 7, [0.0] * 7), 0),
     "all_touched": ([-0.0, -TINY, 0.25, 1e308, TINY, -1.0, 2.0],
                     _adam_state([-TINY, 1, -1, 0.5, TINY, 2, -0.0], [TINY, 1, 2, 3, 4, 5, -0.0]), 7),
@@ -758,9 +733,6 @@ def test_sparse_archive_keeps_every_bit(tmp_path, case):
         assert archive["params"].shape == (n_stored,)
     loaded, opt = load_paramset_file(path, UNTRAINED)
     assert_bitwise_equal(loaded, params)
-    if state is None:
-        assert opt is None
-        return
     assert opt["t"] == state["t"]
     for key in ("m", "v"):
         if state[key] is None:
@@ -770,7 +742,7 @@ def test_sparse_archive_keeps_every_bit(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "config", [MLPConfig((3, 5, 6, 4), "tanh", "softmax"), MLPConfig((3, 5, 6, 2), "relu")]
+    "config", [MLPConfig((3, 5, 6, 4), "softmax"), MLPConfig((3, 5, 6, 2))]
 )
 def test_paramset_is_read_only_views_of_one_vector(config):
     """Writing into an entry or the vector raises; `with_flat(v)` reads `v`
@@ -795,7 +767,7 @@ def test_paramset_is_read_only_views_of_one_vector(config):
     assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
     before = params.flat()
     saved = before.copy()
-    stepped = Optimizer("adam", 1e-2).step(params, grads)
+    stepped = Optimizer(1e-2).step(params, grads)
     assert before.tobytes() == saved.tobytes() and params.flat() is before
     assert not np.shares_memory(stepped.flat(), before)
 

@@ -218,19 +218,24 @@ def test_beta_zero_freezes_model():
     assert not np.array_equal(tr.agent.policy_params.flat(), pi_before)
 
 
-def test_objective_decomposition_scaling():
-    """Doubling lam exactly doubles the policy-side SGD update and leaves the
-    model update unchanged; doubling beta does the reverse (checked on one
-    identically-seeded iteration, so both trainers see the same batch)."""
+def test_objective_decomposition_scaling(monkeypatch):
+    """Doubling lam exactly doubles the policy-side gradients the optimizers
+    receive and leaves the model's unchanged; doubling beta does the reverse
+    (checked on one identically-seeded iteration, so both trainers see the
+    same batch)."""
+    received = {}
+    real_step = tensor.Optimizer.step
+
+    def recording_step(self, params, grads):
+        received[self] = grads.flat()
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(tensor.Optimizer, "step", recording_step)
+
     def updates(lam, beta):
-        tr = grid_trainer(lam=lam, beta=beta, optimizer="sgd", seed=7)
-        pi0 = tr.agent.policy_params.flat()
-        vf0 = tr.agent.value_params.flat()
-        fwd0 = tr.model.params.flat()
+        tr = grid_trainer(lam=lam, beta=beta, seed=7)
         tr.train_iteration()
-        return (tr.agent.policy_params.flat() - pi0,
-                tr.agent.value_params.flat() - vf0,
-                tr.model.params.flat() - fwd0)
+        return tuple(received[tr.optimizers[name]] for name in ("policy", "value", "forward"))
 
     d_pi_1, d_vf_1, d_fwd_1 = updates(0.15, 0.3)
     d_pi_2, d_vf_2, d_fwd_2 = updates(0.30, 0.3)
@@ -251,8 +256,7 @@ def test_constant_reward_triggers_zero_std_guard():
     entropy term. Rollouts are short enough that no episode can terminate."""
     def make(entropy_coef):
         tr = grid_trainer(TAUTOLOGY, use_env_reward=False, gamma=0.99,
-                          rollout_length=6, optimizer="sgd",
-                          entropy_coef=entropy_coef, seed=3)
+                          rollout_length=6, entropy_coef=entropy_coef, seed=3)
         tr.agent.value_params = paramset_with(
             tr.agent.value_params, {"vf.w0": 0.0, "vf.b0": 100.0})
         return tr
