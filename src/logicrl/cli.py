@@ -8,12 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
-import glob
 import os
 import sys
-
-import numpy as np
 
 from .harness import (
     CONFIG_KEYS,
@@ -25,6 +21,7 @@ from .harness import (
     run_eval,
     run_train,
 )
+from .tensor import bundled_openblas_threads
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -120,29 +117,13 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _bundled_openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    wheel bundles in `numpy.libs`, or None when numpy has no such library."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, and restore the
     caller's count after. A BLAS product's summation order depends on the
     thread count, so pinning it makes the CLI's outputs the same whatever
     OPENBLAS_NUM_THREADS or the core count is."""
-    threads = _bundled_openblas_threads()
+    threads = bundled_openblas_threads()
     if threads is None:
         yield
         return

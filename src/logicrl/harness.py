@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import constraints as fl
 from .envs import GridLayout, make_env
 from .plots import heatmap_svg, line_chart_svg, rolling_mean
+from .tensor import numeric_setting
 from .training import (
     EvalResult,
     System3Config,
@@ -169,10 +171,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def setting_text(setting: dict) -> str:
+    """A numeric_setting() record as one line of text."""
+    return (f"numpy {setting['numpy']}, BLAS {setting['blas']} {setting['blas_version']}, "
+            f"BLAS threads {setting['blas_threads']}")
+
+
 def snapshot_text(config: RunConfig, seed: int) -> str:
-    """Flat key=value snapshot that re-runs this seed identically."""
+    """Flat key=value snapshot that re-runs this seed identically, under
+    the numeric setting its comment line records."""
     sections = {"run": replace(config, seeds=(seed,)), "sys3": config.sys3}
-    lines = [f"# {VERSION_TAG}"]
+    lines = [f"# {VERSION_TAG}", f"# {setting_text(numeric_setting())}"]
     for key, section, fieldname, _ in CONFIG_KEYS:
         lines.append(f"{key} = {_format_value(getattr(sections[section], fieldname))}")
     return "\n".join(lines) + "\n"
@@ -293,13 +302,20 @@ def run_eval(
 
     Without an explicit seed this reproduces the training loop's own
     evaluation at the checkpointed step (same derived seed, same horizon).
-    Returns the result and the metrics.csv-formatted row.
+    Returns the result and the metrics.csv-formatted row. When the bundle
+    was written under another numeric setting than this process runs,
+    prints one warning line to stderr: the row may then differ in its last
+    bits from the one training wrote.
     """
     if eval_horizon < 1:
         raise ConfigError("eval_horizon must be >= 1")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     trainer = Trainer.load_checkpoint(checkpoint)
+    here = numeric_setting()
+    if trainer.recorded_setting != here:
+        print(f"warning: {checkpoint} was written under {setting_text(trainer.recorded_setting)}; "
+              f"this process runs {setting_text(here)}", file=sys.stderr)
     if constraint == "none":
         trainer.bound = None
     elif constraint is not None:

@@ -1,5 +1,6 @@
-"""Dense tanh MLP forward/backward passes, the Adam optimizer, and the binary
-parameter file.
+"""Dense tanh MLP forward/backward passes, the Adam optimizer, the binary
+parameter file, and the numeric setting (numpy, BLAS and thread count) that
+the bits of all three depend on.
 
 Everything is float64. A ParamSet is one finite, read-only vector plus a
 layout of (name, shape) rows; each entry is a reshaped view of its slice of
@@ -11,10 +12,13 @@ mlp_init lays them out in. Importing the module sets glibc's malloc thresholds
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
 import hashlib
 import math
 import os
-import zipfile
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -59,6 +63,34 @@ def _keep_freed_heap_mapped() -> bool:
 
 
 _keep_freed_heap_mapped()
+
+
+@functools.cache
+def bundled_openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles in `numpy.libs`, or None when numpy has no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+def numeric_setting() -> dict:
+    """What the last bits of a product depend on besides its inputs:
+    numpy's version, the name and version of the BLAS numpy was built with,
+    and the thread count of its bundled OpenBLAS now (None without one)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = bundled_openblas_threads()
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "blas_threads": threads[0]() if threads is not None else None}
 
 
 class UpdateRejected(ValueError):
@@ -411,104 +443,152 @@ class Optimizer:
         self.t, self.m, self.v = state["t"], state["m"], state["v"]
 
 
-def _digest(untrained: ParamSet) -> np.ndarray:
-    """The sha256 of a vector's little-endian float64 bytes, as 32 uint8s."""
-    vec = np.ascontiguousarray(untrained.flat(), dtype="<f8")
-    return np.frombuffer(hashlib.sha256(vec).digest(), dtype=np.uint8)
+def _digest(untrained: ParamSet) -> bytes:
+    """The sha256 of a vector's little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(untrained.flat(), dtype="<f8")).digest()
+
+
+# A .params file opens with this header: the magic and format version, the
+# untrained net's element count n and the optimizer's step count t. A
+# `_LENGTH` field precedes each deflated top-byte plane.
+_MAGIC, _FORMAT = b"LRLP", 1
+_HEADER = struct.Struct("<4sIqq")
+_LENGTH = struct.Struct("<Q")
+
+
+def _float_planes(values: np.ndarray) -> list:
+    """The k float64s of `values` as the file stores them: the low 7 bytes
+    of each little-endian element, raw, then the length and the zlib
+    (level 1) deflate of the k top bytes. Those hold the sign and the high
+    exponent bits, which repeat across a net's weights and moments; the low
+    bytes are close to random, and deflating them saves nothing."""
+    planes = np.ascontiguousarray(values, dtype="<f8").view(np.uint8).reshape(-1, 8)
+    top = zlib.compress(planes[:, 7].tobytes(), 1)
+    return [planes[:, :7].tobytes(), _LENGTH.pack(len(top)), top]
 
 
 def save_paramset_file(path, params: ParamSet, optimizer_state: dict,
                        untrained: ParamSet) -> None:
-    """Write one parameter set as a numpy archive that stores only the
+    """Write one parameter set as a binary file that stores only the
     elements training touched. `untrained` is the same net as seeded; an
     element is touched if its parameter's bits differ from `untrained`'s or
     its Adam moment `m` or `v` is not +0.0 (bits again, so a -0.0 is kept).
 
-    The archive holds `touched`, the `np.packbits` of that mask over the
-    vector in `ParamSet.flat()` order; `untrained_sha256`, the digest of the
-    untrained vector; `params` at the touched positions; the optimizer
-    state's (`Optimizer.get_state`) step count `t`; and, once the optimizer
-    has stepped, `m` and `v` at the touched positions. Arrays are
-    stored in binary, so loading gives back every bit. On the grid bridge
-    config, the one-hot rows of cells the agent never reached are never
-    touched: 20-39 % of a bundle's dense bytes, by seed, are left out. On
-    cart-pole every element is touched. Entry names and shapes are not
-    stored: the loader takes them, and the untouched values, from the
-    untrained net."""
+    The file holds, in order: the header (`_HEADER`: magic, format version,
+    the element count n and the optimizer state's (`Optimizer.get_state`)
+    step count `t`); the `np.packbits` of the touched mask over the vector
+    in `ParamSet.flat()` order; the sha256 digest of the untrained vector;
+    and, as `_float_planes` lays them out, `params` at the touched positions
+    and, once the optimizer has stepped, `m` and `v` there. Splitting a
+    float's bytes and joining them back is exact, so loading gives back
+    every bit. On the grid bridge config, the one-hot rows of cells the
+    agent never reached are never touched: 20-39 % of a bundle's dense bytes,
+    by seed, are left out. On cart-pole every element is touched. Entry
+    names and shapes are not stored: the loader takes them, and the
+    untouched values, from the untrained net."""
     p = params.flat()
     touched = p.view(np.uint64) != untrained.flat().view(np.uint64)
-    moments = {}
+    moments = []
     if optimizer_state["m"] is not None:
-        moments = {key: optimizer_state[key] for key in ("m", "v")}
-    for moment in moments.values():
+        moments = [optimizer_state["m"], optimizer_state["v"]]
+    for moment in moments:
         touched |= moment.view(np.uint64) != 0
-    arrays = {"touched": np.packbits(touched), "untrained_sha256": _digest(untrained),
-              "params": p[touched], "t": np.int64(optimizer_state["t"])}
-    arrays.update((key, moment[touched]) for key, moment in moments.items())
-    # a file object, not a path: np.savez appends ".npz" to a path without it
+    chunks = [_HEADER.pack(_MAGIC, _FORMAT, p.size, optimizer_state["t"]),
+              np.packbits(touched).tobytes(), _digest(untrained)]
+    for values in (p, *moments):
+        chunks += _float_planes(values[touched])
     with open(path, "wb") as fp:
-        np.savez(fp, **arrays)
+        fp.writelines(chunks)
 
 
-def _flat_array(archive, key: str, size: int) -> np.ndarray:
-    a = archive[key]
-    if a.dtype != np.float64 or a.shape != (size,):
-        raise ValueError(f"{key!r} holds {a.dtype} {a.shape}, expected float64 ({size},)")
-    return a
+class _Cursor:
+    """Reads a file's bytes front to back, refusing to read past the end."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = memoryview(data), 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        left = len(self.data) - self.pos
+        if n > left:
+            raise ValueError(f"truncated: {what} needs {n} bytes, {left} left")
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def floats(self, k: int, what: str) -> np.ndarray:
+        """The k float64s `_float_planes` wrote for the array `what`. The
+        top plane is inflated to at most k + 1 bytes, so a crafted length or
+        stream cannot make the read allocate more."""
+        low = self.take(7 * k, f"the low bytes of {what!r}")
+        (length,) = _LENGTH.unpack(self.take(_LENGTH.size, f"the top-plane length of {what!r}"))
+        inflate = zlib.decompressobj()
+        try:
+            top = inflate.decompress(self.take(length, f"the top plane of {what!r}"), k + 1)
+        except zlib.error as exc:
+            raise ValueError(f"the top plane of {what!r}: {exc}") from exc
+        if len(top) > k:
+            raise ValueError(f"the top plane of {what!r} inflates past {k} bytes")
+        if len(top) < k or not inflate.eof or inflate.unused_data:
+            raise ValueError(f"the top plane of {what!r} is not one deflate stream of {k} bytes")
+        planes = np.empty((k, 8), dtype=np.uint8)
+        planes[:, :7] = np.frombuffer(low, dtype=np.uint8).reshape(k, 7)
+        planes[:, 7] = np.frombuffer(top, dtype=np.uint8)
+        return planes.view("<f8").ravel()
 
 
-def _touched_mask(archive, size: int) -> np.ndarray:
-    """The archive's `touched` mask, unpacked to `size` booleans."""
-    packed = archive["touched"]
-    if packed.dtype != np.uint8 or packed.shape != ((size + 7) // 8,):
-        raise ValueError(
-            f"'touched' holds {packed.dtype} {packed.shape}, expected uint8 ({(size + 7) // 8},)"
-        )
-    bits = np.unpackbits(packed)
+def _read_paramset(data: bytes, like: ParamSet) -> tuple[ParamSet, dict]:
+    size = like.n_params()
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"no {_MAGIC.decode()} magic")
+    cursor = _Cursor(data)
+    _, version, n, t = _HEADER.unpack(cursor.take(_HEADER.size, "the header"))
+    if version != _FORMAT:
+        raise ValueError(f"format version {version}, expected {_FORMAT}")
+    if n != size:
+        raise ValueError(f"written for a net of {n} elements, expected {size}")
+    if t < 0:
+        raise ValueError(f"step count {t} is negative")
+    bits = np.unpackbits(np.frombuffer(cursor.take((size + 7) // 8, "the mask"), dtype=np.uint8))
     if bits[size:].any():
-        raise ValueError(f"'touched' sets padding bits past element {size}")
-    return bits[:size].view(bool)
+        raise ValueError(f"the mask sets padding bits past element {size}")
+    mask = bits[:size].view(bool)
+    if cursor.take(32, "the digest") != _digest(like):
+        raise ValueError("the stored digest is not the digest of this net as seeded")
+    k = int(np.count_nonzero(mask))
+    vec = like.flat().copy()
+    vec[mask] = cursor.floats(k, "params")
+    params = like.with_flat(vec)
+    # the optimizer has moments exactly once it has stepped
+    state = {"t": t, "m": None, "v": None}
+    if t >= 1:
+        for key in ("m", "v"):
+            state[key] = np.zeros(size)
+            state[key][mask] = cursor.floats(k, key)
+    trailing = len(data) - cursor.pos
+    if trailing:
+        raise ValueError(f"{trailing} bytes trail the last array (step count {t})")
+    return params, state
 
 
 def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, dict]:
-    """Read an archive written by save_paramset_file for the untrained net
-    `like`: the parameters, laid out as `like`'s entries, and the optimizer
-    state. The stored values are scattered at the touched positions into a
-    copy of `like`'s vector and, for `m` and `v`, into +0.0 vectors.
+    """Read a file written by save_paramset_file for the untrained net
+    `like`, in one read: the parameters, laid out as `like`'s entries, and
+    the optimizer state. The stored values are scattered at the touched
+    positions into a copy of `like`'s vector and, for `m` and `v`, into
+    +0.0 vectors.
 
-    A file that is not such an archive raises ValueError: truncated or
-    foreign; missing an array; a mask of the wrong dtype or length, with
-    nonzero padding bits, or whose bit count differs from a stored array's
-    length; a digest other than `like`'s (a file of another seed's bundle,
-    which would mix two initialisations); or a step count and moments no
-    optimizer writes. A missing file raises OSError."""
-    size = like.n_params()
+    A file that is not such a file raises ValueError: no magic or another
+    format version; truncated, or with bytes past the last array; a net of
+    another size; a mask with nonzero padding bits; a digest other than
+    `like`'s (a file of another seed's bundle, which would mix two
+    initialisations); a negative step count; a top plane that does not
+    inflate to exactly one byte per touched element; or a non-finite
+    parameter. Moments missing for a step count of 1 or more read as a
+    truncation, moments stored for 0 as trailing bytes, and a mask whose
+    count does not match the arrays as one or the other. A missing file
+    raises OSError."""
+    with open(path, "rb") as fp:
+        data = fp.read()
     try:
-        with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as archive:
-            mask = _touched_mask(archive, size)
-            digest = archive["untrained_sha256"]
-            if digest.dtype != np.uint8 or digest.shape != (32,) \
-                    or digest.tobytes() != _digest(like).tobytes():
-                raise ValueError("'untrained_sha256' is not the digest of this net as seeded")
-            n = int(np.count_nonzero(mask))
-            vec = like.flat().copy()
-            vec[mask] = _flat_array(archive, "params", n)
-            params = like.with_flat(vec)
-            t = archive["t"]
-            if t.shape != () or t.dtype.kind not in "iu" or t < 0:
-                raise ValueError(f"'t' holds {t.dtype} {t.tolist()!r}, expected an integer >= 0")
-            t = int(t)
-            # the optimizer has moments exactly once it has stepped
-            if ("m" in archive.files or "v" in archive.files) != (t >= 1):
-                raise ValueError(f"step count {t} {'without' if t else 'with'} moments")
-            state = {"t": t, "m": None, "v": None}
-            if t >= 1:
-                for key in ("m", "v"):
-                    state[key] = np.zeros(size)
-                    state[key][mask] = _flat_array(archive, key, n)
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
-        # ValueError also covers pickled or malformed .npy data
-        raise ValueError(
-            f"unreadable parameter archive {path}: {type(exc).__name__}: {exc}"
-        ) from exc
-    return params, state
+        return _read_paramset(data, like)
+    except ValueError as exc:
+        raise ValueError(f"unreadable parameter file {path}: {exc}") from exc

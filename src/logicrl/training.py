@@ -22,11 +22,11 @@ from . import constraints as fl
 from .actor_critic import ActorCritic, gae_batch, grid_onehot_features, policy_value_loss
 from .dynamics import ForwardModel
 from .envs import GridLayout, make_env, restore_rng
-from .tensor import Optimizer, load_paramset_file, save_paramset_file
+from .tensor import Optimizer, load_paramset_file, numeric_setting, save_paramset_file
 
 # Bumped whenever the checkpoint bundle's format changes, so a bundle of an
 # older format is refused by its state.json before any .params file is read.
-VERSION_TAG = "logicrl-0.7.0"
+VERSION_TAG = "logicrl-0.8.0"
 
 # Each trained parameter set, in checkpoint order: its name (the key of
 # Trainer.optimizers and the stem of its .params file), the Trainer attribute
@@ -303,6 +303,8 @@ class Trainer:
         )
 
         self.iteration = 0
+        # the numeric_setting() a loaded bundle records; None when built fresh
+        self.recorded_setting: Optional[dict] = None
         self._ep_returns = np.zeros(config.batch_size)
         self._last_mean_ep_return = 0.0
         self._eval_count = 0
@@ -439,7 +441,7 @@ class Trainer:
 
     def _write_checkpoint(self, directory) -> None:
         # the touched elements of the parameters and optimizer moments go
-        # into the binary .params archives; state.json holds only scalars,
+        # into the binary .params files; state.json holds only scalars,
         # text and RNG states, and its config fixes every net's shape
         for name, owner, params_attr in _PARAM_SETS:
             save_paramset_file(
@@ -463,9 +465,11 @@ class Trainer:
             "action_rng": self.action_rng.bit_generator.state,
             "env_snapshots": [env.get_state() for env in self.envs],
             "normalizer": self.model.normalizer.get_state(),
+            "numeric_setting": numeric_setting(),
         }
+        # dumps, not dump: without an indent it runs json's C encoder
         with open(os.path.join(directory, "state.json"), "w") as fp:
-            json.dump(state, fp, indent=1, sort_keys=True)
+            fp.write(json.dumps(state, separators=(",", ":"), sort_keys=True))
 
     @staticmethod
     def load_checkpoint(directory) -> "Trainer":
@@ -521,4 +525,8 @@ class Trainer:
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"env snapshot {i}: {exc}") from exc
         trainer.model.normalizer.set_state(state["normalizer"])
+        recorded = state["numeric_setting"]
+        if type(recorded) is not dict or recorded.keys() != numeric_setting().keys():
+            raise ValueError(f"numeric_setting {recorded!r} is not a numeric setting record")
+        trainer.recorded_setting = recorded
         return trainer

@@ -17,6 +17,13 @@ seeded nets and on the last checkpoint of a shipped-shape acceptance run:
 The third contract, that the layer-0 weight gradient over the visited cells
 equals the dense one-hot product, is stated by
 `test_tensor.py::test_visited_cell_weight_gradient_bitwise_equals_dense`.
+
+One inequality is stated as a fact too. The evaluation predicts its
+H = 1000 steps one row at a time, and numpy sends a one-row product to gemv,
+not gemm: those H predictions are not bitwise equal to one H-row
+`predict_batch` call, on seeded nets as on trained ones, and they stay
+within `ONE_ROW_TOLERANCE`. So batching the evaluation's predictions moves
+their last bits.
 """
 import numpy as np
 import pytest
@@ -30,6 +37,12 @@ SHAPES = {"gridworld": (50, 20), "cartpole": (20, 20)}
 # the session fixture and experiment whose seed-0 run gives the trained nets
 TRAINED = {"gridworld": ("grid_runs", "bridge_sys3"), "cartpole": ("cartpole_runs", "cp_sys3_d5")}
 SOURCES = ["seeded", pytest.param("trained", marks=pytest.mark.slow)]
+# the evaluation's horizon, eval_horizon in both shipped configs
+H = 1000
+# how far one-row predictions may be from the batched ones, relative to the
+# batch's largest magnitude (at least 1). At one thread they were up to
+# 7.1e-15 apart, on values up to 19.7, on the shipped configs' seed-0 runs.
+ONE_ROW_TOLERANCE = 1e-13
 
 
 def shipped_trainer(request, env: str, source: str) -> Trainer:
@@ -91,3 +104,17 @@ def test_grid_policy_table_equals_batch_forwards(request, source):
         probs, values, _, _ = trainer.agent.policy_value(batch)
         assert same_bits(probs, table_probs[index]), f"policy, batch {t}"
         assert same_bits(values, table_values[index]), f"value, batch {t}"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("env", sorted(SHAPES))
+def test_one_row_predictions_differ_from_one_batch_in_the_last_bits(request, env, source):
+    trainer = shipped_trainer(request, env, source)
+    states, actions = rollout_inputs(trainer, H)
+    batched = trainer.model.predict_batch(states, actions)
+    # as evaluate_policy calls it: one (1, d) row per step
+    one_row = np.concatenate([trainer.model.predict_batch(states[i : i + 1], actions[i : i + 1])
+                              for i in range(H)])
+    assert not same_bits(one_row, batched)
+    scale = max(1.0, float(np.abs(batched).max()))
+    assert np.abs(one_row - batched).max() <= ONE_ROW_TOLERANCE * scale

@@ -26,10 +26,12 @@ from logicrl.harness import (
     run_eval,
     run_dir_for,
     run_train,
+    setting_text,
     snapshot_text,
     train_one_seed,
 )
 from logicrl.plots import heatmap_svg, line_chart_svg, rolling_mean
+from logicrl.tensor import numeric_setting
 from logicrl.training import Trainer, System3Config
 from oracles import paramset_with
 
@@ -150,7 +152,8 @@ def test_readme_config_table_matches_config_keys():
     rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
     documented = [(key.strip("| `"), default) for key, default in rows]
     assert [key for key, _ in documented] == [row[0] for row in CONFIG_KEYS]
-    snapshot = snapshot_text(RunConfig(), seed=0).splitlines()[1:]
+    snapshot = [line for line in snapshot_text(RunConfig(), seed=0).splitlines()
+                if not line.startswith("#")]
     assert documented == [tuple(line.split(" = ")) for line in snapshot]
 
 
@@ -611,7 +614,7 @@ def test_cli_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
 def test_cli_restores_the_callers_blas_thread_count(monkeypatch, capsys):
     """A verb runs on one BLAS thread, and an in-process caller gets its own
     count back."""
-    threads = cli._bundled_openblas_threads()
+    threads = cli.bundled_openblas_threads()
     if threads is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     get, set_ = threads
@@ -876,6 +879,34 @@ def test_cli_eval_of_checkpoint_with_params_of_another_seed_exits_2(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable checkpoint at ")
     assert "policy.params" in err and "not the digest" in err and "Traceback" not in err
+
+
+def test_cli_eval_warns_once_when_the_bundle_records_another_numeric_setting(tmp_path, capsys):
+    """A bundle and config.snapshot record the numeric setting they were
+    written under. `logicrl eval` of a bundle whose record differs from the
+    running process prints one warning line to stderr, and the same stdout
+    and exit code."""
+    config = build_run_config(tiny_values(tmp_path))
+    run_dir = train_one_seed(config, 0)
+    with open(os.path.join(run_dir, "config.snapshot")) as fp:
+        assert fp.read().splitlines()[1] == f"# {setting_text(numeric_setting())}"
+    name = sorted(os.listdir(os.path.join(run_dir, "checkpoints")))[-1]
+    ckpt = os.path.join(run_dir, "checkpoints", name)
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 0
+    same = capsys.readouterr()
+    assert same.err == ""
+    state_path = os.path.join(ckpt, "state.json")
+    with open(state_path) as fp:
+        state = json.load(fp)
+    assert state["numeric_setting"] == numeric_setting()
+    state["numeric_setting"]["numpy"] = "0.0.0"
+    with open(state_path, "w") as fp:
+        json.dump(state, fp)
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 0
+    edited = capsys.readouterr()
+    assert edited.out == same.out
+    assert edited.err.startswith(f"warning: {ckpt} was written under numpy 0.0.0, ")
+    assert edited.err.count("\n") == 1
 
 
 def test_heatmap_and_line_chart_svg_wellformed():

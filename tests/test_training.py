@@ -357,16 +357,17 @@ def assert_same_learners(a: Trainer, b: Trainer):
 def test_grid_bundle_stores_only_touched_elements(tmp_path):
     """After 2 iterations the grid agent has visited few of its 400 cells,
     so the policy's one-hot rows of the others keep their seeded values and
-    zero moments: the policy archive stores fewer elements than the net
+    zero moments: the policy file's mask stores fewer elements than the net
     holds, and the bundle reloads bit for bit."""
     trainer = grid_trainer(KEEPOUT, seed=21)
     for _ in range(2):
         trainer.train_iteration()
     trainer.save_checkpoint(tmp_path / "ckpt")
-    with np.load(tmp_path / "ckpt" / "policy.params") as archive:
-        stored = archive["params"].size
-        assert archive["m"].size == archive["v"].size == stored
-    assert 0 < stored < trainer.agent.policy_params.n_params()
+    n = trainer.agent.policy_params.n_params()
+    # the mask follows the 24-byte header
+    data = (tmp_path / "ckpt" / "policy.params").read_bytes()
+    stored = int(np.unpackbits(np.frombuffer(data, np.uint8, (n + 7) // 8, 24)).sum())
+    assert 0 < stored < n
     assert_same_learners(trainer, Trainer.load_checkpoint(tmp_path / "ckpt"))
 
 
@@ -430,14 +431,15 @@ TAMPERED_SCALARS = [
     ("ep_returns", [float("nan"), 0.0, 0.0, 0.0]), ("ep_returns", [0.0, "x", 0.0, 0.0]),
     ("last_mean_ep_return", float("inf")), ("last_mean_ep_return", None),
     ("layout", []), ("formula", ""),
+    ("numeric_setting", None), ("numeric_setting", {"numpy": "2.4.6"}),
 ]
 
 
 def test_load_checkpoint_rejects_tampered_state(tmp_path):
     """A state.json missing any top-level key, whose config holds an
-    unknown key, whose seed, d, counts, returns or normalizer are out of
-    range, or of the 0.4.0 format, is refused with ValueError, never a
-    KeyError or TypeError."""
+    unknown key, whose seed, d, counts, returns, normalizer or numeric
+    setting record are out of range, or of the 0.4.0 format, is refused with
+    ValueError, never a KeyError or TypeError."""
     ckpt = tmp_path / "ckpt"
     grid_trainer(KEEPOUT, seed=3).save_checkpoint(ckpt)
     good = json.loads((ckpt / "state.json").read_text())
