@@ -24,7 +24,8 @@ states, actions, nexts = np.array(states), np.array(actions), np.array(nexts)
 
 model = ForwardModel(2, 5, seed=2)
 model.update_normalizer(states)
-optimizer = Optimizer(1e-3)
+# Adam starts from +0.0 moments, one per parameter element
+optimizer = Optimizer(model.params.n_params(), 1e-3)
 batch_rng = np.random.default_rng(7)
 for step in range(2001):
     idx = batch_rng.integers(0, len(states), size=256)

@@ -35,28 +35,25 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.3g}"
 
 
-def line_chart_svg(
-    x,
-    mean,
-    band_lo=None,
-    band_hi=None,
-    title: str = "",
-    x_label: str = "step",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 440,
-) -> str:
-    """One mean polyline plus an optional shaded min-max band."""
+# the one x axis every curve has, and the chart and heatmap cell sizes
+_X_LABEL = "step"
+_WIDTH, _HEIGHT = 720, 440
+_CELL = 24
+
+
+def line_chart_svg(x, mean, band_lo, band_hi, title: str = "", y_label: str = "") -> str:
+    """One mean polyline over a shaded min-max band, against the step."""
     x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    series = [mean] + [np.asarray(s, dtype=np.float64) for s in (band_lo, band_hi) if s is not None]
+    series = [np.asarray(s, dtype=np.float64) for s in (mean, band_lo, band_hi)]
+    mean, lo, hi = series
+    width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    x_lo, x_hi = (float(x.min()), float(x.max())) if len(x) else (0.0, 1.0)
-    y_lo = min(float(s.min()) for s in series) if len(mean) else 0.0
-    y_hi = max(float(s.max()) for s in series) if len(mean) else 1.0
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo = min(float(s.min()) for s in series)
+    y_hi = max(float(s.max()) for s in series)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -101,30 +98,27 @@ def line_chart_svg(
         )
     parts.append(
         f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{x_label}</text>'
+        f'font-size="12" font-family="sans-serif">{_X_LABEL}</text>'
     )
     parts.append(
         f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">'
         f'{y_label}</text>'
     )
-    if band_lo is not None and band_hi is not None and len(x) > 0:
-        lo = np.asarray(band_lo, dtype=np.float64)
-        hi = np.asarray(band_hi, dtype=np.float64)
-        pts = [f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x, hi)]
-        pts += [f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x[::-1], lo[::-1])]
-        parts.append(f'<polygon points="{" ".join(pts)}" fill="#7aa6d2" fill-opacity="0.35"/>')
-    if len(x) > 0:
-        pts = " ".join(f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x, mean))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f4f8f" stroke-width="1.6"/>')
+    pts = [f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x, hi)]
+    pts += [f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x[::-1], lo[::-1])]
+    parts.append(f'<polygon points="{" ".join(pts)}" fill="#7aa6d2" fill-opacity="0.35"/>')
+    pts = " ".join(f"{px(vx):.1f},{py(vy):.1f}" for vx, vy in zip(x, mean))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f4f8f" stroke-width="1.6"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def heatmap_svg(grid, title: str = "", cell: int = 24) -> str:
+def heatmap_svg(grid, title: str = "") -> str:
     """Color grid of values, row 0 drawn at the bottom; blue low, yellow high."""
     g = np.asarray(grid, dtype=np.float64)
     h, w = g.shape
+    cell = _CELL
     lo, hi = float(g.min()), float(g.max())
     span = hi - lo if hi > lo else 1.0
     margin, header = 30, 40

@@ -388,19 +388,19 @@ def _check_update(params: ParamSet, grads: ParamSet) -> None:
 
 
 class Optimizer:
-    """Adam over one ParamSet's update stream. Each step updates the
-    parameters as one flat vector in `ParamSet.flat()` order; the moments
-    `m` and `v` are flat vectors of that layout (None before the first
-    step) and `t` counts steps. The step is per coordinate, so in exact
-    arithmetic a gradient scaled by c > 0 moves it only through `eps`."""
+    """Adam over one ParamSet's update stream of `size` elements. Each step
+    updates the parameters as one flat vector in `ParamSet.flat()` order;
+    the moments `m` and `v` are flat vectors of that layout, +0.0 before the
+    first step as Adam starts them, and `t` counts steps. The step is per
+    coordinate, so in exact arithmetic a gradient scaled by c > 0 moves it
+    only through `eps`."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, learning_rate: float = 1e-3):
+    def __init__(self, size: int, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m: Optional[np.ndarray] = None
-        self.v: Optional[np.ndarray] = None
+        self.m, self.v = np.zeros(size), np.zeros(size)
 
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
         """The updated parameters. A mismatched or non-finite gradient raises
@@ -415,10 +415,8 @@ class Optimizer:
         _check_update(params, grads)
         p, g = params.flat(), grads.flat()
         t = self.t + 1
-        # zero moments before the first step, so a -0.0 gradient gives +0.0;
-        # b * 0.0 is +0.0, so zeros stand for b times the zero moments
-        m = np.zeros_like(p) if self.m is None else np.multiply(self.beta1, self.m)
-        v = np.zeros_like(p) if self.v is None else np.multiply(self.beta2, self.v)
+        m = np.multiply(self.beta1, self.m)
+        v = np.multiply(self.beta2, self.v)
         work = np.multiply(1 - self.beta1, g)
         m += work
         np.multiply(1 - self.beta2, g, out=work)
@@ -478,24 +476,22 @@ def save_paramset_file(path, params: ParamSet, optimizer_state: dict,
     the element count n and the optimizer state's (`Optimizer.get_state`)
     step count `t`); the `np.packbits` of the touched mask over the vector
     in `ParamSet.flat()` order; the sha256 digest of the untrained vector;
-    and, as `_float_planes` lays them out, `params` at the touched positions
-    and, once the optimizer has stepped, `m` and `v` there. Splitting a
-    float's bytes and joining them back is exact, so loading gives back
-    every bit. On the grid bridge config, the one-hot rows of cells the
-    agent never reached are never touched: 20-39 % of a bundle's dense bytes,
-    by seed, are left out. On cart-pole every element is touched. Entry
-    names and shapes are not stored: the loader takes them, and the
-    untouched values, from the untrained net."""
-    p = params.flat()
+    and, as `_float_planes` lays them out, `params`, `m` and `v` at the
+    touched positions. Splitting a float's bytes and joining them back is
+    exact, so loading gives back every bit. On the grid bridge config, the
+    one-hot rows of cells the agent never reached are never touched:
+    20-39 % of a bundle's dense bytes, by seed, are left out. On cart-pole
+    every element is touched. Entry names and shapes are not stored: the
+    loader takes them, and the untouched values, from the untrained net.
+    The layout does not depend on `t`: an optimizer that has not stepped
+    stores its +0.0 moments like any other."""
+    p, m, v = params.flat(), optimizer_state["m"], optimizer_state["v"]
     touched = p.view(np.uint64) != untrained.flat().view(np.uint64)
-    moments = []
-    if optimizer_state["m"] is not None:
-        moments = [optimizer_state["m"], optimizer_state["v"]]
-    for moment in moments:
-        touched |= moment.view(np.uint64) != 0
+    touched |= m.view(np.uint64) != 0
+    touched |= v.view(np.uint64) != 0
     chunks = [_HEADER.pack(_MAGIC, _FORMAT, p.size, optimizer_state["t"]),
               np.packbits(touched).tobytes(), _digest(untrained)]
-    for values in (p, *moments):
+    for values in (p, m, v):
         chunks += _float_planes(values[touched])
     with open(path, "wb") as fp:
         fp.writelines(chunks)
@@ -557,15 +553,13 @@ def _read_paramset(data: bytes, like: ParamSet) -> tuple[ParamSet, dict]:
     vec = like.flat().copy()
     vec[mask] = cursor.floats(k, "params")
     params = like.with_flat(vec)
-    # the optimizer has moments exactly once it has stepped
-    state = {"t": t, "m": None, "v": None}
-    if t >= 1:
-        for key in ("m", "v"):
-            state[key] = np.zeros(size)
-            state[key][mask] = cursor.floats(k, key)
+    state = {"t": t}
+    for key in ("m", "v"):
+        state[key] = np.zeros(size)
+        state[key][mask] = cursor.floats(k, key)
     trailing = len(data) - cursor.pos
     if trailing:
-        raise ValueError(f"{trailing} bytes trail the last array (step count {t})")
+        raise ValueError(f"{trailing} bytes trail the last array")
     return params, state
 
 
@@ -582,10 +576,8 @@ def load_paramset_file(path, like: ParamSet) -> tuple[ParamSet, dict]:
     `like`'s (a file of another seed's bundle, which would mix two
     initialisations); a negative step count; a top plane that does not
     inflate to exactly one byte per touched element; or a non-finite
-    parameter. Moments missing for a step count of 1 or more read as a
-    truncation, moments stored for 0 as trailing bytes, and a mask whose
-    count does not match the arrays as one or the other. A missing file
-    raises OSError."""
+    parameter. A mask whose count does not match the arrays reads as a
+    truncation or as trailing bytes. A missing file raises OSError."""
     with open(path, "rb") as fp:
         data = fp.read()
     try:

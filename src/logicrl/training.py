@@ -286,12 +286,13 @@ class Trainer:
             hidden=config.hidden,
             seed=fwd_seed,
         )
-        self.optimizers = {name: Optimizer(config.learning_rate) for name, *_ in _PARAM_SETS}
         # each net as seeded (read-only): a checkpoint stores only the
         # elements training moved away from it
         self._untrained = {
             name: getattr(getattr(self, owner), attr) for name, owner, attr in _PARAM_SETS
         }
+        self.optimizers = {name: Optimizer(net.n_params(), config.learning_rate)
+                           for name, net in self._untrained.items()}
         self.action_rng = np.random.default_rng(action_seed)
 
         self.formula = formula
@@ -343,19 +344,22 @@ class Trainer:
                       cfg.rollout_length, lambda s: self.agent.act_batch(s, self.action_rng))
         self._ep_returns = np.array(r.ep_returns)
         if self.bound is None:
-            pred_ok = true_ok = np.zeros(r.dones.shape, dtype=bool)
+            # no constraint reward; every state satisfies the empty
+            # constraint, as evaluate_policy scores it
+            r_c = np.zeros(r.dones.shape)
+            rates = {"rc_rate": 0.0, "true_satisfaction_rate": 1.0, "disagreement_rate": 0.0}
         else:
             predicted = map(self.model.predict_batch, r.states, r.actions)
             pred_ok = np.array([self.bound.evaluate_batch(p) for p in predicted])
             true_ok = np.array(list(map(self.bound.evaluate_batch, r.next_states)))
-        r_c = np.where(pred_ok, cfg.constraint_reward_weight, 0.0)
+            r_c = np.where(pred_ok, cfg.constraint_reward_weight, 0.0)
+            n = pred_ok.size
+            rates = {
+                "rc_rate": int(pred_ok.sum()) / n,
+                "true_satisfaction_rate": int(true_ok.sum()) / n,
+                "disagreement_rate": int((pred_ok != true_ok).sum()) / n,
+            }
         rewards = r.rewards + r_c if cfg.use_env_reward else r_c
-        n = pred_ok.size
-        rates = {
-            "rc_rate": int(pred_ok.sum()) / n,
-            "true_satisfaction_rate": int(true_ok.sum()) / n,
-            "disagreement_rate": int((pred_ok != true_ok).sum()) / n,
-        }
         return r, rewards, rates
 
     def _train_iteration(self) -> dict:
@@ -506,15 +510,19 @@ class Trainer:
             config, state["env_id"], seed=_count(state, "seed"), layout=layout,
             d=_count(state, "d", least=1), formula=formula,
         )
+        trainer.iteration = _count(state, "iteration")
         for name, owner, params_attr in _PARAM_SETS:
             # the freshly built net gives the entry names and shapes, and the
             # values of the elements training never touched
             learner = getattr(trainer, owner)
             path = os.path.join(directory, f"{name}.params")
             params, opt_state = load_paramset_file(path, getattr(learner, params_attr))
+            # every optimizer steps once per iteration
+            if opt_state["t"] != trainer.iteration:
+                raise ValueError(f"{path} holds step count {opt_state['t']}, "
+                                 f"not the bundle's iteration {trainer.iteration}")
             setattr(learner, params_attr, params)
             trainer.optimizers[name].set_state(opt_state)
-        trainer.iteration = _count(state, "iteration")
         trainer._eval_count = _count(state, "eval_count")
         trainer._ep_returns = np.asarray(ep_returns, dtype=np.float64)
         trainer._last_mean_ep_return = last_mean

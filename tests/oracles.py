@@ -760,7 +760,10 @@ def reference_collect_rollout(trainer) -> dict:
             true_hits += int(true_ok.sum())
             disagreements += int((pred_ok != true_ok).sum())
         else:
+            # no formula: no constraint reward, and every true next state
+            # satisfies the empty constraint
             r_c = np.zeros(B)
+            true_hits += B
         states[t] = step_states
         actions[t] = acts
         values[t] = vals

@@ -230,7 +230,7 @@ def test_fit_step_zero_lr_no_change():
     model = ForwardModel(2, 2, seed=5)
     before = model.params
     batch = (np.ones((4, 2)), np.zeros(4, dtype=int), np.ones((4, 2)) * 2)
-    fit_step(model, Optimizer(0.0), batch)
+    fit_step(model, Optimizer(model.params.n_params(), 0.0), batch)
     for name, arr in before:
         assert np.array_equal(arr, model.params[name])
 
@@ -259,7 +259,7 @@ def test_fit_step_aborts_on_nan():
     batch = (np.array([[np.nan]]), np.array([0]), np.array([[0.0]]))
     before = model.params
     with pytest.raises(UpdateRejected):
-        fit_step(model, Optimizer(1e-3), batch)
+        fit_step(model, Optimizer(model.params.n_params(), 1e-3), batch)
     assert np.array_equal(before.flat(), model.params.flat())
 
 
@@ -270,7 +270,7 @@ def test_identity_dataset_convergence():
     model = ForwardModel(2, 3, seed=1)
     model.update_normalizer(states)
     batch = (states, rng.integers(0, 3, size=100), states)
-    optimizer = Optimizer(1e-3)
+    optimizer = Optimizer(model.params.n_params(), 1e-3)
     for _ in range(2000):
         fit_step(model, optimizer, batch)
     held = rng.uniform(0, 5, size=(50, 2))
@@ -297,7 +297,7 @@ def test_grid_dynamics_convergence_to_conditional_mean():
     model = ForwardModel(2, 5, seed=2)
     model.update_normalizer(S)
     idx_rng = np.random.default_rng(7)
-    optimizer = Optimizer(1e-3)
+    optimizer = Optimizer(model.params.n_params(), 1e-3)
     for _ in range(2000):
         idx = idx_rng.integers(0, len(S), size=256)
         fit_step(model, optimizer, (S[idx], A[idx], S2[idx]))

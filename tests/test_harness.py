@@ -863,6 +863,23 @@ def test_cli_eval_of_checkpoint_with_foreign_net_exits_2(tmp_path, capsys):
     assert "policy.params" in err and "Traceback" not in err
 
 
+def test_cli_eval_of_checkpoint_mixing_steps_exits_2(tmp_path, capsys):
+    """A bundle holding the policy.params of an earlier bundle of the same
+    run (the same net and seed, another step count) is refused, not
+    evaluated."""
+    run_dir = train_one_seed(build_run_config(tiny_values(tmp_path)), 0)
+    checkpoints = os.path.join(run_dir, "checkpoints")
+    first, *_, last = sorted(os.listdir(checkpoints))
+    ckpt = os.path.join(checkpoints, last)
+    shutil.copyfile(os.path.join(checkpoints, first, "policy.params"),
+                    os.path.join(ckpt, "policy.params"))
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable checkpoint at ")
+    assert "policy.params holds step count 2, not the bundle's iteration 8" in err
+    assert "Traceback" not in err
+
+
 def test_cli_eval_of_checkpoint_with_params_of_another_seed_exits_2(tmp_path, capsys):
     """A policy.params from a same-shape run of another seed fits the net,
     but its untouched elements would come from this seed's initialisation:

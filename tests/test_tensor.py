@@ -393,13 +393,13 @@ def test_softmax_rejects_empty():
 def test_adam_zero_lr_and_determinism():
     params = mlp_init(MLPConfig((4, 3)), seed=1)
     grads = ParamSet([(n, np.full_like(a, 0.3)) for n, a in params])
-    opt = Optimizer(0.0)
+    opt = Optimizer(params.n_params(), 0.0)
     updated = opt.step(params, grads)
     for name, arr in params:
         assert np.array_equal(arr, updated[name])
     assert opt.t == 1
-    a1 = Optimizer(1e-3).step(params, grads)
-    a2 = Optimizer(1e-3).step(params, grads)
+    a1 = Optimizer(params.n_params(), 1e-3).step(params, grads)
+    a2 = Optimizer(params.n_params(), 1e-3).step(params, grads)
     for name, arr in a1:
         assert np.array_equal(arr, a2[name])
     # first Adam step moves every entry by about the learning rate
@@ -428,7 +428,7 @@ def test_optimizer_matches_per_entry_reference(learning_rate):
     and both moments."""
     params = mlp_init(GRID_POLICY, seed=3, prefix="pi.")
     ref_params, ref_state = params, {"t": 0, "m": {}, "v": {}}
-    opt = Optimizer(learning_rate)
+    opt = Optimizer(params.n_params(), learning_rate)
     rng = np.random.default_rng(3)
     for _ in range(25):
         grads = special_gradients(params, rng)
@@ -451,7 +451,7 @@ def test_rejected_adam_step_leaves_the_state():
     params = mlp_init(MLPConfig((3, 2)), seed=2)
     kept = params.flat().copy()
     grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
-    opt = Optimizer(1e-2)
+    opt = Optimizer(params.n_params(), 1e-2)
     opt.step(params, grads)
     before = {k: (v.copy() if isinstance(v, np.ndarray) else v)
               for k, v in opt.get_state().items()}
@@ -473,17 +473,17 @@ def test_adam_step_leaves_an_earlier_state_and_its_inputs():
     their bits, and the new moments are new arrays."""
     params = mlp_init(MLPConfig((4, 6, 3)), seed=8)
     rng = np.random.default_rng(8)
-    opt = Optimizer(1e-2)
+    opt = Optimizer(params.n_params(), 1e-2)
     for _ in range(3):
         grads = special_gradients(params, rng)
         earlier = opt.get_state()
-        owned = [params.flat(), grads.flat()] + [earlier[k] for k in ("m", "v") if earlier[k] is not None]
+        owned = [params.flat(), grads.flat(), earlier["m"], earlier["v"]]
         before = [a.copy() for a in owned]
         stepped = opt.step(params, grads)
         for got, want in zip(owned, before):
             assert same_bits(got, want)
         for key in ("m", "v"):
-            assert earlier[key] is None or not np.shares_memory(opt.get_state()[key], earlier[key])
+            assert not np.shares_memory(opt.get_state()[key], earlier[key])
         assert not np.shares_memory(stepped.flat(), opt.m) and not np.shares_memory(stepped.flat(), opt.v)
         params = stepped
 
@@ -491,7 +491,7 @@ def test_adam_step_leaves_an_earlier_state_and_its_inputs():
 def test_optimizer_state_roundtrip(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=4)
     grads = ParamSet([(n, np.full_like(a, 0.1)) for n, a in params])
-    opt = Optimizer(1e-2)
+    opt = Optimizer(params.n_params(), 1e-2)
     p1 = opt.step(params, grads)
     snapshot = opt.get_state()
     assert snapshot["t"] == 1
@@ -503,7 +503,7 @@ def test_optimizer_state_roundtrip(tmp_path):
     save_paramset_file(path, p1, snapshot, params)
     _, loaded = load_paramset_file(path, params)
     for restored in (snapshot, loaded):
-        opt2 = Optimizer(1e-2)
+        opt2 = Optimizer(params.n_params(), 1e-2)
         opt2.set_state(restored)
         assert opt2.t == 1
         assert opt2.m.tobytes() == snapshot["m"].tobytes()
@@ -511,10 +511,12 @@ def test_optimizer_state_roundtrip(tmp_path):
         p2b = opt2.step(p1, grads)
         for name, arr in p2a:
             assert np.array_equal(arr, p2b[name])
-    # an optimizer that has not stepped has no moments
-    save_paramset_file(path, params, Optimizer(1e-3).get_state(), params)
+    # an optimizer that has not stepped has +0.0 moments, as Adam starts them
+    save_paramset_file(path, params, Optimizer(params.n_params()).get_state(), params)
     _, fresh = load_paramset_file(path, params)
-    assert fresh == {"t": 0, "m": None, "v": None}
+    assert fresh["t"] == 0
+    for key in ("m", "v"):
+        assert fresh[key].tobytes() == bytes(8 * params.n_params())
 
 
 # -- parameter file -----------------------------------------------------------
@@ -575,14 +577,18 @@ def test_paramset_checkpoint_roundtrip(tmp_path):
     params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
     untrained = mlp_init(config, seed=10)
-    save_paramset_file(path, params, Optimizer().get_state(), untrained)
+    zeros = np.zeros(params.n_params())
+    save_paramset_file(path, params, Optimizer(params.n_params()).get_state(), untrained)
     assert os.listdir(tmp_path) == ["policy.params"]
     loaded, opt_state = load_paramset_file(path, untrained)
-    assert opt_state == {"t": 0, "m": None, "v": None}
+    assert opt_state["t"] == 0
+    assert opt_state["m"].tobytes() == opt_state["v"].tobytes() == zeros.tobytes()
     assert_bitwise_equal(loaded, params)
-    # the zero biases are untouched, and an unstepped optimizer stores no moments
+    # the zero biases are untouched, and an unstepped optimizer's +0.0
+    # moments are stored at the touched positions
     touched = params.flat() != untrained.flat()
-    assert path.read_bytes() == raw_bytes(raw_fields(untrained, params.flat(), touched=touched))
+    moments = (("m", zeros), ("v", zeros))
+    assert path.read_bytes() == raw_bytes(raw_fields(untrained, params.flat(), 0, moments, touched))
 
 
 def test_paramset_file_layout(tmp_path):
@@ -592,7 +598,7 @@ def test_paramset_file_layout(tmp_path):
     like = mlp_init(MLPConfig((3, 16, 4)), seed=2)
     n = like.n_params()
     assert n % 8
-    opt = Optimizer(1e-2)
+    opt = Optimizer(n, 1e-2)
     grads = paramset_with(like, {"w1": 0.5, "b1": -0.25}, fill=0.0)
     params = opt.step(like, grads)
     state = opt.get_state()
@@ -607,6 +613,16 @@ def test_paramset_file_layout(tmp_path):
     assert len(data) == HEADER_BYTES + (n + 7) // 8 + 32 + sum(7 * k + 8 + len(top) for top in tops)
     moments = (("m", state["m"]), ("v", state["v"]))
     assert data == raw_bytes(raw_fields(like, params.flat(), 1, moments, touched))
+    # an unstepped net as seeded touches nothing (k = 0), and its file has
+    # the same layout: each of the three arrays is an empty low plane, a
+    # length and the deflate of no bytes
+    save_paramset_file(path, like, Optimizer(n).get_state(), like)
+    data = path.read_bytes()
+    zeros = np.zeros(n)
+    untouched = np.zeros(n, dtype=bool)
+    empty_top = zlib.compress(b"", 1)
+    assert len(data) == HEADER_BYTES + (n + 7) // 8 + 32 + 3 * (8 + len(empty_top))
+    assert data == raw_bytes(raw_fields(like, None, 0, (("m", zeros), ("v", zeros)), untouched))
 
 
 def test_paramset_archive_is_bitwise_exact(tmp_path):
@@ -636,7 +652,7 @@ def test_paramset_archive_is_bitwise_exact(tmp_path):
 def test_failed_paramset_load_closes_the_file(tmp_path):
     params = mlp_init(MLPConfig((3, 2)), seed=1)
     good = tmp_path / "good.params"
-    save_paramset_file(good, params, Optimizer().get_state(), params)
+    save_paramset_file(good, params, Optimizer(params.n_params()).get_state(), params)
     data = good.read_bytes()
     (tmp_path / "truncated").write_bytes(data[: len(data) // 2])
     with warnings.catch_warnings(record=True) as caught:
@@ -656,7 +672,7 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
     n = like.n_params()
     assert n % 8  # so the mask has padding bits
     good = tmp_path / "good.params"
-    opt = Optimizer(1e-3)
+    opt = Optimizer(n, 1e-3)
     opt.step(like, paramset_with(like, fill=1.0))
     state = opt.get_state()
     save_paramset_file(good, like, state, like)
@@ -681,7 +697,7 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
 
     # every element stored, as for a net that has stepped once
     stepped = raw_fields(like, t=1, moments=(("m", state["m"]), ("v", state["v"])))
-    unstepped = raw_fields(like)
+    params_only = raw_fields(like)  # the layout 0.8.0 wrote for a step count of 0
     assert raw_bytes(stepped) == data
     packed = stepped["mask"]
     other_seed = raw_fields(mlp_init(MLPConfig((2, 3)), seed=2))["digest"]
@@ -701,10 +717,9 @@ def test_paramset_checkpoint_bad_magic(tmp_path):
         "short_moment": (stepped, {"m_low": stepped["m_low"][:-7]}, "top plane"),
         "missing_v": (stepped, {"v_low": None, "v_length": None, "v_top": None},
                       "truncated: the low bytes of 'v'"),
-        "stepped_without_moments": (unstepped, {"t": struct.pack("<q", 3)},
+        "unstepped_without_moments": (params_only, {}, "truncated: the low bytes of 'm'"),
+        "stepped_without_moments": (params_only, {"t": struct.pack("<q", 3)},
                                     "truncated: the low bytes of 'm'"),
-        "unstepped_with_moments": (stepped, {"t": struct.pack("<q", 0)},
-                                   "bytes trail the last array \\(step count 0\\)"),
         "trailing_bytes": (stepped, {"tail": b"\0"}, "1 bytes trail"),
         "top_left_over": (stepped, {"v_length": struct.pack("<Q", len(stepped["v_top"]) + 1),
                                     "v_top": stepped["v_top"] + b"\0"}, "not one deflate stream"),
@@ -771,12 +786,12 @@ def _adam_state(m, v, t=3):
 SPARSE_CASES = {
     # -0.0 == +0.0, so only a comparison of bits stores it
     "negative_zero_parameter": ([0.0, 0.5, -0.25, 1.0, -0.0, 0.0, 0.0],
-                                {"t": 0, "m": None, "v": None}, 1),
+                                _adam_state([0.0] * 7, [0.0] * 7, t=0), 1),
     "negative_zero_and_subnormal_moments": (
         [0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0],
         _adam_state([-0.0, 0, 0, 0, TINY, 0, 0], [0, 0, -0.0, 0, 0, 0, 3 * TINY]), 4),
-    "unstepped_without_moments": ([0.0, 0.5 + 2**-53, -0.25, 1.0, 0.0, 0.0, TINY],
-                                  {"t": 0, "m": None, "v": None}, 2),
+    "unstepped_zero_moments": ([0.0, 0.5 + 2**-53, -0.25, 1.0, 0.0, 0.0, TINY],
+                               _adam_state([0.0] * 7, [0.0] * 7, t=0), 2),
     "untouched": ([0.0, 0.5, -0.25, 1.0, 0.0, 0.0, 0.0], _adam_state([0.0] * 7, [0.0] * 7), 0),
     "all_touched": ([-0.0, -TINY, 0.25, 1e308, TINY, -1.0, 2.0],
                     _adam_state([-TINY, 1, -1, 0.5, TINY, 2, -0.0], [TINY, 1, 2, 3, 4, 5, -0.0]), 7),
@@ -799,10 +814,7 @@ def test_sparse_archive_keeps_every_bit(tmp_path, case):
     assert_bitwise_equal(loaded, params)
     assert opt["t"] == state["t"]
     for key in ("m", "v"):
-        if state[key] is None:
-            assert opt[key] is None
-        else:
-            assert opt[key].dtype == np.float64 and opt[key].tobytes() == state[key].tobytes()
+        assert opt[key].dtype == np.float64 and opt[key].tobytes() == state[key].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -831,7 +843,7 @@ def test_paramset_is_read_only_views_of_one_vector(config):
     assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
     before = params.flat()
     saved = before.copy()
-    stepped = Optimizer(1e-2).step(params, grads)
+    stepped = Optimizer(params.n_params(), 1e-2).step(params, grads)
     assert before.tobytes() == saved.tobytes() and params.flat() is before
     assert not np.shares_memory(stepped.flat(), before)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -167,6 +168,9 @@ def test_collect_rollout_matches_per_step_reference(name):
         completed += len(r.completed)
         if name != "formula_free":
             assert 0.0 < rates["rc_rate"] < 1.0 and rates["disagreement_rate"] > 0.0
+        else:  # as evaluate_policy scores the empty constraint
+            assert rates == {"rc_rate": 0.0, "true_satisfaction_rate": 1.0,
+                             "disagreement_rate": 0.0}
     assert completed > 0
 
 
@@ -339,7 +343,7 @@ def test_checkpoint_resume_bit_identical(tmp_path, name):
 
 def assert_same_learners(a: Trainer, b: Trainer):
     """Parameters and every optimizer's Adam moments and step count agree
-    bit for bit."""
+    bit for bit, and each step count is the iteration."""
     for pa, pb in ((a.agent.policy_params, b.agent.policy_params),
                    (a.agent.value_params, b.agent.value_params),
                    (a.model.params, b.model.params)):
@@ -348,10 +352,43 @@ def assert_same_learners(a: Trainer, b: Trainer):
     assert list(a.optimizers) == list(b.optimizers) == ["policy", "value", "forward"]
     for key, oa in a.optimizers.items():
         ob = b.optimizers[key]
-        assert oa.t == ob.t > 0
+        assert oa.t == ob.t == a.iteration == b.iteration
         for moments_a, moments_b in ((oa.m, ob.m), (oa.v, ob.v)):
             assert moments_a.shape == moments_b.shape and moments_a.size
             assert moments_a.tobytes() == moments_b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RESUMED_TRAINERS))
+def test_unstepped_checkpoint_resume_bit_identical(tmp_path, name):
+    """A trainer saved before its first iteration, whose optimizers hold
+    Adam's +0.0 starting moments, reloads bit for bit and trains on exactly
+    as the trainer that was never saved."""
+    straight = RESUMED_TRAINERS[name]()
+    saved = RESUMED_TRAINERS[name]()
+    saved.save_checkpoint(tmp_path / "ckpt")
+    resumed = Trainer.load_checkpoint(tmp_path / "ckpt")
+    assert_same_learners(straight, resumed)
+    for opt in resumed.optimizers.values():
+        assert opt.m.tobytes() == opt.v.tobytes() == bytes(opt.m.nbytes)
+    for _ in range(2):
+        assert straight.train_iteration() == resumed.train_iteration()
+    assert_same_learners(straight, resumed)
+
+
+def test_load_checkpoint_refuses_a_bundle_that_mixes_steps(tmp_path):
+    """Each optimizer steps once per iteration, so a .params file whose step
+    count is not the bundle's iteration (here the policy of iteration 1 in
+    the bundle of iteration 2, same seed and digest) is refused, naming
+    the file."""
+    trainer = grid_trainer(KEEPOUT, seed=3)
+    trainer.train_iteration()
+    trainer.save_checkpoint(tmp_path / "one")
+    trainer.train_iteration()
+    trainer.save_checkpoint(tmp_path / "two")
+    shutil.copyfile(tmp_path / "one" / "policy.params", tmp_path / "two" / "policy.params")
+    with pytest.raises(ValueError, match="unreadable checkpoint at .*policy.params holds "
+                                         "step count 1, not the bundle's iteration 2"):
+        Trainer.load_checkpoint(tmp_path / "two")
 
 
 def test_grid_bundle_stores_only_touched_elements(tmp_path):
