@@ -15,6 +15,7 @@ from .tensor import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    softmax,
 )
 
 ADV_STD_GUARD = 1e-8
@@ -48,7 +49,8 @@ def grid_onehot_features(width: int, height: int) -> tuple[int, Callable]:
 
 class ActorCritic:
     """Categorical policy MLP plus a linear value head on its last hidden
-    layer. `featurize` maps raw environment states to network inputs."""
+    layer. The policy net outputs logits; the action probabilities are their
+    softmax. `featurize` maps raw environment states to network inputs."""
 
     def __init__(
         self,
@@ -66,7 +68,7 @@ class ActorCritic:
         self.featurize = featurize if featurize is not None else (lambda s: s)
         self.entropy_coef = entropy_coef
         self.value_coef = value_coef
-        self.policy_config = MLPConfig((feature_dim, *hidden, n_actions), "softmax")
+        self.policy_config = MLPConfig((feature_dim, *hidden, n_actions))
         self.value_config = MLPConfig((hidden[-1], 1))
         self.policy_params = mlp_init(self.policy_config, seed, prefix="pi.")
         self.value_params = mlp_init(self.value_config, seed + 1, prefix="vf.")
@@ -78,15 +80,14 @@ class ActorCritic:
         x = np.asarray(states, dtype=np.float64)
         if x.ndim < 2:
             x = x.reshape(1, -1)
-        probs, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x))
-        logits = pcache.logits
+        logits, pcache = mlp_forward(self.policy_params, self.policy_config, self.featurize(x))
         if np.count_nonzero(np.isfinite(logits)) != logits.size:
             raise NonFiniteLogits(
                 f"non-finite logits for states {np.asarray(states)!r}"
             )
         h_last = pcache.post[-2]
         values, vcache = mlp_forward(self.value_params, self.value_config, h_last)
-        return probs, values[:, 0], pcache, vcache
+        return softmax(logits), values[:, 0], pcache, vcache
 
     def act_batch(self, states, rng: np.random.Generator):
         """Sample one action per state; returns actions and values."""
@@ -167,8 +168,10 @@ def policy_value_loss(
            - entropy_coef * mean(entropy(pi(.|s)))
 
     A_hat is the standardized advantage. Returns (loss, policy gradients,
-    value-head gradients, stats). The value head's gradient flows into the
-    shared trunk through the policy backward pass.
+    value-head gradients, stats). The loss's gradient w.r.t. the
+    probabilities is taken back through the softmax to the logits, and the
+    value head's input gradient flows into the shared trunk through the
+    policy backward pass.
     """
     actions = np.asarray(actions, dtype=np.int64)
     n = len(actions)
@@ -176,8 +179,7 @@ def policy_value_loss(
     returns = np.asarray(returns, dtype=np.float64)
 
     probs, values, pcache, vcache = model.policy_value(states)
-    logits = pcache.logits
-    logp_all = log_softmax(logits)
+    logp_all = log_softmax(pcache.post[-1])
     rows = np.arange(n)
     logp = logp_all[rows, actions]
     entropy = -np.sum(probs * np.where(probs > 0.0, logp_all, 0.0), axis=1)
@@ -192,19 +194,15 @@ def policy_value_loss(
     # probability; the entropy term touches all of them.
     d_probs = model.entropy_coef * (logp_all + 1.0) / n
     d_probs[rows, actions] += -(a_hat / probs[rows, actions]) / n
+    # the softmax Jacobian-transpose product, row-wise: d loss / d logits
+    d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
     d_values = (2.0 * model.value_coef / n) * v_err
 
-    value_grads, d_hidden = mlp_backward(
-        model.value_params, model.value_config, vcache, d_values[:, None]
-    )
-    last_hidden = model.policy_config.n_layers - 2
-    policy_grads, _ = mlp_backward(
-        model.policy_params,
-        model.policy_config,
-        pcache,
-        d_probs,
-        hidden_grads={last_hidden: d_hidden},
-    )
+    value_grads = mlp_backward(model.value_params, model.value_config, vcache, d_values[:, None])
+    # the value head is one linear layer on the last hidden layer: its input
+    # gradient is the trunk's extra gradient there
+    d_trunk = d_values[:, None] @ model.value_params.views[0].T
+    policy_grads = mlp_backward(model.policy_params, model.policy_config, pcache, d_logits, d_trunk)
     stats = {
         "loss": loss,
         "policy_loss": pg_loss,

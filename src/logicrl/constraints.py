@@ -20,6 +20,9 @@ anchor points. Grammar (EBNF):
 "#" starts a comment running to end of line. Constraint files (.fl) hold one
 formula, possibly spanning lines. "exists" is sugar for not-forall-not. A
 quantifier variable may not be named "s": "s" in a norm is the state.
+Parentheses, "not"s and quantifiers nest at most MAX_NESTING deep, counted
+together with "exists" as the three levels it stands for, and quantifiers
+at most MAX_QUANTIFIERS deep.
 
 A parsed Formula is bound against an ObjectRegistry (quantifier domains) and
 a state schema (component count, named slices) to produce a BoundFormula
@@ -38,6 +41,18 @@ CMP_OPS = ("<=", "<", ">=", ">")
 
 _KEYWORDS = {"and", "or", "not", "forall", "exists", "in"}
 _NORM_NAMES = {"norm1": 1.0, "norm2": 2.0, "norminf": math.inf}
+
+# Parsing, binding, rendering and scoring each recurse once per level of
+# parentheses, "not" and quantifier, so the parser refuses a deeper nest
+# before Python's recursion limit can. Each enclosing quantifier adds one
+# axis to the arrays a formula is scored on, beside the rows and, for a
+# norm operand's constants, the components; a numpy array has at most 64
+# axes (32 before numpy 2).
+MAX_NESTING = 100
+MAX_QUANTIFIERS = (64 if int(np.__version__.split(".")[0]) >= 2 else 32) - 2
+# the levels each unit opens: "exists" is parsed as not-forall-not, which
+# to_text writes back as such
+_NESTING = {"NOT": 1, "LPAREN": 1, "FORALL": 1, "EXISTS": 3}
 
 
 class FLSyntaxError(ValueError):
@@ -265,6 +280,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # the units open around the current token
 
     @property
     def cur(self) -> _Token:
@@ -305,26 +321,29 @@ class _Parser:
 
     def unit(self) -> Formula:
         kind = self.cur.kind
+        if kind not in _NESTING:
+            return self.comparison()
+        if self.depth + _NESTING[kind] > MAX_NESTING:
+            self.fail(f"more than {MAX_NESTING} nested parentheses, 'not's and quantifiers")
+        self.depth += _NESTING[kind]
+        self.advance()
         if kind == "NOT":
-            self.advance()
-            return Not(self.unit())
-        if kind == "LPAREN":
-            self.advance()
+            inner = Not(self.unit())
+        elif kind == "LPAREN":
             inner = self.formula()
             self.expect("RPAREN", "')'")
-            return inner
-        if kind in ("FORALL", "EXISTS"):
-            exists = kind == "EXISTS"
-            self.advance()
+        else:
             var = self.expect("IDENT", "a variable name").text
             self.expect("IN", "'in'")
             set_name = self.expect("IDENT", "a set name").text
             self.expect("COLON", "':'")
             body = self.unit()
-            if exists:
-                return Not(ForAll(var, set_name, Not(body)))
-            return ForAll(var, set_name, body)
-        return self.comparison()
+            if kind == "EXISTS":
+                inner = Not(ForAll(var, set_name, Not(body)))
+            else:
+                inner = ForAll(var, set_name, body)
+        self.depth -= _NESTING[kind]
+        return inner
 
     def comparison(self) -> Formula:
         lhs = self.scalar_expr()
@@ -545,6 +564,8 @@ class BoundFormula:
             return lambda s: ~child(s)
         if isinstance(f, (And, Or)):
             return self._compile_connective(f, scope)
+        if len(scope) == MAX_QUANTIFIERS:
+            raise BindError(f"more than {MAX_QUANTIFIERS} nested quantifiers")
         if f.var == "s":
             raise BindError("quantifier variable 's' would be read as the state; rename it")
         if f.set_name not in self.registry:

@@ -159,5 +159,5 @@ class ForwardModel:
         loss = float(np.mean(np.sum(err * err, axis=1)))
         if not np.isfinite(loss):
             raise UpdateRejected(f"non-finite dynamics loss {loss}; step aborted")
-        grads, _ = mlp_backward(self.params, self.config, cache, 2.0 * err / len(states))
+        grads = mlp_backward(self.params, self.config, cache, 2.0 * err / len(states))
         return loss, grads

@@ -220,8 +220,14 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
 
     Evaluation (and a checkpoint) happens whenever the step counter crosses a
     multiple of eval_every, snapped to the iteration boundary; the actual
-    step count is what lands in metrics.csv.
+    step count is what lands in metrics.csv. The layout, the formula and
+    the trainer are built before the run directory is touched, so a config
+    that fails to load or bind leaves an earlier run there as it was.
     """
+    layout = _layout_for(config.env, config.layout)
+    formula = fl.load_constraint_file(config.constraint) if config.constraint != "none" else None
+    trainer = Trainer(config.sys3, config.env, seed=seed, layout=layout, d=config.d,
+                      formula=formula)
     run_dir = run_dir_for(config, seed)
     checkpoints = os.path.join(run_dir, "checkpoints")
     # a fresh run starts from no bundle, so checkpoints/ and metrics.csv
@@ -235,10 +241,6 @@ def train_one_seed(config: RunConfig, seed: int) -> str:
     with open(os.path.join(run_dir, "config.snapshot"), "w") as fp:
         fp.write(snapshot_text(config, seed))
 
-    layout = _layout_for(config.env, config.layout)
-    formula = fl.load_constraint_file(config.constraint) if config.constraint != "none" else None
-    trainer = Trainer(config.sys3, config.env, seed=seed, layout=layout, d=config.d,
-                      formula=formula)
     next_eval_at = config.eval_every
     metrics_path = os.path.join(run_dir, "metrics.csv")
     train_log_path = os.path.join(run_dir, "train_log.csv")
@@ -371,22 +373,37 @@ def emit_curves(
     """Per-metric SVG chart (seed mean line, min-max band) plus smoothed CSV.
 
     Returns written file paths and the number of malformed rows skipped.
-    The input CSVs are never modified.
+    Row i of each file is averaged with row i of the others, over the rows
+    all of them have, so a file whose steps there differ from the first
+    file's is refused. The input CSVs are never modified, and nothing is
+    written unless every check passes.
     """
     if not metrics_paths:
         raise ConfigError("need at least one metrics.csv")
-    all_rows = []
+    for name, window in (("window_scores", window_scores), ("window_errors", window_errors)):
+        if window < 1:
+            raise ConfigError(f"{name} must be >= 1, got {window}")
+    all_rows, used_paths = [], []
     skipped = 0
     for path in metrics_paths:
         rows, bad = read_metrics_csv(path)
         skipped += bad
         if rows:
             all_rows.append(rows)
+            used_paths.append(path)
     if not all_rows:
         raise ConfigError("no usable rows in the given metrics files")
-    os.makedirs(out_dir, exist_ok=True)
     length = min(len(rows) for rows in all_rows)
     steps = np.array([r[0] for r in all_rows[0][:length]])
+    for path, rows in zip(used_paths[1:], all_rows[1:]):
+        differ = np.flatnonzero(np.array([r[0] for r in rows[:length]]) != steps)
+        if len(differ):
+            i = differ[0]
+            raise ConfigError(
+                f"{path}: usable row {i + 1} is at step {rows[i][0]:.15g}, but in "
+                f"{used_paths[0]} at step {steps[i]:.15g}; curves average rows of one step only"
+            )
+    os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     for metric, col in _METRIC_COLUMNS.items():
         window = window_scores if metric in _SCORE_METRICS else window_errors

@@ -24,8 +24,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-OUTPUT_ACTIVATIONS = ("identity", "softmax")
-
 # glibc's mallopt parameters (malloc.h) and the values set for them. An update
 # pass frees a few MB of (rows x hidden) activations. On the grid bridge config
 # the faults stopped only with an mmap threshold of at least 1.5 MiB and a trim
@@ -101,12 +99,10 @@ class UpdateRejected(ValueError):
 class MLPConfig:
     """Shape of a fully-connected net: sizes of input, hidden and output layers.
 
-    Every layer except the last applies tanh; the output activation is
-    identity or softmax (softmax only for categorical heads).
+    Every layer except the last applies tanh; the last is linear.
     """
 
     layer_sizes: tuple[int, ...]
-    output_activation: str = "identity"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -115,8 +111,6 @@ class MLPConfig:
             raise ValueError("need at least input and output layer sizes")
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer sizes must be positive: {sizes}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -207,15 +201,13 @@ def mlp_init(config: MLPConfig, seed: int, prefix: str = "") -> ParamSet:
 
 @dataclass
 class MLPCache:
-    """What mlp_backward reads of a forward pass: the input, each layer's
-    output, and the output layer's pre-activation. A hidden layer's
-    pre-activation is not kept: the activation overwrites it, and the
-    activation's derivative is read from the output. Under an identity
-    output, `logits` is the output array itself."""
+    """What mlp_backward reads of a forward pass: the input and each
+    layer's output, the last being the net's output array itself. A hidden
+    layer's pre-activation is not kept: the activation overwrites it, and
+    the activation's derivative is read from the output."""
 
     inputs: np.ndarray            # (n, d_in) floats, or (n, 1) one-hot indices
     post: list[np.ndarray]        # each layer's output, (n, d_l)
-    logits: np.ndarray            # the output layer's pre-activation, (n, d_out)
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -250,10 +242,11 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
     unit vector with a 1 at x[i, 0], and layer 0 is the row gather
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
-    Returns the (n, d_out) output and the activation cache needed for
-    mlp_backward. Each hidden tanh is applied in place on its layer's
-    fresh product, so the pass allocates one array per layer (two for a
-    softmax output); the bits are those of the out-of-place formulas.
+    Returns the (n, d_out) output, which is the last layer's
+    pre-activation, and the activation cache needed for mlp_backward. Each
+    hidden tanh is applied in place on its layer's fresh product, so the
+    pass allocates one array per layer; the bits are those of the
+    out-of-place formulas.
     """
     weights = params.views
     x = np.asarray(x)
@@ -276,9 +269,8 @@ def mlp_forward(params: ParamSet, config: MLPConfig, x: np.ndarray) -> tuple[np.
         post_list.append(pre)
         pre = pre @ weights[i]
         pre += weights[i + 1]
-    h = softmax(pre) if config.output_activation == "softmax" else pre
-    post_list.append(h)
-    return h, MLPCache(x, post_list, pre)
+    post_list.append(pre)
+    return pre, MLPCache(x, post_list)
 
 
 # OpenBLAS 0.3 (measured with its SkylakeX kernels) sends a product of at
@@ -323,60 +315,52 @@ def mlp_backward(
     config: MLPConfig,
     cache: MLPCache,
     output_grad: np.ndarray,
-    hidden_grads: Optional[dict[int, np.ndarray]] = None,
-) -> tuple[ParamSet, Optional[np.ndarray]]:
-    """Backpropagate a gradient w.r.t. the net output through the cache.
+    trunk_grad: Optional[np.ndarray] = None,
+) -> ParamSet:
+    """Backpropagate a gradient w.r.t. the net output through the cache and
+    return the parameter gradients, summed over the batch and written into
+    views of one zeroed vector in `params`'s layout. A one-hot index input's
+    layer-0 weight gradient comes from _index_weight_grad.
 
-    `hidden_grads` maps a layer index to an extra gradient added at that
-    layer's post-activation; this is how a side head (e.g. a value head fed
-    from the last hidden layer) routes its gradient into a shared trunk.
-    Gradients are summed over the batch and written into views of one
-    zeroed vector in `params`'s layout. Also returns the gradient w.r.t.
-    the input batch, or None for a one-hot index input, whose layer-0 weight
-    gradient comes from _index_weight_grad.
+    `trunk_grad` is an extra (n, d) gradient added at the last hidden
+    layer's output; this is how a side head fed from that layer (the
+    actor-critic's value head) routes its gradient into the trunk.
 
     A hidden layer's activation derivative is read from its output (see
     _times_activation_grad). The trunk gradient and the derivative are
     applied in place on the `d_pre @ W.T` product the pass made itself;
-    `output_grad`, `hidden_grads` and the cache are only read.
+    `output_grad`, `trunk_grad` and the cache are only read.
     """
     if len(cache.post) != config.n_layers:
         raise ValueError("cache does not match config")
     g = _as_batch(output_grad, config.layer_sizes[-1], "mlp_backward output_grad")
     if g.shape[0] != cache.inputs.shape[0]:
         raise ValueError("output_grad does not match cached batch")
+    if trunk_grad is not None and (
+            config.n_layers < 2 or np.shape(trunk_grad) != (len(g), config.layer_sizes[-2])):
+        raise ValueError("trunk_grad does not match the last hidden layer")
     inputs = cache.inputs
-    index_input = inputs.dtype.kind in "iu"
     flat = np.zeros(params.n_params())
     grads = _entry_views(flat, params.layout)
     last = config.n_layers - 1
-    d_post = g
+    d_pre = g
     for layer in range(last, -1, -1):
-        post = cache.post[layer]
-        if layer == last:
-            if config.output_activation == "softmax":
-                # exact softmax Jacobian-transpose product, row-wise
-                dot = np.sum(d_post * post, axis=1, keepdims=True)
-                d_pre = post * (d_post - dot)
-            else:
-                d_pre = d_post
-        else:
-            # d_post is this pass's own product, taken over before the
-            # previous layer's d_pre is dropped: the same additions and
-            # products as `d_post + extra` and `d_post * slope`, in place
-            d_pre = d_post
-            if hidden_grads and layer in hidden_grads:
-                d_pre += hidden_grads[layer]
-            _times_activation_grad(d_pre, post)
-        if layer == 0 and index_input:
+        if layer < last:
+            # the gradient w.r.t. this layer's output is this pass's own
+            # product, so the trunk gradient and the slope are applied to it
+            # in place: the same additions and products as
+            # `d_post + trunk_grad` and `d_post * slope`
+            d_pre = d_pre @ params.views[2 * layer + 2].T
+            if layer == last - 1 and trunk_grad is not None:
+                d_pre += trunk_grad
+            _times_activation_grad(d_pre, cache.post[layer])
+        if layer == 0 and inputs.dtype.kind in "iu":
             _index_weight_grad(inputs[:, 0], d_pre, grads[0])
         else:
             h_in = inputs if layer == 0 else cache.post[layer - 1]
             np.matmul(h_in.T, d_pre, out=grads[2 * layer])
         np.sum(d_pre, axis=0, out=grads[2 * layer + 1])
-        if layer or not index_input:
-            d_post = d_pre @ params.views[2 * layer].T
-    return params.with_flat(flat), (None if index_input else d_post)
+    return params.with_flat(flat)
 
 
 def _check_update(params: ParamSet, grads: ParamSet) -> None:

@@ -183,9 +183,10 @@ def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
     unit vector with a 1 at x[i, 0], and layer 0 is the row gather
     `W0[x[:, 0]] + b0`, bitwise equal to the dense product.
 
-    Returns the (n, d_out) output and the activation cache needed for
-    mlp_backward. Every layer allocates fresh arrays: the out-of-place
-    formulas the in-place forward pass must match bit for bit.
+    Returns the (n, d_out) output, which is the last layer's
+    pre-activation, and the activation cache needed for mlp_backward. Every
+    layer allocates fresh arrays: the out-of-place formulas the in-place
+    forward pass must match bit for bit.
     """
     weights = params.views
     x = np.asarray(x)
@@ -204,9 +205,8 @@ def reference_mlp_forward(params: ParamSet, config, x: np.ndarray):
         post = np.tanh(pre)
         post_list.append(post)
         pre = post @ weights[2 * layer] + weights[2 * layer + 1]
-    h = reference_softmax(pre) if config.output_activation == "softmax" else pre
-    post_list.append(h)
-    return h, MLPCache(x, post_list, pre)
+    post_list.append(pre)
+    return pre, MLPCache(x, post_list)
 
 
 def reference_grid_cells(states: np.ndarray, width: int) -> np.ndarray:
@@ -216,16 +216,17 @@ def reference_grid_cells(states: np.ndarray, width: int) -> np.ndarray:
 
 
 def reference_probs(agent, states, grid_width=None) -> np.ndarray:
-    """The policy's action probabilities; a grid policy (`grid_width` set)
-    reads cell indices, any other the raw states."""
+    """The policy's action probabilities, the softmax of its logits; a grid
+    policy (`grid_width` set) reads cell indices, any other the raw
+    states."""
     x = np.asarray(states, dtype=np.float64)
     if x.ndim < 2:
         x = x.reshape(1, -1)
     if grid_width is not None:
         x = reference_grid_cells(x, grid_width)
-    probs, pcache = reference_mlp_forward(agent.policy_params, agent.policy_config, x)
-    assert np.isfinite(pcache.logits).all()
-    return probs
+    logits, _ = reference_mlp_forward(agent.policy_params, agent.policy_config, x)
+    assert np.isfinite(logits).all()
+    return reference_softmax(logits)
 
 
 def reference_act_batch(agent, states, rng: np.random.Generator, grid_width=None):
@@ -273,23 +274,19 @@ def paramset_with(like: ParamSet, entries: dict | None = None, fill: float | Non
     return out
 
 
-def per_entry_backward(params: ParamSet, config, cache, output_grad, hidden_grads=None) -> list:
+def per_entry_backward(params: ParamSet, config, cache, output_grad, trunk_grad=None) -> list:
     """mlp_backward's gradients for a float input batch, one freshly
     allocated array per entry (each layer's weight, then its bias): the
     reference for the views into one gradient vector, computed out of
-    place. `hidden_grads` may not name the output layer."""
+    place. `trunk_grad` is added at the last hidden layer's output."""
     grads = [None] * (2 * config.n_layers)
+    last = config.n_layers - 1
     d_post = output_grad
     for layer in reversed(range(config.n_layers)):
         post = cache.post[layer]
-        if hidden_grads and layer in hidden_grads:
-            d_post = d_post + hidden_grads[layer]
-        if layer < config.n_layers - 1:
-            d_pre = d_post * (1.0 - post * post)
-        elif config.output_activation == "softmax":
-            d_pre = post * (d_post - np.sum(d_post * post, axis=1, keepdims=True))
-        else:
-            d_pre = d_post
+        if layer == last - 1 and trunk_grad is not None:
+            d_post = d_post + trunk_grad
+        d_pre = d_post if layer == last else d_post * (1.0 - post * post)
         h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
         grads[2 * layer], grads[2 * layer + 1] = h_in.T @ d_pre, d_pre.sum(axis=0)
         d_post = d_pre @ params.views[2 * layer].T

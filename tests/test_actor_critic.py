@@ -12,7 +12,8 @@ from logicrl.actor_critic import (
     policy_value_loss,
     standardize_advantages,
 )
-from logicrl.envs import GridWorld
+from logicrl.envs import CartPole, GridWorld
+from logicrl.tensor import log_softmax
 from oracles import (
     dense_grid_onehot_features,
     direct_sum_oracle,
@@ -21,6 +22,9 @@ from oracles import (
     gae_column,
     grads_match,
     paramset_with,
+    per_entry_backward,
+    reference_mlp_forward,
+    reference_softmax,
 )
 
 
@@ -295,6 +299,52 @@ def test_loss_gradients_match_finite_differences():
 
     assert grads_match(pi_grads.flat(), fd_gradient(loss_wrt_policy, agent.policy_params))
     assert grads_match(vf_grads.flat(), fd_gradient(loss_wrt_value, agent.value_params))
+
+
+def reference_loss_grads(agent, x, actions, advantages, returns):
+    """policy_value_loss's policy and value gradients from the out-of-place
+    references, on the net input `x`: the forward pass and the softmax, the
+    loss's gradient w.r.t. the probabilities taken back through the softmax
+    Jacobian-transpose product, and per_entry_backward, fed the value
+    head's input gradient as the policy's trunk gradient."""
+    n = len(actions)
+    logits, pcache = reference_mlp_forward(agent.policy_params, agent.policy_config, x)
+    values, vcache = reference_mlp_forward(agent.value_params, agent.value_config, pcache.post[-2])
+    probs = reference_softmax(logits)
+    rows = np.arange(n)
+    d_probs = agent.entropy_coef * (log_softmax(logits) + 1.0) / n
+    d_probs[rows, actions] += -(standardize_advantages(advantages) / probs[rows, actions]) / n
+    d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
+    d_values = ((2.0 * agent.value_coef / n) * (values[:, 0] - returns))[:, None]
+    trunk = d_values @ agent.value_params.views[0].T
+    return (per_entry_backward(agent.policy_params, agent.policy_config, pcache, d_logits, trunk),
+            per_entry_backward(agent.value_params, agent.value_config, vcache, d_values))
+
+
+@pytest.mark.parametrize("shape", ["cartpole", "grid"])
+def test_loss_gradients_equal_the_per_entry_reference_bit_for_bit(shape):
+    """At the training batch shapes (400 cart-pole rows; 1000 grid rows,
+    whose one-hot index input is checked against its dense rows), both
+    gradient vectors of policy_value_loss equal the out-of-place reference
+    in every bit."""
+    rng = np.random.default_rng(9)
+    if shape == "cartpole":
+        states = rng.normal(scale=0.5, size=(400, 4))
+        agent = ActorCritic(4, CartPole().action_spec.count, seed=9)
+        x = states
+    else:
+        states = bridge_states(1000, seed=9)
+        dim, featurize = grid_onehot_features(20, 20)
+        agent = ActorCritic(dim, GridWorld().action_spec.count, seed=9, featurize=featurize)
+        x = dense_grid_onehot_features(20, 20)[1](states)
+    n = len(states)
+    actions = rng.integers(0, agent.n_actions, size=n)
+    advantages, returns = rng.normal(size=n), rng.normal(size=n)
+    _, pi_grads, vf_grads, _ = policy_value_loss(agent, states, actions, advantages, returns)
+    want_pi, want_vf = reference_loss_grads(agent, x, actions, advantages, returns)
+    for got, want in ((pi_grads, want_pi), (vf_grads, want_vf)):
+        assert [a.shape for a in want] == [shape for _, shape in got.layout]
+        assert got.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
 
 
 def test_small_step_raises_log_prob_of_positive_advantage_actions():

@@ -143,6 +143,50 @@ def test_end_of_input_after_a_comment_sits_past_the_last_character():
     assert (exc.value.line, exc.value.col) == (3, 1)
 
 
+# name: (the source nested d deep, the deepest legal d, the width of one
+# level's text). An `exists` is three levels (not forall not) and the
+# quantified bodies sit in one parenthesis; the deepest legal `forall` nest
+# is the bind limit, well under the parser's.
+NESTED_FORMS = {
+    "parentheses": (lambda d: "(" * d + "s[0] <= 5" + ")" * d, fl.MAX_NESTING, 1),
+    "not": (lambda d: "not " * d + "s[0] <= 5", fl.MAX_NESTING, 4),
+    "conjunction": (lambda d: "(s[1] >= 0 and " * d + "s[0] <= 5" + ")" * d, fl.MAX_NESTING, 15),
+    "exists": (lambda d: "exists u in unsafe: " * d + "(norm2(s - u) < 2)",
+               (fl.MAX_NESTING - 1) // 3, 20),
+    "forall": (lambda d: "forall u in unsafe: " * d + "(2 <= norm2(s - u))",
+               fl.MAX_QUANTIFIERS, 20),
+}
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_deepest_legal_nest_parses_binds_scores_and_round_trips(form):
+    """The deepest legal formula of each form scores a batch as its two-deep
+    twin does, and to_text writes back text that parses to it."""
+    source, depth, _ = NESTED_FORMS[form]
+    registry = registry_with(unsafe=[[1.0, 1.0], [4.0, 4.0], [9.0, 0.0]])
+    states = np.array([[0.0, 0.0], [1.0, 2.0], [6.0, 3.0], [9.0, 9.0], [4.0, 4.0]])
+    f = fl.parse(source(depth))
+    assert fl.parse(fl.to_text(f)) == f
+    got = fl.bind(f, registry, GRID_SCHEMA).evaluate_batch(states)
+    want = fl.bind(fl.parse(source(2)), registry, GRID_SCHEMA).evaluate_batch(states)
+    assert got.tolist() == want.tolist() and got.any() and not got.all()
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_one_level_past_the_nesting_limit_is_a_syntax_error_at_its_token(form):
+    """The unit that passes MAX_NESTING is refused where it starts, before
+    any recursion limit; a `forall` nest past MAX_QUANTIFIERS parses but
+    does not bind."""
+    source, depth, width = NESTED_FORMS[form]
+    if form == "forall":
+        with pytest.raises(fl.BindError, match="nested quantifiers"):
+            fl.bind(fl.parse(source(depth + 1)), registry_with(unsafe=[[1.0, 1.0]]), GRID_SCHEMA)
+        depth = fl.MAX_NESTING
+    with pytest.raises(fl.FLSyntaxError, match="nested") as exc:
+        fl.parse("# deep\n" + source(depth + 1))
+    assert (exc.value.line, exc.value.col) == (2, depth * width + 1)
+
+
 def test_load_constraint_file(tmp_path):
     path = tmp_path / "keepout.fl"
     path.write_text("# keep away\nforall u in unsafe: 1.5 <= norm2(s - u)\n")

@@ -276,6 +276,47 @@ def test_cli_train_into_checkpoints_with_a_stray_file_exits_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _tree_bytes(root) -> dict:
+    """Every file under `root`, by relative path, with its bytes."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fp:
+                out[os.path.relpath(path, root)] = fp.read()
+    return out
+
+
+@pytest.mark.parametrize("broken", ["bind error", "syntax error", "map without S"])
+def test_cli_train_that_fails_on_its_config_leaves_the_earlier_run(tmp_path, capsys, broken):
+    """A rerun whose `.fl` file does not parse or bind, or whose map does not
+    load, exits 2 before it touches the run directory: every file of the
+    earlier run keeps its bytes."""
+    args = ["train", "--env", "gridworld", "--seeds", "0", "--steps", "40",
+            "--eval-every", "20", "--rollout-length", "10", "--batch-size", "2",
+            "--eval-horizon", "10", "--experiment", "mini", "--out", str(tmp_path / "runs")]
+    with open("configs/grid_bridge.map") as fp:
+        bridge = fp.read()
+    layout = tmp_path / "bridge.map"
+    layout.write_text(bridge)
+    assert main([*args, "--layout", str(layout),
+                 "--constraint", "configs/grid_keepout.fl"]) == 0
+    run_dir = tmp_path / "runs" / "mini" / "seed_0"
+    before = _tree_bytes(run_dir)
+    assert len([k for k in before if k.startswith("checkpoints")]) == 2 * 4
+    constraint = tmp_path / "broken.fl"
+    constraint.write_text({"bind error": "forall u in nosuchset: 1 <= norm2(s - u)\n",
+                           "syntax error": "forall u in unsafe 1 <= norm2(s - u)\n",
+                           "map without S": "forall u in unsafe: 1 <= norm2(s - u)\n"}[broken])
+    if broken == "map without S":
+        layout = tmp_path / "no_start.map"
+        layout.write_text(bridge.replace("S", "."))
+    capsys.readouterr()
+    assert main([*args, "--layout", str(layout), "--constraint", str(constraint)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _tree_bytes(run_dir) == before
+
+
 @pytest.mark.parametrize("blocker", ["run/seed_0/checkpoints", "run/seed_0"])
 def test_cli_train_where_a_run_directory_is_a_file_exits_2(tmp_path, capsys, blocker):
     """A plain file where the run needs a directory is a one-line config
@@ -481,6 +522,46 @@ def test_emit_curves_window_one_equals_raw(tmp_path):
     assert means == [float(i * i) for i in range(6)]
 
 
+def test_emit_curves_refuses_files_whose_steps_differ(tmp_path):
+    """Curves average row i of every file, so the files must agree on the
+    step of each row they all have: runs of another eval_every, or a seed
+    whose malformed row was skipped, are refused, naming the file and the
+    first step that differs, and nothing is written."""
+    def row(step):
+        return [step, step // 40, 5.0, 0.9, 10, 0.1, 0.2, 1.5, 0]
+
+    _write_metrics(tmp_path / "a.csv", [row(40), row(80), row(120)])
+    _write_metrics(tmp_path / "b.csv", [row(40), row(80)])  # shorter: fine
+    _write_metrics(tmp_path / "c.csv", [row(60), row(120), row(180)])
+    with open(tmp_path / "d.csv", "w") as fp:
+        fp.write(METRICS_HEADER + "\n")
+        fp.write(",".join(map(str, row(40))) + "\n")
+        fp.write("80,2,not_a_number,0.5,3,0.1,0.2,1.5,0\n")
+        fp.write(",".join(map(str, row(120))) + "\n")
+    out = tmp_path / "plots"
+    written, _ = emit_curves([str(tmp_path / "a.csv"), str(tmp_path / "b.csv")], out)
+    assert written
+    shutil.rmtree(out)
+    for other, first, want in (("c", 1, "step 60, but in {a} at step 40"),
+                               ("d", 2, "step 120, but in {a} at step 80")):
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / f"{other}.csv")]
+        with pytest.raises(ConfigError) as exc:
+            emit_curves(paths, out)
+        assert str(exc.value).startswith(
+            f"{paths[2]}: usable row {first} is at " + want.format(a=paths[0]))
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--window-scores", "--window-errors"])
+def test_cli_plot_with_a_window_below_one_exits_2_before_writing(tmp_path, capsys, flag):
+    _write_metrics(tmp_path / "m.csv", [[40, 1, 5.0, 0.9, 10, 0.1, 0.2, 1.5, 0]])
+    out = tmp_path / "plots"
+    assert main(["plot", str(tmp_path / "m.csv"), "--out", str(out), flag, "0"]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_emit_curves_requires_input(tmp_path):
     with pytest.raises(ConfigError):
         emit_curves([], tmp_path)
@@ -662,6 +743,22 @@ def test_cli_check_constraint_with_a_quantifier_variable_named_s_exits_2(tmp_pat
     assert main(["check-constraint", str(shadow), "--env", "gridworld"]) == 2
     err = capsys.readouterr().err
     assert err == "error: quantifier variable 's' would be read as the state; rename it\n"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("(" * 400 + "s[0] <= 1" + ")" * 400,
+     "more than 100 nested parentheses, 'not's and quantifiers (line 1, column 101)"),
+    ("not " * 1200 + "s[0] <= 1",
+     "more than 100 nested parentheses, 'not's and quantifiers (line 1, column 401)"),
+    ("forall u in unsafe: " * 63 + "1 <= norm2(s - u)", "more than 62 nested quantifiers"),
+], ids=["parentheses", "not", "quantifiers"])
+def test_cli_check_constraint_nested_too_deep_exits_2(tmp_path, capsys, source, message):
+    """A formula nested past the limit is a config error with one line, not
+    a RecursionError reported as a runtime failure."""
+    deep = tmp_path / "deep.fl"
+    deep.write_text(source + "\n")
+    assert main(["check-constraint", str(deep), "--env", "gridworld"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("verb", ["plot_out_is_a_file", "plot_out_under_a_file",

@@ -33,21 +33,26 @@ def assert_same_forward(params, config, x):
     assert np.array_equal(cache.inputs, ref_cache.inputs)
     assert cache.inputs.dtype == ref_cache.inputs.dtype
     assert len(cache.post) == len(ref_cache.post) == config.n_layers
-    for got, want in zip(cache.post + [cache.logits], ref_cache.post + [ref_cache.logits]):
+    for got, want in zip(cache.post, ref_cache.post):
         assert np.array_equal(got, want)
+    return out, ref_out
 
 
-# Each case id names the hidden activation too: tanh, the only one.
-@pytest.mark.parametrize("output", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
+# Each case id names the hidden activation too: tanh, the only one. The
+# head is what reads the linear output: a regressor ("identity") takes it
+# as it is, the policy ("softmax") takes its softmax.
+@pytest.mark.parametrize("head", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
 @pytest.mark.parametrize("index_input", [False, True])
 @pytest.mark.parametrize("n", [1, 20, 1000])
-def test_forward_matches_out_of_place_reference(output, index_input, n):
+def test_forward_matches_out_of_place_reference(head, index_input, n):
     width = 400 if index_input else 6
-    config = MLPConfig((width, 16, 8, 5), output)
+    config = MLPConfig((width, 16, 8, 5))
     params = randomized(mlp_init(config, seed=n), seed=n + 1)
     rng = np.random.default_rng(n)
     x = rng.integers(0, width, size=(n, 1)) if index_input else rng.normal(size=(n, width))
-    assert_same_forward(params, config, x)
+    out, ref_out = assert_same_forward(params, config, x)
+    if head == "softmax":
+        assert np.array_equal(softmax(out), reference_softmax(ref_out))
 
 
 def test_softmax_matches_reference_and_leaves_its_input():

@@ -65,8 +65,6 @@ def test_config_validation():
         MLPConfig((3,))
     with pytest.raises(ValueError):
         MLPConfig((3, 0, 1))
-    with pytest.raises(ValueError):
-        MLPConfig((3, 2), output_activation="tanh")
 
 
 # -- forward ------------------------------------------------------------------
@@ -104,7 +102,7 @@ def test_forward_hand_computed_tanh_net():
 
 
 def test_forward_batch_matches_single():
-    config = MLPConfig((3, 5, 4), output_activation="softmax")
+    config = MLPConfig((3, 5, 4))
     params = mlp_init(config, seed=5)
     batch = np.random.default_rng(1).normal(size=(6, 3))
     out_batch, _ = mlp_forward(params, config, batch)
@@ -115,7 +113,7 @@ def test_forward_batch_matches_single():
 
 
 def test_forward_repeat_calls_bit_identical():
-    config = MLPConfig((3, 5, 4), output_activation="softmax")
+    config = MLPConfig((3, 5, 4))
     params = mlp_init(config, seed=5)
     batch = np.random.default_rng(1).normal(size=(6, 3))
     out1, _ = mlp_forward(params, config, batch)
@@ -140,9 +138,8 @@ def test_backward_zero_grad_is_zero():
     config = MLPConfig((3, 4, 2))
     params = mlp_init(config, seed=1)
     out, cache = mlp_forward(params, config, np.array([[0.1, 0.2, 0.3]]))
-    grads, input_grad = mlp_backward(params, config, cache, np.zeros_like(out))
+    grads = mlp_backward(params, config, cache, np.zeros_like(out))
     assert all(np.all(g == 0) for _, g in grads)
-    assert np.all(input_grad == 0)
 
 
 def test_backward_scalar_net():
@@ -150,7 +147,7 @@ def test_backward_scalar_net():
     config = MLPConfig((1, 1))
     params = ParamSet([("w0", np.array([[3.0]])), ("b0", np.array([0.0]))])
     _, cache = mlp_forward(params, config, np.array([[2.0]]))
-    grads, _ = mlp_backward(params, config, cache, np.array([[1.0]]))
+    grads = mlp_backward(params, config, cache, np.array([[1.0]]))
     assert grads["w0"][0, 0] == 2.0
     assert grads["b0"][0] == 1.0
 
@@ -168,87 +165,92 @@ def test_backward_rejects_mismatched_cache():
     "config,seed",
     [
         (MLPConfig((3, 8, 4, 2)), 10),
-        (MLPConfig((2, 16, 3), "softmax"), 11),
+        (MLPConfig((2, 16, 3)), 11),
         (MLPConfig((4, 12, 6, 3)), 12),
-        (MLPConfig((5, 64, 2), "softmax"), 13),
+        (MLPConfig((5, 64, 2)), 13),
     ],
 )
 def test_backward_matches_finite_differences(config, seed):
     rng = np.random.default_rng(seed)
     params = mlp_init(config, seed=seed)
     x = rng.normal(size=(4, config.layer_sizes[0]))
-    if config.output_activation == "softmax":
-        targets = rng.integers(config.layer_sizes[-1], size=4)
+    v = rng.normal(size=config.layer_sizes[-1])
 
-        def loss_fn(p):
-            out, _ = mlp_forward(p, config, x)
-            return -np.log(out[np.arange(4), targets]).sum()
+    def loss_fn(p):
+        out, _ = mlp_forward(p, config, x)
+        return float(np.sum(out * v))
 
-        out, cache = mlp_forward(params, config, x)
-        g_out = np.zeros_like(out)
-        g_out[np.arange(4), targets] = -1.0 / out[np.arange(4), targets]
-    else:
-        v = rng.normal(size=config.layer_sizes[-1])
-
-        def loss_fn(p):
-            out, _ = mlp_forward(p, config, x)
-            return float(np.sum(out * v))
-
-        _, cache = mlp_forward(params, config, x)
-        g_out = np.tile(v, (4, 1))
-    grads, _ = mlp_backward(params, config, cache, g_out)
+    _, cache = mlp_forward(params, config, x)
+    grads = mlp_backward(params, config, cache, np.tile(v, (4, 1)))
     numeric = fd_gradient(loss_fn, params)
     assert grads_match(grads.flat(), numeric)
 
 
-def test_backward_input_gradient_matches_fd():
-    config = MLPConfig((3, 6, 2))
-    params = mlp_init(config, seed=2)
-    x = np.array([[0.4, -0.2, 0.9]])
-    v = np.array([[0.7, -1.3]])
-    _, cache = mlp_forward(params, config, x)
-    _, input_grad = mlp_backward(params, config, cache, v)
-    eps = 1e-6
-    for i in range(3):
-        up, dn = x.copy(), x.copy()
-        up[0, i] += eps
-        dn[0, i] -= eps
-        num = (np.sum(mlp_forward(params, config, up)[0] * v)
-               - np.sum(mlp_forward(params, config, dn)[0] * v)) / (2 * eps)
-        assert abs(input_grad[0, i] - num) < 1e-6
+def test_backward_trunk_gradient_matches_fd():
+    """`trunk_grad` is the gradient of a side loss read from the last hidden
+    layer's output: the parameter gradients are those of the sum of both
+    losses. A trunk gradient of another shape, or for a net with no hidden
+    layer, raises."""
+    rng = np.random.default_rng(2)
+    x, v = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+    for config in (MLPConfig((3, 6, 2)), MLPConfig((3, 5, 6, 2))):
+        params = mlp_init(config, seed=2)
+        u = rng.normal(size=(3, config.layer_sizes[-2]))
+
+        def loss_fn(p):
+            out, cache = mlp_forward(p, config, x)
+            return float(np.sum(out * v) + np.sum(cache.post[-2] * u))
+
+        _, cache = mlp_forward(params, config, x)
+        grads = mlp_backward(params, config, cache, v, trunk_grad=u)
+        assert grads_match(grads.flat(), fd_gradient(loss_fn, params))
+        for bad in (u[:2], u[:, :-1]):
+            with pytest.raises(ValueError, match="trunk_grad"):
+                mlp_backward(params, config, cache, v, trunk_grad=bad)
+    one_layer = MLPConfig((3, 2))
+    params = mlp_init(one_layer, seed=2)
+    _, cache = mlp_forward(params, one_layer, x)
+    with pytest.raises(ValueError, match="trunk_grad"):
+        mlp_backward(params, one_layer, cache, v, trunk_grad=x)
 
 
-# Each case id names the hidden activation too: tanh, the only one.
-@pytest.mark.parametrize("output", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
+# Each case id names the hidden activation too: tanh, the only one. The
+# head is what reads the linear output: a regressor ("identity") takes its
+# gradient as it is; the policy ("softmax") takes it back through the
+# softmax Jacobian-transpose product, as policy_value_loss does.
+@pytest.mark.parametrize("head", ["identity", "softmax"], ids=lambda o: f"{o}-tanh")
 @pytest.mark.parametrize("index_input", [False, True])
 @pytest.mark.parametrize("n", [1, 20, 1000])
-def test_backward_writes_nothing_its_caller_owns(output, index_input, n):
+def test_backward_writes_nothing_its_caller_owns(head, index_input, n):
     """The backward pass works in place only on arrays it made: the output
-    gradient, the extra hidden-layer gradients and every cached array keep
-    their bits, and the gradients equal the out-of-place reference."""
+    gradient, the trunk gradient and every cached array keep their bits,
+    and the gradients equal the out-of-place reference."""
     width = 400 if index_input else 6
-    config = MLPConfig((width, 16, 8, 5), output)
+    config = MLPConfig((width, 16, 8, 5))
     rng = np.random.default_rng(n)
     params = mlp_init(config, seed=n)
     params = params.with_flat(rng.normal(scale=0.5, size=params.n_params()))
     x = rng.integers(0, width, size=(n, 1)) if index_input else rng.normal(size=(n, width))
-    _, cache = mlp_forward(params, config, x)
+    out, cache = mlp_forward(params, config, x)
     g_out = rng.normal(size=(n, 5))
-    hidden = {0: rng.normal(size=(n, 16)), 1: rng.normal(size=(n, 8))}
-    owned = [cache.inputs, *cache.post, cache.logits, g_out, *hidden.values()]
+    if head == "softmax":
+        probs = softmax(out)
+        g_out = probs * (g_out - np.sum(g_out * probs, axis=1, keepdims=True))
+    trunk = rng.normal(size=(n, 8))
+    owned = [cache.inputs, *cache.post, g_out, trunk]
     before = [a.copy() for a in owned]
-    grads, _ = mlp_backward(params, config, cache, g_out, hidden)
+    grads = mlp_backward(params, config, cache, g_out, trunk)
     for got, want in zip(owned, before):
         assert same_bits(got, want)
     if not index_input:
-        want = oracles.per_entry_backward(params, config, cache, g_out, hidden)
+        want = oracles.per_entry_backward(params, config, cache, g_out, trunk)
         assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
 
 
 # -- one-hot index input -------------------------------------------------------
 
 
-GRID_POLICY = MLPConfig((400, 64, 64, 5), "softmax")
+GRID_POLICY = MLPConfig((400, 64, 64, 5))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -274,18 +276,17 @@ def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
         assert len(np.unique(idx)) < n  # some cells repeat
     rng = np.random.default_rng(n + 1)
     g_out = rng.normal(size=(n, 5))
-    hidden = {1: rng.normal(size=(n, 64))} if with_hidden else None
+    trunk = rng.normal(size=(n, 64)) if with_hidden else None
     out_i, cache_i = mlp_forward(params, GRID_POLICY, idx)
     out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
     assert same_bits(out_i, out_d)
-    for a, b in zip(cache_i.post + [cache_i.logits], cache_d.post + [cache_d.logits]):
+    for a, b in zip(cache_i.post, cache_d.post):
         assert same_bits(a, b)
-    grads_i, input_grad_i = mlp_backward(params, GRID_POLICY, cache_i, g_out, hidden)
-    grads_d, input_grad_d = mlp_backward(params, GRID_POLICY, cache_d, g_out, hidden)
+    grads_i = mlp_backward(params, GRID_POLICY, cache_i, g_out, trunk)
+    grads_d = mlp_backward(params, GRID_POLICY, cache_d, g_out, trunk)
     assert grads_i.layout == grads_d.layout
     for (name, got), (_, want) in zip(grads_i, grads_d):
         assert same_bits(got, want), name
-    assert input_grad_i is None and input_grad_d.shape == (n, 400)
     unvisited = np.setdiff1d(np.arange(400), idx)
     assert np.all(grads_i["w0"][unvisited] == 0.0)
 
@@ -311,8 +312,8 @@ def test_visited_cell_weight_gradient_bitwise_equals_dense(n_cells):
         params = mlp_init(config, seed=n_cells)
         _, cache_i = mlp_forward(params, config, idx)
         _, cache_d = mlp_forward(params, config, dense_onehot(idx, 400))
-        grads_i, _ = mlp_backward(params, config, cache_i, g_out)
-        grads_d, _ = mlp_backward(params, config, cache_d, g_out)
+        grads_i = mlp_backward(params, config, cache_i, g_out)
+        grads_d = mlp_backward(params, config, cache_d, g_out)
         for (name, got), (_, want) in zip(grads_i, grads_d):
             assert same_bits(got, want), name
         assert not np.any(grads_i["w0"][np.setdiff1d(np.arange(400), cells)])
@@ -327,8 +328,8 @@ def test_negative_index_gradient_matches_its_forward_alias():
     g_out = np.random.default_rng(5).normal(size=(5, 5))
     _, cache_i = mlp_forward(params, GRID_POLICY, idx)
     _, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot(idx, 400))
-    grads_i, _ = mlp_backward(params, GRID_POLICY, cache_i, g_out)
-    grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
+    grads_i = mlp_backward(params, GRID_POLICY, cache_i, g_out)
+    grads_d = mlp_backward(params, GRID_POLICY, cache_d, g_out)
     assert all(same_bits(got, want) for (_, got), (_, want) in zip(grads_i, grads_d))
 
 
@@ -338,9 +339,8 @@ def test_single_index_bitwise_equals_dense_row():
     out_d, cache_d = mlp_forward(params, GRID_POLICY, dense_onehot([37], 400))
     assert out_i.shape == (1, 5) and same_bits(out_i, out_d)
     g_out = np.linspace(-1.0, 1.0, 5)[None, :]
-    grads_i, input_grad = mlp_backward(params, GRID_POLICY, cache_i, g_out)
-    grads_d, _ = mlp_backward(params, GRID_POLICY, cache_d, g_out)
-    assert input_grad is None
+    grads_i = mlp_backward(params, GRID_POLICY, cache_i, g_out)
+    grads_d = mlp_backward(params, GRID_POLICY, cache_d, g_out)
     assert all(same_bits(got, want) for (_, got), (_, want) in zip(grads_i, grads_d))
 
 
@@ -573,7 +573,7 @@ def raw_bytes(fields: dict, **edits) -> bytes:
 
 
 def test_paramset_checkpoint_roundtrip(tmp_path):
-    config = MLPConfig((3, 5, 2), "softmax")
+    config = MLPConfig((3, 5, 2))
     params = mlp_init(config, seed=9)
     path = tmp_path / "policy.params"
     untrained = mlp_init(config, seed=10)
@@ -818,7 +818,7 @@ def test_sparse_archive_keeps_every_bit(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "config", [MLPConfig((3, 5, 6, 4), "softmax"), MLPConfig((3, 5, 6, 2))]
+    "config", [MLPConfig((3, 5, 6, 4)), MLPConfig((3, 5, 6, 2))]
 )
 def test_paramset_is_read_only_views_of_one_vector(config):
     """Writing into an entry or the vector raises; `with_flat(v)` reads `v`
@@ -835,10 +835,10 @@ def test_paramset_is_read_only_views_of_one_vector(config):
     assert all(np.shares_memory(view, v) for _, view in wrapped)
     rng = np.random.default_rng(6)
     x, g_out = rng.normal(size=(7, 3)), rng.normal(size=(7, config.layer_sizes[-1]))
-    hidden = {1: rng.normal(size=(7, 6))}
+    trunk = rng.normal(size=(7, 6))
     _, cache = mlp_forward(params, config, x)
-    grads, _ = mlp_backward(params, config, cache, g_out, hidden)
-    want = oracles.per_entry_backward(params, config, cache, g_out, hidden)
+    grads = mlp_backward(params, config, cache, g_out, trunk)
+    want = oracles.per_entry_backward(params, config, cache, g_out, trunk)
     assert [a.shape for a in want] == [shape for _, shape in grads.layout]
     assert grads.flat().tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
     before = params.flat()
