@@ -200,9 +200,10 @@ def policy_value_loss(
 
     value_grads = mlp_backward(model.value_params, model.value_config, vcache, d_values[:, None])
     # the value head is one linear layer on the last hidden layer: its input
-    # gradient is the trunk's extra gradient there
-    d_trunk = d_values[:, None] @ model.value_params.views[0].T
-    policy_grads = mlp_backward(model.policy_params, model.policy_config, pcache, d_logits, d_trunk)
+    # gradient is the trunk's extra gradient there. It is passed inline, so
+    # mlp_backward holds its only reference and frees it once it is added.
+    policy_grads = mlp_backward(model.policy_params, model.policy_config, pcache, d_logits,
+                                d_values[:, None] @ model.value_params.views[0].T)
     stats = {
         "loss": loss,
         "policy_loss": pg_loss,

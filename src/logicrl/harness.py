@@ -60,6 +60,12 @@ class RunConfig:
     sys3: System3Config = field(default_factory=System3Config)
 
     def __post_init__(self):
+        # the run directories are <out>/<experiment>/seed_<n>, and a train
+        # empties each one's checkpoints/: the name must stay under `out`
+        parts = self.experiment.replace(os.sep, "/").split("/")
+        if not self.experiment or os.path.isabs(self.experiment) or ".." in parts:
+            raise ConfigError(f"experiment must be a relative path inside out with no '..' "
+                              f"component, got {self.experiment!r}")
         if self.env not in ("gridworld", "cartpole"):
             raise ConfigError(f"unknown env {self.env!r} (gridworld or cartpole)")
         if not self.seeds:
@@ -451,6 +457,7 @@ def export_value_grid(checkpoint: str, out_csv: str, out_svg: str | None = None)
         for y in range(h):
             fp.write(str(y) + "," + ",".join(repr(float(v)) for v in values[y]) + "\n")
     if out_svg is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(out_svg)), exist_ok=True)
         with open(out_svg, "w") as fp:
             fp.write(heatmap_svg(values, title="state values V(s)"))
     return values

@@ -287,18 +287,30 @@ def _index_weight_grad(idx: np.ndarray, d_pre: np.ndarray, out: np.ndarray) -> N
     order whatever the row count, so only the rows of the visited cells are
     computed and the rest stay zero. Too few rows would leave the dense
     product's kernel, so unvisited cells pad the visited ones up to `floor`
-    rows."""
+    rows.
+
+    The (n, cells) one-hot is built one block of `floor` cell columns at a
+    time, each block freed before the next is made; the last block takes
+    the remainder, so none is narrower than `floor` and every product stays
+    in the dense product's kernel. The one-hot transient is thus at most
+    n * (2 * floor - 1) floats, whatever the number of cells."""
     width = len(out)
     n, h = d_pre.shape
     floor = min(width, max(2, _SMALL_GEMM_MAX_MACS // (n * h) + 1))
     idx = idx % width  # the forward gather read a negative index from the end
-    cells, col = np.unique(idx, return_inverse=True)
-    if len(cells) < floor:
-        cells, col = np.unique(np.concatenate([idx, np.arange(floor)]), return_inverse=True)
-        col = col[:n]
-    onehot = np.zeros((n, len(cells)))
-    onehot[np.arange(n), col] = 1.0
-    out[cells] = onehot.T @ d_pre
+    visited = np.zeros(width, dtype=bool)
+    visited[idx] = True
+    if np.count_nonzero(visited) < floor:
+        visited[:floor] = True
+    cells = np.flatnonzero(visited)
+    col = np.cumsum(visited)[idx] - 1  # each row's column: its cell's rank
+    edges = list(range(0, len(cells) - floor + 1, floor)) + [len(cells)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = np.flatnonzero((col >= lo) & (col < hi))
+        onehot = np.zeros((n, hi - lo))
+        onehot[rows, col[rows] - lo] = 1.0
+        out[cells[lo:hi]] = onehot.T @ d_pre
+        del onehot  # before the next block's is made
 
 
 def _times_activation_grad(d_post: np.ndarray, post: np.ndarray) -> None:
@@ -324,7 +336,10 @@ def mlp_backward(
 
     `trunk_grad` is an extra (n, d) gradient added at the last hidden
     layer's output; this is how a side head fed from that layer (the
-    actor-critic's value head) routes its gradient into the trunk.
+    actor-critic's value head) routes its gradient into the trunk. The pass
+    drops its reference once the gradient is added, so a trunk gradient
+    passed inline, with no other reference, is freed before the lower
+    layers' steps run rather than when the pass returns.
 
     A hidden layer's activation derivative is read from its output (see
     _times_activation_grad). The trunk gradient and the derivative are
@@ -353,6 +368,9 @@ def mlp_backward(
             d_pre = d_pre @ params.views[2 * layer + 2].T
             if layer == last - 1 and trunk_grad is not None:
                 d_pre += trunk_grad
+                # the last reference if the caller passed the array inline:
+                # it is freed here, before this layer's slope, not at return
+                trunk_grad = None
             _times_activation_grad(d_pre, cache.post[layer])
         if layer == 0 and inputs.dtype.kind in "iu":
             _index_weight_grad(inputs[:, 0], d_pre, grads[0])

@@ -14,9 +14,11 @@ seeded nets and on the last checkpoint of a shipped-shape acceptance run:
   goes to OpenBLAS's blocked kernel and the 20-row one to its small-matrix
   kernel.
 
-The third contract, that the layer-0 weight gradient over the visited cells
-equals the dense one-hot product, is stated by
-`test_tensor.py::test_visited_cell_weight_gradient_bitwise_equals_dense`.
+The third contract is that the layer-0 weight gradient over the visited
+cells, built one block of one-hot columns at a time, equals the dense
+one-hot product. `test_tensor.py::test_visited_cell_weight_gradient_bitwise_equals_dense`
+states it at the block edges; here it is stated on one grid rollout of
+T*B index rows, whose real visited cells fill several blocks.
 
 One inequality is stated as a fact too. The evaluation predicts its
 H = 1000 steps one row at a time, and numpy sends a one-row product to gemv,
@@ -29,7 +31,9 @@ import numpy as np
 import pytest
 
 from conftest import checkpoints_of
+from logicrl.tensor import _SMALL_GEMM_MAX_MACS, mlp_backward, mlp_forward
 from logicrl.training import System3Config, Trainer
+from oracles import dense_onehot
 
 # (rollout_length T, batch_size B) of configs/grid_bridge.cfg and
 # configs/cartpole_delayed.cfg
@@ -104,6 +108,23 @@ def test_grid_policy_table_equals_batch_forwards(request, source):
         probs, values, _, _ = trainer.agent.policy_value(batch)
         assert same_bits(probs, table_probs[index]), f"policy, batch {t}"
         assert same_bits(values, table_values[index]), f"value, batch {t}"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_rollout_policy_backward_over_index_rows_equals_dense_rows(request, source):
+    T, B = SHAPES["gridworld"]
+    trainer = shipped_trainer(request, "gridworld", source)
+    record, _, _ = trainer._collect_rollout()
+    index = trainer.agent.featurize(record.states.reshape(T * B, -1))
+    params, config = trainer.agent.policy_params, trainer.agent.policy_config
+    floor = _SMALL_GEMM_MAX_MACS // (T * B * config.layer_sizes[1]) + 1
+    assert len(np.unique(index)) >= 2 * floor  # the one-hot is built in two blocks or more
+    rng = np.random.default_rng(T * B)
+    g_out = rng.normal(size=(T * B, trainer.n_actions))
+    trunk = rng.normal(size=(T * B, config.layer_sizes[-2]))
+    grads = [mlp_backward(params, config, mlp_forward(params, config, x)[1], g_out, trunk)
+             for x in (index, dense_onehot(index, config.layer_sizes[0]))]
+    assert same_bits(grads[0].flat(), grads[1].flat())
 
 
 @pytest.mark.parametrize("source", SOURCES)

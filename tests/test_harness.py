@@ -118,6 +118,30 @@ def test_cli_rejects_repeated_or_negative_seeds_before_writing(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("experiment", ["", "abs", "..", "../../escape", "a/../../escape"],
+                         ids=["empty", "absolute", "parent", "escape", "inner-escape"])
+def test_cli_train_refuses_an_experiment_outside_out(tmp_path, capsys, experiment):
+    """The experiment names a subdirectory of --out, and a train empties the
+    checkpoints/ of each run directory under it: an empty or absolute name,
+    or one with a '..' component, exits 2 before anything is written."""
+    if experiment == "abs":
+        experiment = str(tmp_path / "abs")
+    out = tmp_path / "p" / "r2"
+    assert main(["train", "--seeds", "0", "--steps", "0", "--out", str(out),
+                 "--experiment", experiment]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith("error: experiment must be a relative path")
+
+
+def test_cli_train_keeps_experiment_subdirectories(tmp_path):
+    out = tmp_path / "runs"
+    for experiment in ("mini", "a/b"):
+        assert main(["train", "--seeds", "0", "--steps", "40", "--rollout-length", "10",
+                     "--batch-size", "2", "--eval-every", "20", "--eval-horizon", "10",
+                     "--out", str(out), "--experiment", experiment]) == 0
+        assert (out / experiment / "seed_0" / "metrics.csv").is_file()
+
+
 def test_cli_train_refuses_negative_steps_and_keeps_zero(tmp_path, capsys):
     """A negative step budget would train nothing and exit 0: exit 2 naming
     it, nothing written. A budget of 0 stays valid (it writes the run
@@ -610,6 +634,19 @@ def test_cli_value_grid_default_svg_sits_beside_the_csv(tmp_path, monkeypatch, c
         assert capsys.readouterr().out.split() == [out, svg]
         assert (tmp_path / out).is_file() and (tmp_path / svg).is_file()
     assert not (tmp_path / "out.svg").exists()
+
+
+def test_cli_value_grid_creates_the_directories_of_both_files(tmp_path, capsys):
+    """The CSV and the SVG each go under new nested directories."""
+    trainer = Trainer(System3Config(rollout_length=4, batch_size=2, total_steps=8),
+                      "gridworld", seed=0)
+    trainer.save_checkpoint(tmp_path / "ckpt")
+    csv_path, svg_path = tmp_path / "a" / "b" / "v.csv", tmp_path / "c" / "d" / "v.svg"
+    assert main(["value-grid", str(tmp_path / "ckpt"), "--out", str(csv_path),
+                 "--svg", str(svg_path)]) == 0
+    assert capsys.readouterr().out.split() == [str(csv_path), str(svg_path)]
+    assert csv_path.is_file()
+    assert svg_path.read_text().startswith("<svg")
 
 
 def test_export_value_grid_rejects_cartpole(tmp_path):

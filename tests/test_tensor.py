@@ -5,6 +5,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+import weakref
 import zlib
 
 import numpy as np
@@ -291,13 +292,39 @@ def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
     assert np.all(grads_i["w0"][unvisited] == 0.0)
 
 
-@pytest.mark.parametrize("n_cells", [1, 3, 7, 8, 9, 64, 137, 399, 400])
+def layer0_floor(n: int, h: int = 64, width: int = 400) -> int:
+    """The fewest cell rows _index_weight_grad multiplies at once for an
+    n-row batch and h-wide layer 0: the width of its one-hot blocks."""
+    return min(width, max(2, tensor._SMALL_GEMM_MAX_MACS // (n * h) + 1))
+
+
+def cells_at_block_edge(multiple: int, offset: int, repeats: int = 1000) -> int:
+    """The visited-cell count `multiple * floor + offset`, where floor is
+    taken at the row count those cells plus `repeats` repeated rows give."""
+    n_cells = 0
+    for _ in range(10):
+        want = multiple * layer0_floor(n_cells + repeats) + offset
+        if want == n_cells:
+            return n_cells
+        n_cells = want
+    raise AssertionError("no fixed point")
+
+
+BLOCK_EDGES = {"floor-1": (1, -1), "floor": (1, 0), "2floor-1": (2, -1), "2floor": (2, 0),
+               "2floor+1": (2, 1)}
+
+
+@pytest.mark.parametrize("n_cells", [1, 3, 7, 8, 9, 64, 137, 399, 400, *BLOCK_EDGES])
 def test_visited_cell_weight_gradient_bitwise_equals_dense(n_cells):
     """The layer-0 weight gradient of an index input, computed over the
     visited cells only, equals the dense one-hot product in every entry,
     whatever the number of visited cells, with one cell visited 1000
-    times. A one-layer identity net, whose layer-0 d_pre is the output
-    gradient, salts d_pre with -0.0 and subnormals."""
+    times. The named counts sit at the edges of the one-hot blocks: one
+    short of a block, one block, a merged tail, and exact multiples. A
+    one-layer identity net, whose layer-0 d_pre is the output gradient,
+    salts d_pre with -0.0 and subnormals."""
+    if n_cells in BLOCK_EDGES:
+        n_cells = cells_at_block_edge(*BLOCK_EDGES[n_cells])
     rng = np.random.default_rng(n_cells)
     cells = rng.choice(400, size=n_cells, replace=False)
     idx = rng.permutation(np.concatenate([cells, np.full(1000, cells[0])]))[:, None]
@@ -317,6 +344,62 @@ def test_visited_cell_weight_gradient_bitwise_equals_dense(n_cells):
         for (name, got), (_, want) in zip(grads_i, grads_d):
             assert same_bits(got, want), name
         assert not np.any(grads_i["w0"][np.setdiff1d(np.arange(400), cells)])
+
+
+def test_layer0_gradient_builds_one_onehot_block_at_a_time():
+    """The one-hot of a 1000-row batch over 5 * floor + 3 visited cells is
+    never whole: the call's traced peak above its entry stays within one
+    block (at most 2 * floor - 1 columns wide), the block products (all of
+    them, as if none were freed) and eight n-long index arrays. The whole
+    one-hot alone would be n * cells floats. The gradient is still the
+    dense one."""
+    n, h = 1000, 64
+    floor = layer0_floor(n, h)
+    rng = np.random.default_rng(30)
+    cells = rng.choice(400, size=5 * floor + 3, replace=False)
+    idx = rng.permutation(np.concatenate([cells, rng.choice(cells, size=n - len(cells))]))
+    d_pre = rng.normal(size=(n, h))
+    out = np.zeros((400, h))
+    bound = n * (2 * floor - 1) * 8 + len(cells) * h * 8 + 64 * n
+    assert n * len(cells) * 8 > bound
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        tensor._index_weight_grad(idx, d_pre, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= bound
+    assert same_bits(out, dense_onehot(idx, 400).T @ d_pre)
+
+
+def test_inline_trunk_gradient_is_freed_before_the_layer0_step(monkeypatch):
+    """mlp_backward drops its trunk gradient once it is added: passed
+    inline, the array is dead by the layer-0 step; held by the caller, it
+    lives on."""
+    params = mlp_init(GRID_POLICY, seed=30)
+    idx = visited_cells(1000, seed=30)
+    _, cache = mlp_forward(params, GRID_POLICY, idx)
+    rng = np.random.default_rng(30)
+    g_out = rng.normal(size=(1000, 5))
+    refs, alive = [], []
+
+    def trunk():
+        grad = rng.normal(size=(1000, 64))
+        refs.append(weakref.ref(grad))
+        return grad
+
+    index_weight_grad = tensor._index_weight_grad
+
+    def spy(*args):
+        alive.append(refs[-1]() is not None)
+        index_weight_grad(*args)
+
+    monkeypatch.setattr(tensor, "_index_weight_grad", spy)
+    mlp_backward(params, GRID_POLICY, cache, g_out, trunk())
+    held = trunk()
+    mlp_backward(params, GRID_POLICY, cache, g_out, held)
+    assert alive == [False, True]
 
 
 def test_negative_index_gradient_matches_its_forward_alias():
