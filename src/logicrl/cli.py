@@ -1,13 +1,12 @@
 """Command-line front end.
 
 Verbs: train, eval, plot, value-grid, check-constraint. Exit codes: 0 on
-success, 2 on configuration and I/O errors, 3 on runtime failures. Every
-verb runs with numpy's bundled OpenBLAS on one thread (see _one_blas_thread).
+success, 2 on configuration and I/O errors, 3 on runtime failures. Output
+bits do not depend on the BLAS thread count (see tensor.mlp_backward).
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -21,7 +20,6 @@ from .harness import (
     run_eval,
     run_train,
 )
-from .tensor import bundled_openblas_threads
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -117,25 +115,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, and restore the
-    caller's count after. A BLAS product's summation order depends on the
-    thread count, so pinning it makes the CLI's outputs the same whatever
-    OPENBLAS_NUM_THREADS or the core count is."""
-    threads = bundled_openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -146,8 +125,7 @@ def main(argv=None) -> int:
         "check-constraint": _cmd_check,
     }
     try:
-        with _one_blas_thread():
-            return handlers[args.verb](args)
+        return handlers[args.verb](args)
     except (ValueError, OSError) as exc:  # ConfigError, the .fl errors, unusable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -311,9 +311,9 @@ def run_eval(
     Without an explicit seed this reproduces the training loop's own
     evaluation at the checkpointed step (same derived seed, same horizon).
     Returns the result and the metrics.csv-formatted row. When the bundle
-    was written under another numeric setting than this process runs,
-    prints one warning line to stderr: the row may then differ in its last
-    bits from the one training wrote.
+    was written under another numpy or BLAS than this process runs, prints
+    one warning line to stderr: the row may then differ in its last bits
+    from the one training wrote. Another BLAS thread count does not warn.
     """
     if eval_horizon < 1:
         raise ConfigError("eval_horizon must be >= 1")
@@ -321,7 +321,7 @@ def run_eval(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     trainer = Trainer.load_checkpoint(checkpoint)
     here = numeric_setting()
-    if trainer.recorded_setting != here:
+    if any(trainer.recorded_setting[key] != here[key] for key in here if key != "blas_threads"):
         print(f"warning: {checkpoint} was written under {setting_text(trainer.recorded_setting)}; "
               f"this process runs {setting_text(here)}", file=sys.stderr)
     if constraint == "none":

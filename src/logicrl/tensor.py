@@ -1,6 +1,7 @@
 """Dense tanh MLP forward/backward passes, the Adam optimizer, the binary
 parameter file, and the numeric setting (numpy, BLAS and thread count) that
-the bits of all three depend on.
+a bundle records. The bits of all three depend on numpy and its BLAS, but
+not on the thread count (see mlp_backward and tests/test_contracts.py).
 
 Everything is float64. A ParamSet is one finite, read-only vector plus a
 layout of (name, shape) rows; each entry is a reshaped view of its slice of
@@ -11,6 +12,7 @@ mlp_init lays them out in. Importing the module sets glibc's malloc thresholds
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -78,6 +80,23 @@ def bundled_openblas_threads():
         set_.argtypes, set_.restype = (ctypes.c_int,), None
         return get, set_
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, and restore
+    the caller's count after; do nothing when numpy has no such library."""
+    threads = bundled_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def numeric_setting() -> dict:
@@ -296,6 +315,8 @@ def _index_weight_grad(idx: np.ndarray, d_pre: np.ndarray, out: np.ndarray) -> N
     n * (2 * floor - 1) floats, whatever the number of cells."""
     width = len(out)
     n, h = d_pre.shape
+    if n == 0:  # no rows: the zeroed `out` is the sum
+        return
     floor = min(width, max(2, _SMALL_GEMM_MAX_MACS // (n * h) + 1))
     idx = idx % width  # the forward gather read a negative index from the end
     visited = np.zeros(width, dtype=bool)
@@ -344,7 +365,8 @@ def mlp_backward(
     A hidden layer's activation derivative is read from its output (see
     _times_activation_grad). The trunk gradient and the derivative are
     applied in place on the `d_pre @ W.T` product the pass made itself;
-    `output_grad`, `trunk_grad` and the cache are only read.
+    `output_grad`, `trunk_grad` and the cache are only read. It runs on one
+    OpenBLAS thread: the sums of `h_in.T @ d_pre` change order with the count.
     """
     if len(cache.post) != config.n_layers:
         raise ValueError("cache does not match config")
@@ -359,25 +381,26 @@ def mlp_backward(
     grads = _entry_views(flat, params.layout)
     last = config.n_layers - 1
     d_pre = g
-    for layer in range(last, -1, -1):
-        if layer < last:
-            # the gradient w.r.t. this layer's output is this pass's own
-            # product, so the trunk gradient and the slope are applied to it
-            # in place: the same additions and products as
-            # `d_post + trunk_grad` and `d_post * slope`
-            d_pre = d_pre @ params.views[2 * layer + 2].T
-            if layer == last - 1 and trunk_grad is not None:
-                d_pre += trunk_grad
-                # the last reference if the caller passed the array inline:
-                # it is freed here, before this layer's slope, not at return
-                trunk_grad = None
-            _times_activation_grad(d_pre, cache.post[layer])
-        if layer == 0 and inputs.dtype.kind in "iu":
-            _index_weight_grad(inputs[:, 0], d_pre, grads[0])
-        else:
-            h_in = inputs if layer == 0 else cache.post[layer - 1]
-            np.matmul(h_in.T, d_pre, out=grads[2 * layer])
-        np.sum(d_pre, axis=0, out=grads[2 * layer + 1])
+    with _one_blas_thread():
+        for layer in range(last, -1, -1):
+            if layer < last:
+                # the gradient w.r.t. this layer's output is this pass's own
+                # product, so the trunk gradient and the slope are applied to it
+                # in place: the same additions and products as
+                # `d_post + trunk_grad` and `d_post * slope`
+                d_pre = d_pre @ params.views[2 * layer + 2].T
+                if layer == last - 1 and trunk_grad is not None:
+                    d_pre += trunk_grad
+                    # the last reference if the caller passed the array inline:
+                    # it is freed here, before this layer's slope, not at return
+                    trunk_grad = None
+                _times_activation_grad(d_pre, cache.post[layer])
+            if layer == 0 and inputs.dtype.kind in "iu":
+                _index_weight_grad(inputs[:, 0], d_pre, grads[0])
+            else:
+                h_in = inputs if layer == 0 else cache.post[layer - 1]
+                np.matmul(h_in.T, d_pre, out=grads[2 * layer])
+            np.sum(d_pre, axis=0, out=grads[2 * layer + 1])
     return params.with_flat(flat)
 
 

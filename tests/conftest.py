@@ -1,25 +1,18 @@
-"""Suite-wide set-up: every test runs with numpy's OpenBLAS on one thread, as
-the CLI does, so in-process training computes the same bits as `logicrl
-train` whatever OPENBLAS_NUM_THREADS or the core count is.
-
-Also the two session-scoped training fixtures, which any module may share:
+"""The two session-scoped training fixtures, which any module may share:
 `grid_runs` trains the grid bridge experiments and `cartpole_runs` the
 cart-pole ones, each experiment's seeds in parallel worker processes (which
 write the same bytes as a sequential run). They take minutes, so a test that
 uses them is marked `slow`.
+
+The suite runs at the host's BLAS thread count, with no pin: training
+computes the same bits at any count (see logicrl.tensor.mlp_backward), so
+in-process runs write what `logicrl train` writes.
 """
 import os
 
 import pytest
 
-from logicrl import cli
 from logicrl.harness import build_run_config, run_train
-
-
-@pytest.fixture(scope="session", autouse=True)
-def one_blas_thread():
-    with cli._one_blas_thread():
-        yield
 
 
 SEEDS = "0,1,2"

@@ -5,7 +5,8 @@ differences for gradients, a truth-table evaluator plus random formula
 generator for the constraint language, a scalar Minkowski distance, a scalar
 GAE recursion, a direct discounted-sum advantage, dense one-hot inputs, the
 out-of-place forward pass and the inference formulas built on it, ParamSets
-with chosen entries, a per-entry backward pass, per-entry Adam
+with chosen entries, a per-entry backward pass at one BLAS thread (and
+`blas_threads`, which sets numpy's bundled OpenBLAS count), per-entry Adam
 updates, reference environment steppers, a cell-by-cell grid transition table, and the
 step-by-step training rollout and evaluation loops. They
 intentionally avoid the library code paths they are used to check
@@ -15,16 +16,18 @@ gae_batch, is a shared helper rather than an oracle.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 
 import numpy as np
+import pytest
 
 from logicrl import constraints as fl
 from logicrl.actor_critic import gae_batch
 from logicrl import envs
 from logicrl.envs import StateSchema
-from logicrl.tensor import MLPCache, ParamSet, _as_batch
+from logicrl.tensor import MLPCache, ParamSet, _as_batch, bundled_openblas_threads
 from logicrl.training import EvalResult
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -274,22 +277,47 @@ def paramset_with(like: ParamSet, entries: dict | None = None, fill: float | Non
     return out
 
 
+# skips a test that sets the thread count when there is no count to set
+needs_bundled_openblas = pytest.mark.skipif(bundled_openblas_threads() is None,
+                                            reason="numpy does not use its bundled OpenBLAS")
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the body with numpy's bundled OpenBLAS at `count` threads, set
+    through its ctypes handle, and restore the count after; do nothing when
+    numpy has no such library."""
+    threads = bundled_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def per_entry_backward(params: ParamSet, config, cache, output_grad, trunk_grad=None) -> list:
     """mlp_backward's gradients for a float input batch, one freshly
     allocated array per entry (each layer's weight, then its bias): the
     reference for the views into one gradient vector, computed out of
-    place. `trunk_grad` is added at the last hidden layer's output."""
+    place, on one BLAS thread as mlp_backward computes them. `trunk_grad`
+    is added at the last hidden layer's output."""
     grads = [None] * (2 * config.n_layers)
     last = config.n_layers - 1
     d_post = output_grad
-    for layer in reversed(range(config.n_layers)):
-        post = cache.post[layer]
-        if layer == last - 1 and trunk_grad is not None:
-            d_post = d_post + trunk_grad
-        d_pre = d_post if layer == last else d_post * (1.0 - post * post)
-        h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
-        grads[2 * layer], grads[2 * layer + 1] = h_in.T @ d_pre, d_pre.sum(axis=0)
-        d_post = d_pre @ params.views[2 * layer].T
+    with blas_threads(1):
+        for layer in reversed(range(config.n_layers)):
+            post = cache.post[layer]
+            if layer == last - 1 and trunk_grad is not None:
+                d_post = d_post + trunk_grad
+            d_pre = d_post if layer == last else d_post * (1.0 - post * post)
+            h_in = cache.inputs if layer == 0 else cache.post[layer - 1]
+            grads[2 * layer], grads[2 * layer + 1] = h_in.T @ d_pre, d_pre.sum(axis=0)
+            d_post = d_pre @ params.views[2 * layer].T
     return grads
 
 

@@ -380,10 +380,10 @@ PINNED_SHA256 = {
 def test_seed_0_outputs_keep_their_pinned_hashes(grid_runs, cartpole_runs):
     """The seed-0 metrics.csv and train_log.csv of the grid bridge and the
     d = 5 cart-pole experiments hash to their pinned values. The last bits
-    depend on numpy and its BLAS, so under another numeric setting the test
-    skips and prints both records."""
+    depend on numpy and its BLAS, so under another numpy or BLAS the test
+    skips and prints both records; the BLAS thread count does not matter."""
     setting = numeric_setting()
-    if setting != PINNED_SETTING:
+    if any(setting[key] != PINNED_SETTING[key] for key in setting if key != "blas_threads"):
         message = f"hashes pinned under {PINNED_SETTING}; this process runs under {setting}"
         print(message)
         pytest.skip(message)

@@ -1,8 +1,8 @@
-"""Bitwise contracts of the nets' batched forwards.
+"""Bitwise contracts of the nets' batched forwards and backwards.
 
-They hold for numpy with OpenBLAS at one thread (the suite runs at one, as
-the CLI does), but not by construction: a numpy or OpenBLAS upgrade may
-break one, and then this module names it instead of a moved hash of a
+They hold for numpy 2.4 with its bundled OpenBLAS 0.3.31, at whatever thread
+count the suite runs, but not by construction: a numpy or OpenBLAS upgrade
+may break one, and then this module names it instead of a moved hash of a
 training run. Each is stated at the shipped shapes, the grid bridge (batch
 B = 20, rollout T = 50, 400 cells) and cart-pole (B = 20, T = 20), on freshly
 seeded nets and on the last checkpoint of a shipped-shape acceptance run:
@@ -20,6 +20,13 @@ one-hot product. `test_tensor.py::test_visited_cell_weight_gradient_bitwise_equa
 states it at the block edges; here it is stated on one grid rollout of
 T*B index rows, whose real visited cells fill several blocks.
 
+The fourth is that the bits do not depend on the BLAS thread count: at 1, 2
+and 4 OpenBLAS threads, `mlp_backward` of the policy, value and forward nets
+returns the same bits, because it runs its weight-gradient products on one
+thread whatever the caller's count; and at 1 and 2 threads `mlp_forward`
+does too, because no forward product's summation order depends on the
+count. A failure names the net and whether its forward or backward moved.
+
 One inequality is stated as a fact too. The evaluation predicts its
 H = 1000 steps one row at a time, and numpy sends a one-row product to gemv,
 not gemm: those H predictions are not bitwise equal to one H-row
@@ -33,7 +40,7 @@ import pytest
 from conftest import checkpoints_of
 from logicrl.tensor import _SMALL_GEMM_MAX_MACS, mlp_backward, mlp_forward
 from logicrl.training import System3Config, Trainer
-from oracles import dense_onehot
+from oracles import blas_threads, dense_onehot, needs_bundled_openblas
 
 # (rollout_length T, batch_size B) of configs/grid_bridge.cfg and
 # configs/cartpole_delayed.cfg
@@ -125,6 +132,36 @@ def test_rollout_policy_backward_over_index_rows_equals_dense_rows(request, sour
     grads = [mlp_backward(params, config, mlp_forward(params, config, x)[1], g_out, trunk)
              for x in (index, dense_onehot(index, config.layer_sizes[0]))]
     assert same_bits(grads[0].flat(), grads[1].flat())
+
+
+@needs_bundled_openblas
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("env", sorted(SHAPES))
+def test_nets_compute_the_same_bits_at_any_blas_thread_count(request, env, source):
+    T, B = SHAPES[env]
+    trainer = shipped_trainer(request, env, source)
+    agent, model = trainer.agent, trainer.model
+    states, actions = rollout_inputs(trainer, T * B)
+    x_policy = agent.featurize(states)
+    x_value = mlp_forward(agent.policy_params, agent.policy_config, x_policy)[1].post[-2]
+    nets = {"policy": (agent.policy_params, agent.policy_config, x_policy),
+            "value": (agent.value_params, agent.value_config, x_value),
+            "forward model": (model.params, model.config, model._net_input(states, actions))}
+    rng = np.random.default_rng(T * B)
+    for name, (params, config, x) in nets.items():
+        g_out = rng.normal(size=(T * B, config.layer_sizes[-1]))
+        trunk = rng.normal(size=(T * B, config.layer_sizes[-2])) if name == "policy" else None
+        caches, grads = {}, {}
+        for count in (1, 2):
+            with blas_threads(count):
+                caches[count] = mlp_forward(params, config, x)[1]
+        for a, b in zip(caches[1].post, caches[2].post):
+            assert same_bits(a, b), f"{name} forward"
+        for count in (1, 2, 4):
+            with blas_threads(count):
+                grads[count] = mlp_backward(params, config, caches[1], g_out, trunk).flat()
+        assert same_bits(grads[1], grads[2]), f"{name} backward, 2 threads"
+        assert same_bits(grads[1], grads[4]), f"{name} backward, 4 threads"
 
 
 @pytest.mark.parametrize("source", SOURCES)

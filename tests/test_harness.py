@@ -33,7 +33,7 @@ from logicrl.harness import (
 from logicrl.plots import heatmap_svg, line_chart_svg, rolling_mean
 from logicrl.tensor import numeric_setting
 from logicrl.training import Trainer, System3Config
-from oracles import paramset_with
+from oracles import blas_threads, needs_bundled_openblas, paramset_with
 
 
 def tiny_values(tmp_path, **overrides):
@@ -711,9 +711,10 @@ def test_cli_train_and_plot_and_value_grid(tmp_path, capsys):
 
 
 def test_cli_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """`logicrl train` runs numpy's OpenBLAS on one thread, so a grid run with
-    OPENBLAS_NUM_THREADS=2 writes the same bytes as one with =1. Without the
-    pin the loss columns differ in their last bits within 20k steps."""
+    """`mlp_backward` runs its weight-gradient products on one thread, and
+    no other product's bits depend on the count, so a grid run with
+    OPENBLAS_NUM_THREADS=2 writes the same bytes as one with =1. Without
+    that the loss columns differ in their last bits within 20k steps."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
@@ -729,23 +730,23 @@ def test_cli_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
-def test_cli_restores_the_callers_blas_thread_count(monkeypatch, capsys):
-    """A verb runs on one BLAS thread, and an in-process caller gets its own
-    count back."""
-    threads = cli.bundled_openblas_threads()
-    if threads is None:
-        pytest.skip("numpy does not use its bundled OpenBLAS")
-    get, set_ = threads
-    seen = []
-    monkeypatch.setattr(cli, "check_constraint", lambda *args: seen.append(get()) or "ok")
-    caller = get()
-    set_(2)
-    try:
-        assert main(["check-constraint", "configs/grid_keepout.fl"]) == 0
-        assert seen == [1] and get() == 2
-    finally:
-        set_(caller)
-    capsys.readouterr()
+@needs_bundled_openblas
+def test_library_train_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """An in-process `train_one_seed` of the grid bridge config at 2
+    bundled-OpenBLAS threads writes the same bytes as one at 1 thread,
+    with no pin around it."""
+    values = {**parse_kv_file("configs/grid_bridge.cfg"), "seeds": "0", "steps": "20000"}
+    written = []
+    for threads in (1, 2):
+        config = build_run_config({**values, "out": str(tmp_path / f"threads_{threads}")})
+        with blas_threads(threads):
+            run_dir = train_one_seed(config, 0)
+        with open(os.path.join(run_dir, "metrics.csv"), "rb") as fp:
+            metrics = fp.read()
+        with open(os.path.join(run_dir, "train_log.csv"), "rb") as fp:
+            written.append((metrics, fp.read()))
+    assert written[0][0].count(b"\n") == 2  # header and the 20k-step evaluation
+    assert written[0] == written[1]
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
@@ -1034,9 +1035,10 @@ def test_cli_eval_of_checkpoint_with_params_of_another_seed_exits_2(tmp_path, ca
 
 def test_cli_eval_warns_once_when_the_bundle_records_another_numeric_setting(tmp_path, capsys):
     """A bundle and config.snapshot record the numeric setting they were
-    written under. `logicrl eval` of a bundle whose record differs from the
-    running process prints one warning line to stderr, and the same stdout
-    and exit code."""
+    written under. `logicrl eval` of a bundle whose numpy or BLAS differs
+    from the running process prints one warning line to stderr, and the
+    same stdout and exit code; one whose thread count alone differs prints
+    no warning."""
     config = build_run_config(tiny_values(tmp_path))
     run_dir = train_one_seed(config, 0)
     with open(os.path.join(run_dir, "config.snapshot")) as fp:
@@ -1058,6 +1060,14 @@ def test_cli_eval_warns_once_when_the_bundle_records_another_numeric_setting(tmp
     assert edited.out == same.out
     assert edited.err.startswith(f"warning: {ckpt} was written under numpy 0.0.0, ")
     assert edited.err.count("\n") == 1
+    # the bits do not depend on the thread count, so a record that differs
+    # only there is no reason to warn
+    here = numeric_setting()
+    state["numeric_setting"] = {**here, "blas_threads": (here["blas_threads"] or 1) + 1}
+    with open(state_path, "w") as fp:
+        json.dump(state, fp)
+    assert main(["eval", ckpt, "--eval-horizon", "10"]) == 0
+    assert capsys.readouterr() == same
 
 
 def test_heatmap_and_line_chart_svg_wellformed():

@@ -25,7 +25,14 @@ from logicrl.tensor import (
     save_paramset_file,
     softmax,
 )
-from oracles import dense_onehot, fd_gradient, grads_match, paramset_with
+from oracles import (
+    blas_threads,
+    dense_onehot,
+    fd_gradient,
+    grads_match,
+    needs_bundled_openblas,
+    paramset_with,
+)
 
 
 # -- init ---------------------------------------------------------------------
@@ -162,6 +169,27 @@ def test_backward_rejects_mismatched_cache():
             mlp_backward(params, config, cache, output_grad)
 
 
+@needs_bundled_openblas
+def test_backward_runs_on_one_thread_and_restores_the_callers_blas_count(monkeypatch):
+    """The pass runs with the bundled OpenBLAS on one thread, and a pass
+    that raises ValueError leaves the caller's count as it was."""
+    config = MLPConfig((3, 4, 2))
+    params = mlp_init(config, seed=1)
+    _, cache = mlp_forward(params, config, np.zeros((5, 3)))
+    seen = []
+    with blas_threads(2):
+        get, _ = tensor.bundled_openblas_threads()
+
+        def fail(d_post, post):
+            seen.append(get())
+            raise ValueError("stop")
+
+        monkeypatch.setattr(tensor, "_times_activation_grad", fail)
+        with pytest.raises(ValueError, match="stop"):
+            mlp_backward(params, config, cache, np.zeros((5, 2)))
+        assert seen == [1] and get() == 2
+
+
 @pytest.mark.parametrize(
     "config,seed",
     [
@@ -266,7 +294,7 @@ def visited_cells(n: int, seed: int) -> np.ndarray:
     return rng.choice(np.arange(0, 400, 2), size=(n, 1))
 
 
-@pytest.mark.parametrize("n", [1, 20, 1000])
+@pytest.mark.parametrize("n", [0, 1, 20, 1000])
 @pytest.mark.parametrize("with_hidden", [False, True])
 def test_index_input_bitwise_equals_dense_onehot(n, with_hidden):
     """An int index column gives the same bits as its dense one-hot rows:
